@@ -43,9 +43,7 @@ from .plots import (
     builtin_plot,
     criterion_check,
     default_line_grid,
-    format_plot_text,
     gauge_names,
-    parse_plot_text,
     plot_from_poly_map,
     plot_names,
     pullback_along_plot,
@@ -108,9 +106,7 @@ __all__ = [
     "builtin_plot",
     "criterion_check",
     "default_line_grid",
-    "format_plot_text",
     "gauge_names",
-    "parse_plot_text",
     "plot_from_poly_map",
     "plot_names",
     "pullback_along_plot",

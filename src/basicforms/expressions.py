@@ -11,7 +11,9 @@ Grammar (whitespace-insensitive)::
 Identifiers are the declared variable names plus the reserved parameter
 ``a``.  Rationals are written ``p/q``; division is only allowed by nonzero
 constant expressions (which may involve ``a``), never by variables.
-Exponents must be literal non-negative integers.
+Exponents must be literal non-negative integers.  Parentheses and unary
+minus signs nest fewer than ``MAX_NESTING`` deep, so a hostile expression is
+a parse error rather than a blown interpreter stack.
 
 Errors carry the character position and a description of what was expected,
 so job files can point at the offending column.
@@ -44,6 +46,10 @@ class _Token:
 
 
 _OPS = set("+-*/^()")
+
+# Each level is at most five parser frames, well inside Python's default
+# recursion limit of 1000 even when called from a deep stack.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -87,6 +93,7 @@ class _Parser:
         self._pos = 0
         self._vars = {name: i for i, name in enumerate(var_names)}
         self._num_vars = len(var_names)
+        self._depth = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -148,10 +155,19 @@ class _Parser:
 
     def _factor(self) -> Polynomial:
         tok = self._peek()
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"parentheses and signs nest {MAX_NESTING} or more deep",
+                tok.position,
+            )
         if tok.kind == "op" and tok.text == "-":
             self._advance()
-            return -self._factor()
-        return self._power()
+            value = -self._factor()
+        else:
+            value = self._power()
+        self._depth -= 1
+        return value
 
     def _power(self) -> Polynomial:
         base = self._atom()

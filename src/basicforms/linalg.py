@@ -1,11 +1,13 @@
 """Exact linear algebra over the scalar field.
 
-Elimination is fraction-free in the Bareiss style: each row is first scaled
-to clear parameter denominators, then the two-term update divides by the
-previous pivot, which is an exact division.  This keeps intermediate entries
-polynomial in the parameter instead of letting numerators and denominators
-balloon.  Pivoting always takes the first nonzero entry in column order, so
-every routine here is deterministic.
+A matrix stores each row sparsely, as ``{column: nonzero Scalar}``; the
+constraint matrices the solver builds are mostly zeros.  One sparse
+Gauss-Jordan elimination serves every routine here: rows are taken in
+order, each is reduced against the rows already accepted, and a row that
+stays nonzero is accepted with its first nonzero column as pivot, scaled to
+a unit pivot and used to clear that column from the earlier rows.  Rank,
+RREF, kernels, span tests, the determinant and the inverse are all read off
+its result, so every routine is deterministic.
 
 Kernel bases are canonical: they come from the reduced row echelon form
 (one basis vector per free column, in column order) and each vector is
@@ -16,52 +18,61 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .scalars import Scalar, ScalarLike
+from .scalars import ONE, ZERO, Scalar, ScalarLike
 
 Vector = tuple[Scalar, ...]
+SparseRow = dict[int, Scalar]
+
+
+def _sparse(entries: Sequence[ScalarLike]) -> SparseRow:
+    row: SparseRow = {}
+    for j, e in enumerate(entries):
+        s = Scalar.of(e)
+        if not s.is_zero:
+            row[j] = s
+    return row
 
 
 class Matrix:
-    """Immutable dense matrix of Scalars, row-major."""
+    """Immutable sparse matrix of Scalars; rows map column to nonzero entry."""
 
-    __slots__ = ("_rows", "_cols", "_entries")
+    __slots__ = ("_rows", "_cols", "_data")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[ScalarLike]):
-        if rows < 0 or cols < 0:
+    def __init__(self, cols: int, data: list[SparseRow]):
+        """Wrap rows that hold only nonzero Scalars at columns below ``cols``."""
+        if cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
-            )
-        self._rows = rows
+        self._rows = len(data)
         self._cols = cols
-        self._entries = tuple(Scalar.of(e) for e in entries)
+        self._data = data
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[ScalarLike]]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[ScalarLike] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return Matrix(nrows, ncols, flat)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return Matrix(ncols, [_sparse(r) for r in rows])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[ScalarLike]]) -> "Matrix":
-        ncols = len(cols)
-        nrows = len(cols[0]) if ncols else 0
-        rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
-        return Matrix(nrows, ncols, [e for row in rows for e in row])
+        nrows = len(cols[0]) if cols else 0
+        data: list[SparseRow] = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            if len(col) != nrows:
+                raise ValueError("ragged columns")
+            for i, e in enumerate(col):
+                s = Scalar.of(e)
+                if not s.is_zero:
+                    data[i][j] = s
+        return Matrix(len(cols), data)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return Matrix(n, [{i: ONE} for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [0] * (rows * cols))
+        return Matrix(cols, [{} for _ in range(rows)])
 
     @property
     def rows(self) -> int:
@@ -72,53 +83,39 @@ class Matrix:
         return self._cols
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._entries[i * self._cols + j]
+        return self._data[i].get(j, ZERO)
 
     def row(self, i: int) -> Vector:
-        return self._entries[i * self._cols : (i + 1) * self._cols]
-
-    def column(self, j: int) -> Vector:
-        return tuple(self._entries[i * self._cols + j] for i in range(self._rows))
+        data = self._data[i]
+        return tuple(data.get(j, ZERO) for j in range(self._cols))
 
     def row_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self._rows)]
 
-    def stack_below(self, other: "Matrix") -> "Matrix":
-        if self._cols != other._cols:
-            raise ValueError("column count mismatch in vertical stack")
-        return Matrix(
-            self._rows + other._rows, self._cols, self._entries + other._entries
-        )
-
     def stack_right(self, other: "Matrix") -> "Matrix":
         if self._rows != other._rows:
             raise ValueError("row count mismatch in horizontal stack")
-        flat: list[Scalar] = []
-        for i in range(self._rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return Matrix(self._rows, self._cols + other._cols, flat)
+        shift = self._cols
+        return Matrix(
+            self._cols + other._cols,
+            [
+                {**mine, **{j + shift: e for j, e in theirs.items()}}
+                for mine, theirs in zip(self._data, other._data)
+            ],
+        )
 
     def apply(self, vector: Sequence[ScalarLike]) -> Vector:
         if len(vector) != self._cols:
             raise ValueError("vector length mismatch")
         vec = [Scalar.of(v) for v in vector]
-        out = []
-        for i in range(self._rows):
-            acc = Scalar.of(0)
-            for j, v in enumerate(vec):
-                acc = acc + self.entry(i, j) * v
-            out.append(acc)
-        return tuple(out)
+        return tuple(
+            sum((e * vec[j] for j, e in row.items()), ZERO) for row in self._data
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self._rows == other._rows
-            and self._cols == other._cols
-            and self._entries == other._entries
-        )
+        return self._cols == other._cols and self._data == other._data
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -131,108 +128,71 @@ def stack(blocks: Sequence[Matrix]) -> Matrix:
     """Stack blocks vertically; requires at least one block for the width."""
     if not blocks:
         raise ValueError("no blocks to stack")
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out.stack_below(b)
-    return out
+    cols = blocks[0].cols
+    if any(b.cols != cols for b in blocks):
+        raise ValueError("column count mismatch in vertical stack")
+    return Matrix(cols, [row for b in blocks for row in b._data])
 
 
-def _clear_row_denominators(row: list[Scalar]) -> None:
-    """Scale a row in place so every entry is polynomial in the parameter.
+def _subtract(target: SparseRow, f: Scalar, source: SparseRow, pivot: int) -> None:
+    """target -= f * source, outside the pivot column the caller already cleared."""
+    for j, v in source.items():
+        if j == pivot:
+            continue
+        old = target.get(j)
+        new = -(f * v) if old is None else old - f * v
+        if new.is_zero:
+            del target[j]
+        else:
+            target[j] = new
 
-    Row scaling by a nonzero scalar never changes rank or kernel.
+
+def _gauss_jordan(matrix: Matrix) -> tuple[dict[int, SparseRow], list[int], list[Scalar]]:
+    """Sparse Gauss-Jordan elimination.
+
+    Returns the RREF rows keyed by pivot column (unit pivot, zero in every
+    other pivot column), the pivot columns and the pivot scalars, both in the
+    order the rows were accepted.  A pivot scalar is the accepted row's first
+    nonzero entry after reduction, before it is scaled to one.
     """
-    for j in range(len(row)):
-        e = row[j]
-        if e.is_zero:
-            continue
-        den = e.denominator()
-        if den.is_one:
-            continue
-        for i in range(len(row)):
-            row[i] = row[i] * den
-
-
-def _forward_eliminate(work: list[list[Scalar]], cols: int) -> list[int]:
-    """Bareiss forward elimination in place; returns pivot column indices.
-
-    Zero and duplicate rows are dropped first (neither changes the row
-    space, hence neither changes rank, RREF, or the kernel); constraint
-    matrices from stacked generator blocks are full of both.
-    """
-    kept: list[list[Scalar]] = []
-    seen_rows: set[tuple[Scalar, ...]] = set()
-    for row in work:
-        if all(e.is_zero for e in row):
-            continue
-        _clear_row_denominators(row)
-        key = tuple(row)
-        if key in seen_rows:
-            continue
-        seen_rows.add(key)
-        kept.append(row)
-    work[:] = kept
+    reduced: dict[int, SparseRow] = {}
     pivots: list[int] = []
-    prev = Scalar.of(1)
-    r = 0
-    nrows = len(work)
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not work[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    scalars: list[Scalar] = []
+    for source in matrix._data:
+        row = dict(source)
+        # An accepted row is zero in every other pivot column, so clearing
+        # one pivot column never refills another.
+        for c in [c for c in row if c in reduced]:
+            _subtract(row, row.pop(c), reduced[c], c)
+        if not row:
             continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][c]
-        prev_is_one = prev.is_one
-        for i in range(r + 1, nrows):
-            q = work[i][c]
-            if q.is_zero:
-                if p == prev:
-                    continue
-                if prev_is_one:
-                    work[i] = [p * e for e in work[i]]
-                else:
-                    work[i] = [(p * e) / prev for e in work[i]]
-                continue
-            row_i = work[i]
-            row_r = work[r]
-            if prev_is_one:
-                work[i] = [p * a - q * b for a, b in zip(row_i, row_r)]
-            else:
-                work[i] = [(p * a - q * b) / prev for a, b in zip(row_i, row_r)]
-        prev = p
-        pivots.append(c)
-        r += 1
-    return pivots
+        pivot = min(row)
+        p = row[pivot]
+        if not p.is_one:
+            row = {j: v / p for j, v in row.items()}
+        for other in reduced.values():
+            f = other.pop(pivot, None)
+            if f is not None:
+                _subtract(other, f, row, pivot)
+        reduced[pivot] = row
+        pivots.append(pivot)
+        scalars.append(p)
+    return reduced, pivots, scalars
 
 
 def rank(matrix: Matrix) -> int:
-    work = matrix.row_lists()
-    return len(_forward_eliminate(work, matrix.cols))
+    return len(_gauss_jordan(matrix)[1])
 
 
 def rref(matrix: Matrix) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form (unit pivots, zeros above and below)."""
-    work = matrix.row_lists()
-    pivots = _forward_eliminate(work, matrix.cols)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        p = work[r][c]
-        if not p.is_one:
-            work[r] = [e / p for e in work[r]]
-        for i in range(r):
-            f = work[i][c]
-            if f.is_zero:
-                continue
-            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-    return work[: len(pivots)], pivots
+    reduced, pivots, _ = _gauss_jordan(matrix)
+    order = sorted(pivots)
+    width = range(matrix.cols)
+    return [[reduced[c].get(j, ZERO) for j in width] for c in order], order
 
 
-def _sign_normalize(vector: list[Scalar]) -> tuple[Scalar, ...]:
+def _sign_normalize(vector: list[Scalar]) -> Vector:
     for e in vector:
         s = e.sign()
         if s < 0:
@@ -249,16 +209,17 @@ def kernel_basis(matrix: Matrix) -> list[Vector]:
     always ``cols - rank``.  Each vector is sign-normalized so its first
     nonzero coordinate is positive (leading numerator coefficient).
     """
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
+    reduced, _, _ = _gauss_jordan(matrix)
     basis: list[Vector] = []
     for free in range(matrix.cols):
-        if free in pivot_set:
+        if free in reduced:
             continue
-        vec = [Scalar.of(0)] * matrix.cols
-        vec[free] = Scalar.of(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][free]
+        vec = [ZERO] * matrix.cols
+        vec[free] = ONE
+        for c, row in reduced.items():
+            v = row.get(free)
+            if v is not None:
+                vec[c] = -v
         basis.append(_sign_normalize(vec))
     return basis
 
@@ -282,31 +243,22 @@ def column_span_equal(first: Matrix, second: Matrix) -> bool:
 
 
 def determinant(matrix: Matrix) -> Scalar:
-    """Exact determinant by field elimination with row-swap sign tracking."""
+    """Exact determinant: the product of the pivot scalars, signed.
+
+    Reducing a row against earlier rows leaves the determinant unchanged, so
+    it is the product of the pivot scalars times the determinant of the
+    unit-pivot rows, a permutation matrix taking row i to pivot column i.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    work = matrix.row_lists()
-    det = Scalar.of(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not work[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Scalar.of(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            det = -det
-        p = work[c][c]
+    _, pivots, scalars = _gauss_jordan(matrix)
+    if len(pivots) < matrix.rows:
+        return ZERO
+    det = ONE
+    for p in scalars:
         det = det * p
-        for i in range(c + 1, n):
-            f = work[i][c] / p
-            if f.is_zero:
-                continue
-            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return det
+    inversions = sum(c > d for i, c in enumerate(pivots) for d in pivots[i + 1 :])
+    return -det if inversions % 2 else det
 
 
 def invert(matrix: Matrix) -> Matrix:
@@ -314,8 +266,7 @@ def invert(matrix: Matrix) -> Matrix:
     if matrix.rows != matrix.cols:
         raise ValueError("inverse of a non-square matrix")
     n = matrix.rows
-    augmented = matrix.stack_right(Matrix.identity(n))
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
+    reduced, _, _ = _gauss_jordan(matrix.stack_right(Matrix.identity(n)))
+    if any(c not in reduced for c in range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows([reduced[i][n:] for i in range(n)])
+    return Matrix(n, [{j - n: v for j, v in reduced[i].items() if j >= n} for i in range(n)])

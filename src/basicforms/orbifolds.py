@@ -82,7 +82,7 @@ def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list
 
     window = Window(chart.dim, spec.grade, spec.max_degree)
     averaged = [
-        reynolds_average(chart.group, window.monomial(j)) for j in range(window.size)
+        reynolds_average(chart, window.monomial(j)) for j in range(window.size)
     ]
     averaged = [f for f in averaged if not f.is_zero]
     if not column_span_equal(

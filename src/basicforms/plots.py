@@ -438,60 +438,3 @@ def smooth_gauge_check(
     transformed = Plot(plot.grid, values, jac)
     return criterion_check(plot, transformed, form, tol, bind_a)
 
-
-def format_plot_text(plot: Plot) -> str:
-    """One sample per line: ``u... | x... | jacobian row-major``."""
-    lines = [
-        "# columns: parameters | ambient values | jacobian (row-major, ambient x parameter)"
-    ]
-    for s in range(plot.num_samples):
-        u = " ".join(repr(float(v)) for v in plot.grid[s])
-        x = " ".join(repr(float(v)) for v in plot.values[s])
-        j = " ".join(repr(float(v)) for v in plot.jacobians[s].reshape(-1))
-        lines.append(f"{u} | {x} | {j}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_plot_text(text: str) -> Plot:
-    """Parse the plot interchange format; '#' starts a comment."""
-    grid_rows: list[list[float]] = []
-    value_rows: list[list[float]] = []
-    jac_rows: list[list[float]] = []
-    shape: tuple[int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ValueError(
-                f"line {lineno}: expected 'params | values | jacobian', got {len(parts)} sections"
-            )
-        try:
-            u = [float(v) for v in parts[0].split()]
-            x = [float(v) for v in parts[1].split()]
-            j = [float(v) for v in parts[2].split()]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not u or not x:
-            raise ValueError(f"line {lineno}: empty parameter or value section")
-        if shape is None:
-            shape = (len(u), len(x))
-        elif shape != (len(u), len(x)):
-            raise ValueError(f"line {lineno}: inconsistent column counts")
-        if len(j) != len(u) * len(x):
-            raise ValueError(
-                f"line {lineno}: jacobian needs {len(u) * len(x)} entries, got {len(j)}"
-            )
-        grid_rows.append(u)
-        value_rows.append(x)
-        jac_rows.append(j)
-    if shape is None:
-        raise ValueError("no samples in plot text")
-    q, n = shape
-    samples = len(grid_rows)
-    return Plot(
-        np.array(grid_rows),
-        np.array(value_rows),
-        np.array(jac_rows).reshape(samples, n, q),
-    )

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .actions import ActionSpec, AffineMap, act_pullback
+from .actions import ActionSpec, act_pullback
 from .forms import Form, VectorField, ext_d, interior, lie_derivative
 from .linalg import Matrix, column_span_equal, kernel_basis, rank, stack
 from .polynomials import Exponents, Polynomial, grlex_key
 from .scalars import Scalar
+
+if TYPE_CHECKING:  # orbifolds imports this module
+    from .orbifolds import OrbifoldChart
 
 
 @dataclass(frozen=True)
@@ -182,37 +185,19 @@ def basic_form_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
     to forms through the monomial window.  Deterministic for a fixed input.
     """
     domain = Window(action.dim, spec.grade, spec.max_degree)
-    system = invariance_constraints(action, spec).stack_below(
-        horizontality_constraints(action, spec)
+    system = stack(
+        [invariance_constraints(action, spec), horizontality_constraints(action, spec)]
     )
     return [domain.combine(vec) for vec in kernel_basis(system)]
 
 
-def _closure_spot_pairs(size: int) -> list[tuple[int, int]]:
-    pairs = {(0, size - 1), (size - 1, 0), (size // 2, size // 2)}
-    for i in range(min(3, size - 1)):
-        pairs.add((i, i + 1))
-    return sorted(pairs)
+def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
+    """Group average (1/|G|) sum of pullbacks over the chart's group.
 
-
-def reynolds_average(group: Sequence[AffineMap], form: Form) -> Form:
-    """Group average (1/|G|) sum of pullbacks over a finite group.
-
-    The input must be the whole group, not just generators; closure is
-    spot-checked and a non-closed input raises ValueError.
+    The chart checked on construction that its group is a whole finite
+    group, closed under composition.
     """
-    if not group:
-        raise ValueError("empty group")
-    members = set(group)
-    if len(members) != len(group):
-        raise ValueError("group list contains duplicates")
-    if AffineMap.identity(group[0].dim) not in members:
-        raise ValueError("group does not contain the identity")
-    for i, j in _closure_spot_pairs(len(group)):
-        if group[i].compose(group[j]) not in members:
-            raise ValueError(
-                f"group is not closed: element {i} composed with {j} is missing"
-            )
+    group = chart.group
     total = Form.zero(form.dim, form.grade)
     for g in group:
         total = total + act_pullback(g, form)

@@ -29,7 +29,7 @@ from basicforms.forms import (
     wedge,
 )
 from basicforms.linalg import Matrix, kernel_basis, rank
-from basicforms.orbifolds import orbifold_invariant_forms
+from basicforms.orbifolds import OrbifoldChart, orbifold_invariant_forms
 from basicforms.plots import (
     builtin_gauge,
     builtin_plot,
@@ -127,10 +127,10 @@ def test_criterion_04_sign_flip_reynolds():
         basis == [Form.monomial(1, (0,), x), Form.monomial(1, (0,), x**3)],
         "kernel basis is not {x dx, x^3 dx}",
     )
-    group = group_closure([action.discrete[0]])
+    chart = OrbifoldChart(1, group_closure([action.discrete[0]]))
     window = Window(1, 1, 3)
     _expect(failures, window.size == 4, "monomial window is not 4-dimensional")
-    averaged = [reynolds_average(group, window.monomial(j)) for j in range(window.size)]
+    averaged = [reynolds_average(chart, window.monomial(j)) for j in range(window.size)]
     averaged = [f for f in averaged if not f.is_zero]
     _expect(
         failures,
@@ -208,10 +208,10 @@ def test_criterion_08_quarter_turn_chart():
     for grade in (0, 1, 2):
         for j in range(Window(2, grade, 2).size):
             f = Window(2, grade, 2).monomial(j)
-            once = reynolds_average(chart.group, f)
+            once = reynolds_average(chart, f)
             _expect(
                 failures,
-                reynolds_average(chart.group, once) == once,
+                reynolds_average(chart, once) == once,
                 f"projector is not idempotent on window member {j} of grade {grade}",
             )
     _finish(8, "quarter-turn chart: area form survives, projector idempotent", 1.0, started, failures)

@@ -118,6 +118,15 @@ def test_bad_coefficient_expression_is_a_parse_error():
     assert isinstance(report["error"]["position"], int)
 
 
+def test_deep_nesting_is_a_parse_error():
+    for text in ("(" * 5000 + "a" + ")" * 5000, "-" * 5000 + "a"):
+        job = _builtin("solenoid_basis")
+        job["action"]["infinitesimal"] = [["1", text]]
+        report, code = run_job(job)
+        assert code == EXIT_PARSE_ERROR, report["error"]
+        assert report["error"]["kind"] == "parse"
+
+
 def test_unknown_builtin_plot_is_a_validation_error():
     job = _builtin("z2_criterion")
     job["plots"]["first"] = "missing_plot"

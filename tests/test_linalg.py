@@ -1,11 +1,11 @@
 """Exact linear algebra: rank, RREF, kernels, determinants, inverses.
 
-Oracle: a deliberately naive Fraction-only Gaussian elimination
-(no pivot tricks, no fraction-free updates) recomputes rank and kernel
-dimension for random rational matrices; kernel vectors are verified by
-multiplying them back through the original matrix.  Parameter-dependent
-cases are checked by binding at several rational values of a and
-comparing against the oracle on the bound matrix.
+Oracle: a deliberately naive dense Fraction-only Gauss-Jordan elimination
+recomputes rank, RREF and the canonical kernel for random rational
+matrices; kernel vectors are also verified by multiplying them back
+through the original matrix.  Parameter-dependent cases are checked by
+binding at several rational values of a and comparing against the oracle
+on the bound matrix.
 """
 
 import itertools
@@ -29,10 +29,11 @@ from basicforms.scalars import Scalar
 from helpers import rand_fraction, rand_scalar
 
 
-def naive_rank(rows: list[list[Fraction]]) -> int:
-    """Textbook elimination over Fraction; quadratic fill-in and all."""
+def naive_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Textbook Gauss-Jordan over Fraction; quadratic fill-in and all."""
     m = [row[:] for row in rows]
     r = 0
+    pivots = []
     cols = len(m[0]) if m else 0
     for c in range(cols):
         pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
@@ -45,8 +46,29 @@ def naive_rank(rows: list[list[Fraction]]) -> int:
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-    return r
+    return m[:r], pivots
+
+
+def naive_rank(rows: list[list[Fraction]]) -> int:
+    return len(naive_rref(rows)[1])
+
+
+def naive_kernel(rows: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
+    """One vector per free column of the naive RREF, first nonzero entry positive."""
+    reduced, pivots = naive_rref(rows)
+    cols = len(rows[0])
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][free]
+        if next(v for v in vec if v != 0) < 0:
+            vec = [-v for v in vec]
+        basis.append(tuple(vec))
+    return basis
 
 
 def _rand_fraction_matrix(rng, max_side=6):
@@ -77,6 +99,8 @@ def test_kernel_soundness_and_dimension():
         rows = _rand_fraction_matrix(rng)
         mat = _as_matrix(rows)
         basis = kernel_basis(mat)
+        # the canonical kernel, not just some kernel, matches the naive oracle
+        assert basis == [tuple(Scalar.of(v) for v in vec) for vec in naive_kernel(rows)]
         # rank-nullity against the naive oracle
         assert len(basis) == len(rows[0]) - naive_rank(rows)
         for vec in basis:
@@ -251,7 +275,7 @@ def test_stack_shapes():
     b = Matrix.zero(1, 3)
     assert stack([a, b]).rows == 3 and stack([a, b]).cols == 3
     with pytest.raises(ValueError):
-        a.stack_below(Matrix.zero(1, 2))
+        stack([a, Matrix.zero(1, 2)])
     with pytest.raises(ValueError):
         a.stack_right(Matrix.zero(1, 2))
 

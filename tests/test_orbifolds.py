@@ -82,6 +82,12 @@ def test_chart_validation():
         OrbifoldChart(2, [AffineMap.identity(2), r])
     with pytest.raises(ValueError, match="dimension"):
         OrbifoldChart(1, [AffineMap.identity(2)])
+    # a non-closed subset of D4 whose missing products are all off the
+    # first few pairs
+    s = AffineMap.from_rows([[1, 0], [0, -1]], [0, 0])
+    swap = AffineMap.from_rows([[0, 1], [1, 0]], [0, 0])
+    with pytest.raises(ValueError, match="closed"):
+        OrbifoldChart(2, [AffineMap.identity(2), r, s, r.inverse(), swap])
 
 
 def test_compatibility_with_rotation_transition():

@@ -23,9 +23,7 @@ from basicforms.plots import (
     builtin_plot,
     criterion_check,
     default_line_grid,
-    format_plot_text,
     gauge_names,
-    parse_plot_text,
     plot_from_poly_map,
     plot_names,
     pullback_along_plot,
@@ -235,21 +233,6 @@ def test_grade_above_param_dim_pulls_back_to_nothing():
     assert out.shape == (21, 0)
     report = criterion_check(line, line, area)
     assert report.passed and report.max_abs_deviation == 0.0
-
-
-def test_plot_text_round_trip():
-    grid = default_line_grid(count=17)
-    arc = builtin_plot("so2_arc", grid)
-    text = format_plot_text(arc)
-    back = parse_plot_text(text)
-    assert np.array_equal(back.grid, arc.grid)
-    assert np.array_equal(back.values, arc.values)
-    assert np.array_equal(back.jacobians, arc.jacobians)
-
-
-def test_plot_text_errors_carry_line_numbers():
-    with pytest.raises(ValueError, match="line 2"):
-        parse_plot_text("# header\n0.0 | 1.0\n")
 
 
 def test_plot_shape_validation():

@@ -24,7 +24,8 @@ from basicforms.examples import (
     z2_line,
 )
 from basicforms.forms import Form, interior, lie_derivative
-from basicforms.linalg import Matrix
+from basicforms.linalg import stack
+from basicforms.orbifolds import OrbifoldChart
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
 from basicforms.solver import (
@@ -114,8 +115,8 @@ def test_constraint_kernel_matches_direct_conditions():
         w = Window(action.dim, grade, spec.max_degree)
         form = rand_form(rng, action.dim, grade, max_degree=spec.max_degree)
         coords = w.coordinates(form)
-        system = invariance_constraints(action, spec).stack_below(
-            horizontality_constraints(action, spec)
+        system = stack(
+            [invariance_constraints(action, spec), horizontality_constraints(action, spec)]
         )
         in_kernel = all(v.is_zero for v in system.apply(coords))
         assert in_kernel == _is_basic(action, form)
@@ -162,9 +163,9 @@ def test_z2_golden_and_reynolds_span():
         Form.monomial(1, (0,), x**3),
     ]
     # Reynolds image over the full monomial window spans the same space
-    group = group_closure([action.discrete[0]])
+    chart = OrbifoldChart(1, group_closure([action.discrete[0]]))
     averaged = [
-        reynolds_average(group, f) for f in monomial_form_basis(1, spec)
+        reynolds_average(chart, f) for f in monomial_form_basis(1, spec)
     ]
     averaged = [f for f in averaged if not f.is_zero]
     w = Window(1, 1, 3)
@@ -196,7 +197,7 @@ def test_trivial_action_keeps_whole_window():
 def test_reynolds_against_explicit_four_term_sum():
     rng = random.Random(504)
     r = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
-    group = group_closure([r], cap=8)
+    chart = OrbifoldChart(2, group_closure([r], cap=8))
     for _ in range(60):
         grade = rng.randint(0, 2)
         form = rand_form(rng, 2, grade, max_degree=2)
@@ -205,41 +206,49 @@ def test_reynolds_against_explicit_four_term_sum():
         for g in powers:
             total = total + act_pullback(g, form)
         expect = total.scale(Scalar.of(Fraction(1, 4)))
-        assert reynolds_average(group, form) == expect
+        assert reynolds_average(chart, form) == expect
 
 
 def test_reynolds_idempotent_and_invariant():
     rng = random.Random(505)
     r = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
-    group = group_closure([r], cap=8)
+    chart = OrbifoldChart(2, group_closure([r], cap=8))
     for _ in range(40):
         form = rand_form(rng, 2, rng.randint(0, 2), max_degree=2)
-        avg = reynolds_average(group, form)
-        assert reynolds_average(group, avg) == avg
-        for g in group:
+        avg = reynolds_average(chart, form)
+        assert reynolds_average(chart, avg) == avg
+        for g in chart.group:
             assert act_pullback(g, avg) == avg
 
 
 def test_reynolds_kills_odd_forms():
     flip = AffineMap.from_rows([[-1]], [0])
-    group = group_closure([flip])
+    chart = OrbifoldChart(1, group_closure([flip]))
     dx = Form.covector(1, 0)
-    assert reynolds_average(group, dx).is_zero
+    assert reynolds_average(chart, dx).is_zero
     x = Polynomial.variable(1, 0)
-    assert reynolds_average(group, Form.monomial(1, (0,), x)) == Form.monomial(1, (0,), x)
+    assert reynolds_average(chart, Form.monomial(1, (0,), x)) == Form.monomial(1, (0,), x)
 
 
 def test_reynolds_validates_group_input():
+    # The average takes a chart, so every group it sees was checked whole.
+    # The last case holds the products of its first few pairs but not all
+    # products; averaging x dx over it gives the non-invariant
+    # (2/5) x dx + (3/5) y dy.
+    ident = AffineMap.identity(2)
     r = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
+    s = AffineMap.from_rows([[1, 0], [0, -1]], [0, 0])
+    swap = AffineMap.from_rows([[0, 1], [1, 0]], [0, 0])
     dx = Form.covector(2, 0)
-    with pytest.raises(ValueError, match="identity"):
-        reynolds_average([r], dx)
-    with pytest.raises(ValueError, match="duplicates"):
-        reynolds_average([AffineMap.identity(2), r, r], dx)
-    with pytest.raises(ValueError, match="closed"):
-        reynolds_average([AffineMap.identity(2), r], dx)
-    with pytest.raises(ValueError, match="empty"):
-        reynolds_average([], dx)
+    for bad, reason in (
+        ([], "empty"),
+        ([r], "identity"),
+        ([ident, r, r], "duplicate"),
+        ([ident, r], "closed"),
+        ([ident, r, s, r.inverse(), swap], "closed"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            reynolds_average(OrbifoldChart(2, bad), dx)
 
 
 def test_solenoid_cohomology_windows():
