@@ -9,7 +9,7 @@ right action: pulling back by g then by h equals pulling back by g . h.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .forms import Form, PolyMap, VectorField, pullback
@@ -25,7 +25,7 @@ class GroupNotFiniteError(RuntimeError):
 class AffineMap:
     """Invertible exact affine map x -> A x + b."""
 
-    __slots__ = ("_linear", "_translation")
+    __slots__ = ("_linear", "_translation", "_poly_map")
 
     def __init__(self, linear: Matrix, translation: Sequence[ScalarLike]):
         if linear.rows != linear.cols:
@@ -36,6 +36,20 @@ class AffineMap:
             raise ValueError("affine map is not invertible")
         self._linear = linear
         self._translation = tuple(Scalar.of(t) for t in translation)
+        self._poly_map: PolyMap | None = None
+
+    @classmethod
+    def _invertible(cls, linear: Matrix, translation: tuple[Scalar, ...]) -> "AffineMap":
+        """Map from parts already known to be square and invertible.
+
+        Only products and inverses of invertible maps come here, so the
+        determinant that ``__init__`` runs would be nonzero by construction.
+        """
+        out = cls.__new__(cls)
+        out._linear = linear
+        out._translation = translation
+        out._poly_map = None
+        return out
 
     @staticmethod
     def from_rows(
@@ -76,40 +90,38 @@ class AffineMap:
         return AffineMap.from_rows(rows, [t.bind(value) for t in self._translation])
 
     def as_poly_map(self) -> PolyMap:
-        n = self.dim
-        comps = []
-        for i in range(n):
-            terms = {(0,) * n: self._translation[i]}
-            p = Polynomial(n, terms)
-            for j in range(n):
-                p = p + Polynomial.variable(n, j).scale(self._linear.entry(i, j))
-            comps.append(p)
-        return PolyMap(n, comps)
+        """The map as polynomial components; built once, then reused."""
+        if self._poly_map is None:
+            n = self.dim
+            comps = []
+            for i in range(n):
+                terms = {(0,) * n: self._translation[i]}
+                p = Polynomial(n, terms)
+                for j in range(n):
+                    p = p + Polynomial.variable(n, j).scale(self._linear.entry(i, j))
+                comps.append(p)
+            self._poly_map = PolyMap(n, comps)
+        return self._poly_map
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self . other)(x) = self(other(x))."""
         if self.dim != other.dim:
             raise ValueError("composition of maps on different spaces")
         n = self.dim
-        rows = []
-        for i in range(n):
-            rows.append(
-                [
-                    sum(
-                        (self._linear.entry(i, t) * other._linear.entry(t, j) for t in range(n)),
-                        Scalar.of(0),
-                    )
-                    for j in range(n)
-                ]
-            )
+        # column j of the product is self's linear part applied to column j
+        # of other's, which multiplies only self's nonzero entries
+        columns = [
+            self._linear.apply([other._linear.entry(t, j) for t in range(n)])
+            for j in range(n)
+        ]
         shift = self._linear.apply(other._translation)
-        translation = [shift[i] + self._translation[i] for i in range(n)]
-        return AffineMap(Matrix.from_rows(rows), translation)
+        translation = tuple(shift[i] + self._translation[i] for i in range(n))
+        return AffineMap._invertible(Matrix.from_columns(columns), translation)
 
     def inverse(self) -> "AffineMap":
         inv = linalg.invert(self._linear)
         shifted = inv.apply(self._translation)
-        return AffineMap(inv, [-t for t in shifted])
+        return AffineMap._invertible(inv, tuple(-t for t in shifted))
 
     def apply_exact(self, point: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         image = self._linear.apply(point)
@@ -201,6 +213,38 @@ def act_pullback(mapping: AffineMap, form: Form) -> Form:
     return pullback(mapping.as_poly_map(), form)
 
 
+def _right_closure(
+    reached: list[AffineMap],
+    seen: set[AffineMap],
+    letters: Sequence[AffineMap],
+    admit: Callable[[AffineMap], None],
+    done: int = 0,
+) -> None:
+    """Extend ``reached`` until it is closed under right products by ``letters``.
+
+    Breadth-first: elements are taken in list order and each is multiplied
+    on the right by the letters in order, so every product is formed exactly
+    once.  The first ``done`` elements have already met every letter but the
+    last, and meet only that one here.  A product outside ``seen`` goes to
+    ``admit``, which may raise, and is then appended to both.
+    """
+
+    def extend(product: AffineMap) -> None:
+        if product not in seen:
+            admit(product)
+            seen.add(product)
+            reached.append(product)
+
+    for i in range(done):
+        extend(reached[i].compose(letters[-1]))
+    i = done
+    while i < len(reached):
+        word = reached[i]
+        for letter in letters:
+            extend(word.compose(letter))
+        i += 1
+
+
 def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[AffineMap]:
     """All products of generators and their inverses, breadth-first.
 
@@ -214,29 +258,13 @@ def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[Affine
     for g in generators:
         if g.dim != dim:
             raise ValueError("generators live on different spaces")
-    letters: list[AffineMap] = []
-    for g in generators:
-        letters.append(g)
-    for g in generators:
-        inv = g.inverse()
-        letters.append(inv)
+    letters = list(generators) + [g.inverse() for g in generators]
     identity = AffineMap.identity(dim)
-    seen = {identity}
     ordered = [identity]
-    frontier = [identity]
-    while frontier:
-        next_frontier: list[AffineMap] = []
-        for word in frontier:
-            for letter in letters:
-                candidate = word.compose(letter)
-                if candidate in seen:
-                    continue
-                seen.add(candidate)
-                ordered.append(candidate)
-                next_frontier.append(candidate)
-                if len(ordered) > cap:
-                    raise GroupNotFiniteError(
-                        f"group not finite within cap {cap}"
-                    )
-        frontier = next_frontier
+
+    def admit(candidate: AffineMap) -> None:
+        if len(ordered) >= cap:
+            raise GroupNotFiniteError(f"group not finite within cap {cap}")
+
+    _right_closure(ordered, {identity}, letters, admit)
     return ordered

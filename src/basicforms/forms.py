@@ -243,7 +243,7 @@ class VectorField:
 class PolyMap:
     """Polynomial map R^m -> R^n given by n component polynomials in m variables."""
 
-    __slots__ = ("_domain_dim", "_components")
+    __slots__ = ("_domain_dim", "_components", "_pulled_covectors")
 
     def __init__(self, domain_dim: int, components: Sequence[Polynomial]):
         if domain_dim < 1:
@@ -253,6 +253,31 @@ class PolyMap:
                 raise ValueError("component variable count must equal the domain dimension")
         self._domain_dim = domain_dim
         self._components = tuple(components)
+        self._pulled_covectors: dict[Indices, Form] = {}
+
+    def _pulled_covector(self, indices: Indices) -> Form:
+        """Pullback of dx_I: the wedge of the differentials d(component_i).
+
+        Computed once per index tuple and kept, so pulling back many forms
+        along one map differentiates its components once.  A zero result
+        (repeated differentials, or a grade above the domain dimension) is
+        the zero form.
+        """
+        piece = self._pulled_covectors.get(indices)
+        if piece is None:
+            m = self._domain_dim
+            if not indices:
+                piece = Form.function(Polynomial.constant(m, 1))
+            elif len(indices) == 1:
+                comp = self._components[indices[0]]
+                piece = Form(m, 1, {(j,): comp.partial(j) for j in range(m)})
+            else:
+                piece = wedge(
+                    self._pulled_covector(indices[:-1]),
+                    self._pulled_covector(indices[-1:]),
+                )
+            self._pulled_covectors[indices] = piece
+        return piece
 
     @property
     def domain_dim(self) -> int:
@@ -384,24 +409,13 @@ def pullback(mapping: PolyMap, form: Form) -> Form:
     out = Form.zero(m, out_grade)
     if form.is_zero:
         return out
-    differentials = [
-        Form(m, 1, {(j,): comp.partial(j) for j in range(m)})
-        for comp in mapping.components
-    ]
     for indices, coeff in form.terms.items():
+        piece = mapping._pulled_covector(indices)
+        if piece.is_zero:
+            continue
         composed = coeff.substitute(mapping.components)
-        if composed.is_zero:
-            continue
-        piece = Form.function(Polynomial.constant(m, 1))
-        for idx in indices:
-            piece = wedge(piece, differentials[idx])
-            if piece.is_zero:
-                break
-        if piece.is_zero and form.grade > 0:
-            continue
-        if piece.grade != out_grade:
-            continue
-        out = out + piece.multiply_function(composed)
+        if not composed.is_zero:
+            out = out + piece.multiply_function(composed)
     return out
 
 

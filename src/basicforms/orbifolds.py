@@ -1,13 +1,19 @@
 """Invariant forms on finite-group charts.
 
 A chart is a finite group of exact invertible affine maps acting on R^n.
+Its constructor checks closure with a breadth-first walk that adopts a
+generating set S and forms |G|*|S| products, not |G|^2; the chart keeps S
+as ``generators``.
+
 With no connected directions the horizontal condition is vacuous, so the
 forms that descend are exactly the invariant ones.  Two independent
 routes compute them, and both must agree:
 
-* the kernel of the stacked invariance constraints (the solver route);
-* the span of the Reynolds projector (group averaging) applied to the
-  monomial window.
+* the kernel of the stacked invariance constraints under the generators
+  (the solver route): a form fixed by every generator is fixed by every
+  word in them, hence by the whole group;
+* the span of the Reynolds projector (averaging over the whole group)
+  applied to the monomial window.
 
 Chart compatibility on overlaps is a structural pullback equality, checked
 exactly.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .actions import ActionSpec, AffineMap, act_pullback
+from .actions import ActionSpec, AffineMap, _right_closure, act_pullback
 from .forms import Form
 from .solver import (
     TruncationSpec,
@@ -30,9 +36,19 @@ from .linalg import column_span_equal
 
 
 class OrbifoldChart:
-    """Finite affine group action used as a local model."""
+    """Finite affine group action used as a local model.
 
-    __slots__ = ("_dim", "_group", "_label")
+    The group must list each element once, contain the identity and be
+    closed under composition.  Closure is checked by a breadth-first walk
+    from the identity: an element not reached yet is adopted as a
+    generator, and every reached element is multiplied on the right by
+    every generator exactly once; a product outside the group raises.
+    Every element is then a word in the generators and the group is closed
+    under right products by each of them, hence under all products.
+    ``generators`` holds the adopted elements in group order.
+    """
+
+    __slots__ = ("_dim", "_group", "_generators", "_label")
 
     def __init__(self, dim: int, group: Sequence[AffineMap], label: str = ""):
         if not group:
@@ -43,14 +59,24 @@ class OrbifoldChart:
         members = set(group)
         if len(members) != len(group):
             raise ValueError("chart group has duplicate elements")
-        if AffineMap.identity(dim) not in members:
+        identity = AffineMap.identity(dim)
+        if identity not in members:
             raise ValueError("chart group must contain the identity")
+
+        def admit(product: AffineMap) -> None:
+            if product not in members:
+                raise ValueError("chart group is not closed under composition")
+
+        reached = [identity]
+        seen = {identity}
+        generators: list[AffineMap] = []
         for g in group:
-            for h in group:
-                if g.compose(h) not in members:
-                    raise ValueError("chart group is not closed under composition")
+            if g not in seen:
+                generators.append(g)
+                _right_closure(reached, seen, generators, admit, done=len(reached))
         self._dim = dim
         self._group = tuple(group)
+        self._generators = tuple(generators)
         self._label = label
 
     @property
@@ -60,6 +86,11 @@ class OrbifoldChart:
     @property
     def group(self) -> tuple[AffineMap, ...]:
         return self._group
+
+    @property
+    def generators(self) -> tuple[AffineMap, ...]:
+        """Elements adopted by the closure walk; their words give the group."""
+        return self._generators
 
     @property
     def label(self) -> str:
@@ -73,11 +104,15 @@ class OrbifoldChart:
 def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list[Form]:
     """Canonical basis of group-invariant forms in the window.
 
-    Computed from the invariance kernel, then cross-checked against the span
-    of the Reynolds projector over the same monomial window; disagreement
-    means a bug, not a property of the input, hence RuntimeError.
+    Computed from the kernel of the invariance constraints under
+    ``chart.generators``, one block per generator, then cross-checked
+    against the span of the Reynolds projector, which averages over the
+    whole ``chart.group``, on the same monomial window.  The kernel is the
+    same subspace as under every group element, so the canonical basis is
+    too.  Disagreement means a bug, not a property of the input, hence
+    RuntimeError.
     """
-    action = ActionSpec(chart.dim, discrete=chart.group)
+    action = ActionSpec(chart.dim, discrete=chart.generators)
     kernel_route = basic_form_basis(action, spec)
 
     window = Window(chart.dim, spec.grade, spec.max_degree)

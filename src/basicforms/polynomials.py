@@ -14,7 +14,7 @@ first, then lexicographic with earlier variables ranked higher.  Rendering
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .scalars import Scalar, ScalarLike
 
@@ -288,10 +288,3 @@ def render_poly(poly: Polynomial, names: Sequence[str] | None = None) -> str:
         else:
             pieces.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(pieces)
-
-
-def poly_sum(num_vars: int, parts: Iterable[Polynomial]) -> Polynomial:
-    out = Polynomial.zero(num_vars)
-    for p in parts:
-        out = out + p
-    return out

@@ -29,10 +29,14 @@ def _rotation() -> AffineMap:
 
 
 def test_constructor_rejects_singular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not invertible"):
         AffineMap.from_rows([[1, 2], [2, 4]], [0, 0])
     with pytest.raises(ValueError):
         AffineMap(Matrix.from_rows([[1, 0]]), [0])  # not square
+    # invertible over Q(a), singular at a = 0: binding checks again
+    scaling = AffineMap.from_rows([[Scalar.parameter(), 0], [0, 1]], [0, 0])
+    with pytest.raises(ValueError, match="not invertible"):
+        scaling.bind_param(Fraction(0))
 
 
 def test_identity_and_translation():
@@ -46,19 +50,24 @@ def test_compose_against_pointwise_application():
     rng = random.Random(301)
     for _ in range(120):
         dim = rng.randint(1, 3)
-        g = rand_affine(rng, dim)
-        h = rand_affine(rng, dim)
+        g = rand_affine(rng, dim, with_param=rng.random() < 0.3)
+        h = rand_affine(rng, dim, with_param=rng.random() < 0.3)
         point = [rand_fraction(rng, 4) for _ in range(dim)]
-        assert g.compose(h).apply_exact(point) == g.apply_exact(h.apply_exact(point))
+        product = g.compose(h)
+        assert product.apply_exact(point) == g.apply_exact(h.apply_exact(point))
+        # compose skips the determinant; the checked constructor agrees
+        assert AffineMap(product.linear, product.translation) == product
 
 
 def test_inverse_round_trip():
     rng = random.Random(302)
     for _ in range(120):
         dim = rng.randint(1, 3)
-        g = rand_affine(rng, dim)
-        assert g.compose(g.inverse()) == AffineMap.identity(dim)
-        assert g.inverse().compose(g) == AffineMap.identity(dim)
+        g = rand_affine(rng, dim, with_param=rng.random() < 0.3)
+        inv = g.inverse()
+        assert g.compose(inv) == AffineMap.identity(dim)
+        assert inv.compose(g) == AffineMap.identity(dim)
+        assert AffineMap(inv.linear, inv.translation) == inv
 
 
 def test_as_poly_map_agrees_with_apply_exact():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from basicforms.actions import AffineMap, act_pullback, group_closure
+from basicforms.actions import ActionSpec, AffineMap, act_pullback, group_closure
 from basicforms.examples import c4_square_chart
 from basicforms.forms import Form
 from basicforms.orbifolds import (
@@ -13,7 +13,7 @@ from basicforms.orbifolds import (
     orbifold_invariant_forms,
 )
 from basicforms.polynomials import Polynomial
-from basicforms.solver import TruncationSpec, Window, spans_equal
+from basicforms.solver import TruncationSpec, Window, basic_form_basis, spans_equal
 from helpers import rand_form
 
 
@@ -88,6 +88,49 @@ def test_chart_validation():
     swap = AffineMap.from_rows([[0, 1], [1, 0]], [0, 0])
     with pytest.raises(ValueError, match="closed"):
         OrbifoldChart(2, [AffineMap.identity(2), r, s, r.inverse(), swap])
+    # closed under the first adopted generator, not under the second
+    with pytest.raises(ValueError, match="closed"):
+        OrbifoldChart(2, group_closure([r]) + [s])
+
+
+def _signed_permutation(perm, signs) -> AffineMap:
+    n = len(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i, (j, sign) in enumerate(zip(perm, signs)):
+        rows[i][j] = sign
+    return AffineMap.from_rows(rows, [0] * n)
+
+
+_QUARTER = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
+_MIRROR = AffineMap.from_rows([[1, 0], [0, -1]], [0, 0])
+# (x, y, z) -> (y, z, -x) and the quarter turn about z generate all 48
+# signed permutations of R^3
+_B3 = [_signed_permutation((1, 2, 0), (1, 1, -1)), _signed_permutation((1, 0, 2), (-1, 1, 1))]
+
+
+@pytest.mark.parametrize(
+    "dim, gens, order, grade, degree, reverse",
+    [
+        (2, [_QUARTER], 4, 1, 4, False),
+        (2, [_QUARTER, _MIRROR], 8, 1, 4, False),
+        (2, [_QUARTER, _MIRROR], 8, 1, 4, True),
+        (3, _B3, 48, 1, 2, False),
+        (3, _B3, 48, 2, 2, False),
+    ],
+)
+def test_generator_route_matches_whole_group(dim, gens, order, grade, degree, reverse):
+    group = group_closure(gens, cap=64)
+    assert len(group) == order
+    if reverse:
+        group = group[::-1]
+    chart = OrbifoldChart(dim, group)
+    assert len(chart.generators) <= len(gens)
+    assert set(group_closure(chart.generators, cap=64)) == set(chart.group)
+    spec = TruncationSpec(grade, degree)
+    from_generators = basic_form_basis(ActionSpec(dim, discrete=chart.generators), spec)
+    from_group = basic_form_basis(ActionSpec(dim, discrete=chart.group), spec)
+    assert from_generators == from_group
+    assert orbifold_invariant_forms(chart, spec) == from_group
 
 
 def test_compatibility_with_rotation_transition():
