@@ -4,8 +4,9 @@ A grade-k form is a sparse map from strictly increasing index tuples
 (i_1 < ... < i_k) to polynomial coefficients; grade 0 forms have the single
 key ``()``.  All five classical operations live here: wedge product,
 exterior derivative, interior product, Lie derivative (via the Cartan
-homotopy formula) and pullback along polynomial maps.  Everything is exact;
-:func:`eval_form` is the only float path.
+homotopy formula) and pullback along polynomial maps.  Everything is exact
+except :func:`eval_form`, the only float path, which takes floats or numpy
+arrays of many samples at once, through the same arithmetic.
 
 Grade bookkeeping: a wedge whose grades sum past the ambient dimension, and
 the exterior derivative of a top form, both return the zero form of grade n
@@ -419,8 +420,11 @@ def pullback(mapping: PolyMap, form: Form) -> Form:
     return out
 
 
-def _det_float(rows: list[list[float]]) -> float:
-    """Small dense determinant by cofactor expansion (k is tiny here)."""
+def _det_float(rows: list[list]):
+    """Small dense determinant by cofactor expansion (k is tiny here).
+
+    Entries are floats or equal-length arrays, as in :func:`eval_form`.
+    """
     k = len(rows)
     if k == 0:
         return 1.0
@@ -438,14 +442,18 @@ def _det_float(rows: list[list[float]]) -> float:
 
 def eval_form(
     form: Form,
-    point: Sequence[float],
-    vectors: Sequence[Sequence[float]],
+    point: Sequence,
+    vectors: Sequence[Sequence],
     bind_a: float | None = None,
-) -> float:
+):
     """Evaluate the form at a point on a tuple of tangent vectors.
 
     ``len(vectors)`` must equal the grade; each vector has ``dim``
     coordinates.  Forms that mention the parameter need ``bind_a``.
+    Coordinates are floats, or numpy arrays of one length holding many
+    samples at once (then ``point`` and each vector may be a ``(dim, S)``
+    array); the value is then an array of the values at each sample, each
+    equal to the float evaluation there (see :meth:`Polynomial.evaluate`).
     """
     if len(point) != form.dim:
         raise ValueError("point has the wrong number of coordinates")
@@ -458,11 +466,8 @@ def eval_form(
             raise ValueError("tangent vector has the wrong number of coordinates")
     total = 0.0
     for indices, coeff in form.terms.items():
-        c = coeff.evaluate(point, bind_a)
-        if c == 0.0:
-            continue
-        rows = [[float(vectors[col][i]) for col in range(form.grade)] for i in indices]
-        total += c * _det_float(rows)
+        rows = [[vectors[col][i] for col in range(form.grade)] for i in indices]
+        total += coeff.evaluate(point, bind_a) * _det_float(rows)
     return total
 
 

@@ -40,11 +40,11 @@ from .orbifolds import OrbifoldChart, orbifold_invariant_forms
 from .plots import (
     DEFAULT_FD_TOL,
     DEFAULT_SYMBOLIC_TOL,
+    _criterion_rows,
+    _gauge_rows,
     builtin_gauge,
     builtin_plot,
-    criterion_check,
     default_line_grid,
-    smooth_gauge_check,
 )
 from .polynomials import default_var_names, render_poly
 from .solver import TruncationSpec, basic_form_basis, truncated_basic_cohomology
@@ -56,6 +56,12 @@ EXIT_PARSE_ERROR = 1
 EXIT_VALIDATION_ERROR = 2
 EXIT_CHECK_FAILED = 3
 EXIT_COMPUTATION_ERROR = 4
+
+# Largest "count" a numeric job's grid may have.  The checks stream over the
+# grid in fixed blocks, but the grid and the per-sample deviations are whole
+# arrays (about 16 bytes a sample), so a larger grid is refused (exit 2)
+# before anything is allocated.
+MAX_GRID_SAMPLES = 1_000_001
 
 COMMANDS = (
     "basis",
@@ -193,6 +199,7 @@ def _parse_grid(spec: Mapping[str, Any] | None, path: str) -> np.ndarray:
     stop = _get(spec, "stop", float, path, required=True)
     count = _get(spec, "count", int, path, required=True)
     _require(count >= 2, f"{path}.count must be at least 2")
+    _require(count <= MAX_GRID_SAMPLES, f"{path}.count must be at most {MAX_GRID_SAMPLES}")
     _require(stop > start, f"{path}.stop must exceed {path}.start")
     return default_line_grid(start, stop, count)
 
@@ -364,9 +371,13 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
     tolerance = tol if tol is not None else _get(job, "tolerance", float, "job",
                                                  default=DEFAULT_SYMBOLIC_TOL)
     bind = binding.numeric
+
+    def sample(rows, block):
+        return builtin_plot(first_name, block, bind), builtin_plot(second_name, block, bind)
+
     try:
-        first = builtin_plot(first_name, grid, bind)
-        second = builtin_plot(second_name, grid, bind)
+        # no samples: checks the names and the binding, gives the dimensions
+        first, second = sample(slice(0, 0), np.empty(0))
     except KeyError as exc:
         raise JobValidationError(str(exc.args[0])) from None
     except ValueError as exc:
@@ -375,8 +386,9 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
                        first.ambient_dim, "job.form")
     if form.uses_parameter:
         bind = binding.require_numeric("job.form")
+    _require(first.ambient_dim == second.ambient_dim, "plots land in different ambient spaces")
     try:
-        report = criterion_check(first, second, form, tolerance, bind)
+        report = _criterion_rows(grid, sample, form, tolerance, bind)
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
     results = {
@@ -394,9 +406,13 @@ def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
     tolerance = tol if tol is not None else _get(job, "tolerance", float, "job",
                                                  default=DEFAULT_FD_TOL)
     bind = binding.numeric
+
+    def sample(rows, block):
+        return builtin_plot(plot_name, block, bind), builtin_gauge(gauge_name, block, bind)
+
     try:
-        plot = builtin_plot(plot_name, grid, bind)
-        gauge = builtin_gauge(gauge_name, grid, bind)
+        # no samples: checks the names and the binding, gives the dimensions
+        plot, gauge = sample(slice(0, 0), np.empty(0))
     except KeyError as exc:
         raise JobValidationError(str(exc.args[0])) from None
     except ValueError as exc:
@@ -405,8 +421,9 @@ def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
                        plot.ambient_dim, "job.form")
     if form.uses_parameter:
         bind = binding.require_numeric("job.form")
+    _require(gauge.dim == plot.ambient_dim, "gauge acts on the wrong ambient dimension")
     try:
-        report = smooth_gauge_check(plot, gauge, form, tolerance, bind)
+        report = _gauge_rows(grid, sample, form, tolerance, bind)
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
     results = {

@@ -16,6 +16,24 @@ no finite differences pollute those plots.
 Only :func:`smooth_gauge_check` differentiates numerically (the gauge path
 is sampled, not symbolic); it refuses grids whose finite-difference error
 estimate is not comfortably below the tolerance.
+
+Numbers are computed on whole sample arrays: :func:`pullback_along_plot`
+makes one :func:`~basicforms.forms.eval_form` call per parameter index
+tuple, over all samples at once.  Each array entry takes exactly the
+arithmetic of the float path at that sample, and powers are repeated
+products (``x^3 = (x*x)*x``), not numpy's ``**``: numpy's power is not
+odd-symmetric and differs from Python's float power on some inputs, while a
+product flips sign exactly with its factor, so an odd form pulls back to
+exactly opposite values at opposite points.
+
+Both checks stream over the grid in fixed blocks of rows (``_BLOCK_ROWS``),
+so their memory does not grow with the grid beyond the grid itself and one
+deviation per sample.  A gauge block also samples a halo of two rows on
+each side (``_HALO``, and at least five rows in all), which its
+fourth-order derivative stencils read; halo rows count neither in the
+deviations nor in the finite-difference error estimate, so a report is the
+same, bit for bit, whatever the block size.  The job runners sample the
+registry plots and gauges block by block and never build them whole.
 """
 
 from __future__ import annotations
@@ -30,6 +48,11 @@ from .forms import Form, eval_form
 
 DEFAULT_SYMBOLIC_TOL = 1e-9
 DEFAULT_FD_TOL = 1e-6
+
+# Checks stream over the grid in blocks of at most _BLOCK_ROWS rows; a gauge
+# block also reads _HALO rows on each side for its derivative stencils.
+_BLOCK_ROWS = 4096
+_HALO = 2
 
 
 class GridTooCoarseError(ValueError):
@@ -66,6 +89,9 @@ class Plot:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "jacobians", jac)
 
+    def _rows(self, rows: slice) -> "Plot":
+        return Plot(self.grid[rows], self.values[rows], self.jacobians[rows])
+
     @property
     def num_samples(self) -> int:
         return self.grid.shape[0]
@@ -99,12 +125,18 @@ class GroupPath:
         n = linears.shape[1]
         if linears.shape != (samples, n, n) or translations.shape != (samples, n):
             raise ValueError("gauge shapes are inconsistent")
+        for name, arr in (("grid", grid), ("linear parts", linears), ("translations", translations)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"gauge {name} contain non-finite entries")
         dets = np.linalg.det(linears)
         if np.any(np.abs(dets) < 1e-12):
             raise ValueError("gauge contains a numerically singular map")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "linears", linears)
         object.__setattr__(self, "translations", translations)
+
+    def _rows(self, rows: slice) -> "GroupPath":
+        return GroupPath(self.grid[rows], self.linears[rows], self.translations[rows])
 
     @property
     def dim(self) -> int:
@@ -282,18 +314,14 @@ def plot_from_poly_map(
     q = g.shape[1]
     if mapping.domain_dim != q:
         raise ValueError("grid parameter count does not match the map's domain")
-    comps = mapping.components
-    partials = [[comp.partial(j) for j in range(q)] for comp in comps]
+    columns = list(g.T)
     samples = g.shape[0]
-    n = mapping.codomain_dim
-    values = np.empty((samples, n))
-    jac = np.empty((samples, n, q))
-    for s in range(samples):
-        u = g[s]
-        for i, comp in enumerate(comps):
-            values[s, i] = comp.evaluate(u, bind_a)
-            for j in range(q):
-                jac[s, i, j] = partials[i][j].evaluate(u, bind_a)
+    values = np.empty((samples, mapping.codomain_dim))
+    jac = np.empty((samples, mapping.codomain_dim, q))
+    for i, comp in enumerate(mapping.components):
+        values[:, i] = comp.evaluate(columns, bind_a)
+        for j in range(q):
+            jac[:, i, j] = comp.partial(j).evaluate(columns, bind_a)
     return Plot(g, values, jac)
 
 
@@ -314,14 +342,10 @@ def pullback_along_plot(
         raise ValueError("form and plot live in different ambient dimensions")
     combos = basis_tuples(plot.param_dim, form.grade)
     out = np.zeros((plot.num_samples, len(combos)))
-    if not combos:
-        return out
-    for s in range(plot.num_samples):
-        point = plot.values[s]
-        jac = plot.jacobians[s]
-        for ci, combo in enumerate(combos):
-            vectors = [jac[:, j] for j in combo]
-            out[s, ci] = eval_form(form, point, vectors, bind_a)
+    point = plot.values.T
+    for ci, combo in enumerate(combos):
+        vectors = [plot.jacobians[:, :, j].T for j in combo]
+        out[:, ci] = eval_form(form, point, vectors, bind_a)
     return out
 
 
@@ -336,6 +360,36 @@ def _report(deviations: np.ndarray, grid: np.ndarray, tol: float) -> DeviationRe
         passed=worst <= tol,
         deviations=deviations,
     )
+
+
+def _deviations(first: Plot, second: Plot, form: Form, bind_a: float | None) -> np.ndarray:
+    """Per-sample worst absolute difference of the two pullbacks."""
+    diff = np.abs(
+        pullback_along_plot(first, form, bind_a) - pullback_along_plot(second, form, bind_a)
+    )
+    return diff.max(axis=1) if diff.shape[1] else np.zeros(first.num_samples)
+
+
+def _criterion_rows(
+    grid: np.ndarray,
+    sample: Callable[[slice, np.ndarray], tuple[Plot, Plot]],
+    form: Form,
+    tol: float,
+    bind_a: float | None,
+) -> DeviationReport:
+    """:func:`criterion_check` block by block.
+
+    ``sample(rows, grid[rows])`` returns the two plots on those grid rows;
+    the plots must land in one ambient space.
+    """
+    grid = grid.reshape(grid.shape[0], -1)
+    samples = grid.shape[0]
+    deviations = np.empty(samples)
+    for start in range(0, samples, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, samples))
+        first, second = sample(rows, grid[rows])
+        deviations[rows] = _deviations(first, second, form, bind_a)
+    return _report(deviations, grid, tol)
 
 
 def criterion_check(
@@ -355,25 +409,23 @@ def criterion_check(
         raise ValueError("plots are sampled on different grids")
     if first.ambient_dim != second.ambient_dim:
         raise ValueError("plots land in different ambient spaces")
-    t1 = pullback_along_plot(first, form, bind_a)
-    t2 = pullback_along_plot(second, form, bind_a)
-    diff = np.abs(t1 - t2)
-    per_sample = diff.max(axis=1) if diff.shape[1] else np.zeros(first.num_samples)
-    return _report(per_sample, first.grid, tol)
+    return _criterion_rows(
+        first.grid, lambda rows, _: (first._rows(rows), second._rows(rows)), form, tol, bind_a
+    )
 
 
-def _fd_derivative(arr: np.ndarray, spacing: float) -> tuple[np.ndarray, float]:
-    """Fourth-order finite-difference derivative along axis 0.
+def _fd_derivative(arr: np.ndarray, spacing: float, own: slice) -> tuple[np.ndarray, float]:
+    """Fourth-order finite-difference derivative along axis 0, on rows ``own``.
 
-    One-sided fourth-order stencils cover the two rows at each end, so the
-    accuracy is uniform across the grid.  Returns the derivative and an
-    error estimate: the worst difference against the second-order stencil,
-    which bounds the coarser stencil's truncation error and so is a
-    conservative proxy for our own.
+    ``arr`` needs at least five rows.  One-sided fourth-order stencils
+    cover its two rows at each end, so the accuracy is uniform across the
+    grid; centred rows read two rows on each side, which is why a block
+    carries a halo of two rows.  Returns the derivative on ``own`` and an
+    error estimate over ``own``: the worst difference against the
+    second-order stencil, which bounds the coarser stencil's truncation
+    error and so is a conservative proxy for our own.
     """
     flat = arr.reshape(arr.shape[0], -1)
-    if flat.shape[0] < 5:
-        return np.gradient(flat, spacing, axis=0).reshape(arr.shape), np.inf
     second = np.gradient(flat, spacing, axis=0, edge_order=2)
     fourth = np.empty_like(second)
     fourth[2:-2] = (
@@ -386,8 +438,69 @@ def _fd_derivative(arr: np.ndarray, spacing: float) -> tuple[np.ndarray, float]:
     g0, g1, g2, g3, g4 = flat[-1], flat[-2], flat[-3], flat[-4], flat[-5]
     fourth[-1] = (25.0 * g0 - 48.0 * g1 + 36.0 * g2 - 16.0 * g3 + 3.0 * g4) / h12
     fourth[-2] = (3.0 * g0 + 10.0 * g1 - 18.0 * g2 + 6.0 * g3 - g4) / h12
+    fourth, second = fourth[own], second[own]
     estimate = float(np.max(np.abs(fourth - second)))
-    return fourth.reshape(arr.shape), estimate
+    return fourth.reshape((-1,) + arr.shape[1:]), estimate
+
+
+def _uniform_spacing(t: np.ndarray) -> float:
+    spacings = np.diff(t)
+    h = float(spacings[0])
+    if h <= 0 or not np.allclose(spacings, h, rtol=1e-9, atol=0.0):
+        raise ValueError("gauge checks need a uniformly increasing grid")
+    return h
+
+
+def _gauge_rows(
+    grid: np.ndarray,
+    sample: Callable[[slice, np.ndarray], tuple[Plot, GroupPath]],
+    form: Form,
+    tol: float,
+    bind_a: float | None,
+) -> DeviationReport:
+    """:func:`smooth_gauge_check` block by block.
+
+    ``sample(rows, grid[rows])`` returns the plot and the gauge on those
+    grid rows; the gauge must act on the plot's ambient space.  Each block
+    is sampled with its halo, and at least five rows, for the stencils;
+    halo rows never enter the deviations or the error estimate.
+    """
+    grid = grid.reshape(grid.shape[0], -1)
+    t = grid[:, 0]
+    samples = len(t)
+    if samples < 5:
+        raise GridTooCoarseError("need at least 5 samples for derivative estimates")
+    h = _uniform_spacing(t)
+    deviations = np.empty(samples)
+    lin_err = tr_err = scale = 0.0
+    for start in range(0, samples, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, samples)
+        lo = max(0, min(start - _HALO, samples - 5))
+        hi = min(samples, max(stop + _HALO, 5))
+        plot, gauge = sample(slice(lo, hi), grid[lo:hi])
+        own = slice(start - lo, stop - lo)
+        lin_prime, err = _fd_derivative(gauge.linears, h, own)
+        lin_err = max(lin_err, err)
+        tr_prime, err = _fd_derivative(gauge.translations, h, own)
+        tr_err = max(tr_err, err)
+        plot, linears = plot._rows(own), gauge.linears[own]
+        if plot.values.size:
+            scale = max(scale, float(np.max(np.abs(plot.values))))
+        values = np.einsum("sij,sj->si", linears, plot.values) + gauge.translations[own]
+        jac = (
+            np.einsum("sij,sjq->siq", linears, plot.jacobians)
+            + (np.einsum("sij,sj->si", lin_prime, plot.values) + tr_prime)[:, :, None]
+        )
+        transformed = Plot(plot.grid, values, jac)
+        deviations[start:stop] = _deviations(plot, transformed, form, bind_a)
+
+    estimate = lin_err * max(scale, 1.0) + tr_err
+    if estimate > tol / 10.0:
+        raise GridTooCoarseError(
+            f"finite-difference error estimate {estimate:.3e} exceeds tol/10 = "
+            f"{tol / 10.0:.3e}; refine the grid"
+        )
+    return _report(deviations, grid, tol)
 
 
 def smooth_gauge_check(
@@ -410,31 +523,6 @@ def smooth_gauge_check(
         raise ValueError("plot and gauge are sampled on different grids")
     if gauge.dim != plot.ambient_dim:
         raise ValueError("gauge acts on the wrong ambient dimension")
-    t = plot.grid[:, 0]
-    if len(t) < 5:
-        raise GridTooCoarseError("need at least 5 samples for derivative estimates")
-    spacings = np.diff(t)
-    h = float(spacings[0])
-    if h <= 0 or not np.allclose(spacings, h, rtol=1e-9, atol=0.0):
-        raise ValueError("gauge checks need a uniformly increasing grid")
-
-    lin_prime, lin_err = _fd_derivative(gauge.linears, h)
-    tr_prime, tr_err = _fd_derivative(gauge.translations, h)
-    scale = float(np.max(np.abs(plot.values))) if plot.values.size else 0.0
-    estimate = lin_err * max(scale, 1.0) + tr_err
-    if estimate > tol / 10.0:
-        raise GridTooCoarseError(
-            f"finite-difference error estimate {estimate:.3e} exceeds tol/10 = "
-            f"{tol / 10.0:.3e}; refine the grid"
-        )
-
-    values = (
-        np.einsum("sij,sj->si", gauge.linears, plot.values) + gauge.translations
+    return _gauge_rows(
+        plot.grid, lambda rows, _: (plot._rows(rows), gauge._rows(rows)), form, tol, bind_a
     )
-    jac = (
-        np.einsum("sij,sjq->siq", gauge.linears, plot.jacobians)
-        + (np.einsum("sij,sj->si", lin_prime, plot.values) + tr_prime)[:, :, None]
-    )
-    transformed = Plot(plot.grid, values, jac)
-    return criterion_check(plot, transformed, form, tol, bind_a)
-

@@ -206,19 +206,32 @@ class Polynomial:
             self._num_vars, {e: c.bind(value) for e, c in self._terms.items()}
         )
 
-    def evaluate(self, point: Sequence[float], bind_a: float | None = None) -> float:
-        """Float value at a numeric point."""
+    def evaluate(self, point: Sequence, bind_a: float | None = None):
+        """Float value at a numeric point.
+
+        Each coordinate is a float, or a numpy array with one entry per
+        sample (all of one length); the value is then an array too, or a
+        float when the polynomial is constant.  Both kinds take the same
+        arithmetic, so an array entry equals the float value at that sample.
+        Powers are repeated products, ``x^3 = (x*x)*x``, never ``**``: a
+        product flips sign exactly with its factor, so odd polynomials stay
+        exactly odd, and numpy's ``**`` is neither odd-symmetric nor equal
+        to Python's float power on every input.
+        """
         if len(point) != self._num_vars:
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {self._num_vars}"
             )
+        powers = [[1.0, x] for x in point]
         total = 0.0
         for exps, c in self._terms.items():
             v = c.evaluate(bind_a)
-            for x, e in zip(point, exps):
+            for table, e in zip(powers, exps):
                 if e:
-                    v *= float(x) ** e
-            total += v
+                    while len(table) <= e:
+                        table.append(table[-1] * table[1])
+                    v = v * table[e]
+            total = total + v
         return total
 
     def __eq__(self, other: object) -> bool:

@@ -74,6 +74,8 @@ class HamiltonianModel:
             raise ValueError("omega is degenerate")
 
         gradient = [potential.partial(i) for i in range(dim)]
+        if len({len(sample.tangent_basis) for sample in level_samples}) > 1:
+            raise ValueError("level samples carry tangent bases of different sizes")
         for sample in level_samples:
             if len(sample.point) != dim:
                 raise ValueError("level sample point has the wrong dimension")
@@ -140,18 +142,17 @@ class RestrictionReport:
 def _tuple_deviations(
     form: Form, samples: Sequence[LevelSample], bind_a: float | None
 ) -> np.ndarray:
-    """Per-sample worst |form(point; tangent tuple)| over basis tuples."""
+    """Per-sample worst |form(point; tangent tuple)| over basis tuples.
+
+    All samples are evaluated at once: one :func:`eval_form` call per
+    tuple of tangent-basis positions, on arrays with one entry per sample.
+    """
+    points = np.array([sample.point for sample in samples]).T
+    bases = np.array([sample.tangent_basis for sample in samples])
     out = np.zeros(len(samples))
-    for s, sample in enumerate(samples):
-        basis = sample.tangent_basis
-        worst = 0.0
-        if form.grade == 0:
-            worst = abs(form.coefficient(()).evaluate(sample.point, bind_a))
-        else:
-            for combo in combinations(range(len(basis)), form.grade):
-                vectors = [basis[c] for c in combo]
-                worst = max(worst, abs(eval_form(form, sample.point, vectors, bind_a)))
-        out[s] = worst
+    for combo in combinations(range(bases.shape[1]), form.grade):
+        vectors = [bases[:, c, :].T for c in combo]
+        out = np.maximum(out, np.abs(eval_form(form, points, vectors, bind_a)))
     return out
 
 

@@ -8,6 +8,7 @@ ran and failed its tolerance, 4 unexpected computation error.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from basicforms.jobs import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VALIDATION_ERROR,
+    MAX_GRID_SAMPLES,
     format_report,
     run_job,
 )
@@ -261,3 +263,56 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert "(a) dx + (-1) dy" in proc.stdout
+
+
+def _z2_job(count: int) -> dict:
+    job = _builtin("z2_criterion")
+    job["grid"] = {"start": -1.5, "stop": 1.5, "count": count}
+    job["form"] = {
+        "grade": 1,
+        "terms": [{"indices": [0], "coefficient": "3/7*x - 5/3*x^3 + 2/9*x^5 + x^7"}],
+    }
+    return job
+
+
+def _so2_gauge_job(count: int) -> dict:
+    job = _builtin("so2_gauge")
+    job["grid"] = {"start": -1.5, "stop": 1.5, "count": count}
+    job["form"] = {
+        "grade": 1,
+        "terms": [
+            {"indices": [0], "coefficient": "x - 3/4*x^3 - 3/4*x*y^2"},
+            {"indices": [1], "coefficient": "y - 3/4*x^2*y - 3/4*y^3"},
+        ],
+    }
+    return job
+
+
+def test_odd_form_on_the_glued_lines_agrees_exactly():
+    # the two plots differ by x -> -x, and powers are repeated products,
+    # so an odd coefficient pulls back to bit-identical values
+    report, code = run_job(_z2_job(100_001))
+    assert code == EXIT_OK
+    assert report["results"]["check"]["max_abs_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("job", [_z2_job(100_001), _so2_gauge_job(30_001)],
+                         ids=["criterion", "gauge"])
+def test_numeric_jobs_stream_in_bounded_memory(job):
+    run_job(job)
+    tracemalloc.start()
+    try:
+        report, code = run_job(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 3 * 2**20
+
+
+def test_oversized_grid_is_a_validation_error():
+    for count in (10**13, MAX_GRID_SAMPLES + 1):
+        report, code = run_job(_z2_job(count))
+        assert code == EXIT_VALIDATION_ERROR
+        assert report["error"]["kind"] == "validation"
+        assert "count must be at most" in report["error"]["message"]

@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from basicforms import jobs, plots
 from basicforms.expressions import parse_poly_expr
 from basicforms.forms import Form, PolyMap, eval_form, pullback
 from basicforms.plots import (
@@ -19,6 +20,7 @@ from basicforms.plots import (
     GridTooCoarseError,
     GroupPath,
     Plot,
+    basis_tuples,
     builtin_gauge,
     builtin_plot,
     criterion_check,
@@ -30,6 +32,7 @@ from basicforms.plots import (
     smooth_gauge_check,
 )
 from basicforms.polynomials import Polynomial
+from helpers import rand_form
 
 
 def _form(dim: int, *terms: tuple[tuple[int, ...], str], names=("x", "y", "z")):
@@ -240,6 +243,11 @@ def test_plot_shape_validation():
         Plot(np.zeros(5), np.zeros((4, 1)), np.zeros((4, 1, 1)))
     with pytest.raises(ValueError, match="singular"):
         GroupPath(np.zeros(3), np.zeros((3, 2, 2)), np.zeros((3, 2)))
+    eye = np.broadcast_to(np.eye(2), (3, 2, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        GroupPath(np.zeros(3), np.full((3, 2, 2), np.nan), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        GroupPath(np.zeros(3), eye, np.full((3, 2), np.inf))
 
 
 def test_report_fields():
@@ -251,3 +259,100 @@ def test_report_fields():
     assert report.tolerance == 0.5
     assert report.deviations.shape == (101,)
     assert report.max_abs_deviation == report.deviations[report.argmax_index]
+
+
+def test_pullback_along_plot_equals_per_sample_eval_form():
+    # the batched pullback takes the per-sample arithmetic, bit for bit
+    rng = random.Random(4401)
+    data = np.random.default_rng(4401)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        grade = rng.randint(0, min(2, dim))
+        q = rng.randint(1, 2)
+        with_param = rng.random() < 0.4
+        form = rand_form(rng, dim, grade, max_degree=4, with_param=with_param)
+        bind = 0.6180339887 if with_param else None
+        samples = 30
+        plot = Plot(
+            data.uniform(-2.0, 2.0, (samples, q)),
+            data.uniform(-2.0, 2.0, (samples, dim)),
+            data.uniform(-2.0, 2.0, (samples, dim, q)),
+        )
+        got = pullback_along_plot(plot, form, bind)
+        combos = basis_tuples(q, grade)
+        assert got.shape == (samples, len(combos))
+        for s in range(samples):
+            for ci, combo in enumerate(combos):
+                vectors = [plot.jacobians[s][:, j] for j in combo]
+                assert got[s, ci] == eval_form(form, plot.values[s], vectors, bind)
+
+
+_ODD_PLUS_EVEN = {"grade": 1, "terms": [{"indices": [0], "coefficient": "x - 2*x^3 + 1/3*x^2"}]}
+_ROTATION = {
+    "grade": 1,
+    "terms": [
+        {"indices": [0], "coefficient": "x + 2*x^3 + 2*x*y^2 - y"},
+        {"indices": [1], "coefficient": "y + 2*x^2*y + 2*y^3"},
+    ],
+}
+
+
+def _public_check(job):
+    """The job's check through the public functions, on whole plots."""
+    count = job["grid"]["count"]
+    grid = default_line_grid(-1.5, 1.5, count)
+    form = jobs._parse_form(job["form"], 1 if job["command"] == "criterion" else 2, "form")
+    if job["command"] == "criterion":
+        first = builtin_plot(job["plots"]["first"], grid)
+        second = builtin_plot(job["plots"]["second"], grid)
+        return criterion_check(first, second, form, job["tolerance"])
+    plot = builtin_plot(job["plot"], grid)
+    gauge = builtin_gauge(job["gauge"], grid)
+    return smooth_gauge_check(plot, gauge, form, job["tolerance"])
+
+
+def _outcome(check):
+    try:
+        return check()
+    except GridTooCoarseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("remainder", range(6))
+def test_blocked_checks_match_one_block(monkeypatch, remainder):
+    block = 7
+    seen = []
+    to_json = jobs._deviation_json
+    monkeypatch.setattr(jobs, "_deviation_json", lambda r: seen.append(r) or to_json(r))
+
+    def grid(blocks):
+        return {"start": -1.5, "stop": 1.5, "count": blocks * block + remainder}
+
+    cases = [
+        {"command": "criterion", "plots": {"first": "z2_p1", "second": "z2_p2"},
+         "grid": grid(40), "form": _ODD_PLUS_EVEN, "tolerance": 1e-9},
+        {"command": "gauge", "plot": "so2_arc", "gauge": "so2_half_turn",
+         "grid": grid(300), "form": _ROTATION, "tolerance": 1e-6},
+        # too coarse for the derivative estimate: refused the same way
+        {"command": "gauge", "plot": "so2_arc", "gauge": "so2_half_turn",
+         "grid": grid(3), "form": _ROTATION, "tolerance": 1e-6},
+    ]
+    default = plots._BLOCK_ROWS
+    for job in cases:
+        monkeypatch.setattr(plots, "_BLOCK_ROWS", default)
+        whole = _outcome(lambda: _public_check(job))  # fewer rows than one block
+        monkeypatch.setattr(plots, "_BLOCK_ROWS", block)
+        blocked = _outcome(lambda: _public_check(job))
+        seen.clear()
+        report, code = jobs.run_job(job)
+        if isinstance(whole, str):
+            assert blocked == whole and "refine the grid" in whole
+            assert code == jobs.EXIT_VALIDATION_ERROR
+            assert report["error"]["message"] == whole
+            continue
+        (ran,) = seen
+        assert code == jobs.EXIT_CHECK_FAILED
+        assert whole.max_abs_deviation > 1e-3
+        for other in (blocked, ran):
+            assert other == whole
+            assert np.array_equal(other.deviations, whole.deviations)

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from basicforms.polynomials import Polynomial, default_var_names, grlex_key, render_poly
@@ -124,11 +125,33 @@ def test_evaluate_float_against_exact():
     rng = random.Random(16)
     for _ in range(50):
         p = rand_poly(rng, 2, with_param=True)
-        pt = _point(rng, 2)
+        pts = [_point(rng, 2) for _ in range(6)]
         a0 = safe_a0(rng, p)
-        exact = float(eval_poly_exact(p, pt, a0))
-        got = p.evaluate([float(c) for c in pt], float(a0))
-        assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        floats = []
+        for pt in pts:
+            exact = float(eval_poly_exact(p, pt, a0))
+            got = p.evaluate([float(c) for c in pt], float(a0))
+            assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+            floats.append(got)
+        # the same points as coordinate arrays: the same arithmetic, bit for bit
+        columns = np.array(pts, dtype=float).T
+        assert np.array_equal(np.broadcast_to(p.evaluate(columns, float(a0)), 6), floats)
+
+
+def test_evaluate_keeps_odd_polynomials_odd():
+    # powers are repeated products, so p(-x) == -p(x) holds exactly
+    rng = random.Random(17)
+    xs = np.random.default_rng(17).uniform(-3.0, 3.0, size=(2, 500))
+    for _ in range(20):
+        terms = {}
+        for _ in range(4):
+            e = rng.choice((1, 3, 5, 7))
+            k = rng.randint(0, e)
+            terms[(k, e - k)] = rand_fraction(rng, 9) + Fraction(1, 7)
+        p = Polynomial(2, terms)
+        assert np.array_equal(p.evaluate(-xs), -p.evaluate(xs))
+        for x, y in xs.T[:50]:
+            assert p.evaluate([-x, -y]) == -p.evaluate([x, y])
 
 
 def test_grlex_key_orders_degree_then_lex():

@@ -7,12 +7,14 @@ re-verified here from scratch before the checks that rely on them run.
 """
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from basicforms.forms import Form, VectorField, ext_d, interior
+from basicforms.forms import Form, VectorField, eval_form, ext_d, interior, lie_derivative
 from basicforms.polynomials import Polynomial
 from basicforms.symplectic import (
     HamiltonianModel,
@@ -22,6 +24,7 @@ from basicforms.symplectic import (
     model_names,
     momentum_residual,
 )
+from helpers import rand_form
 
 
 def _vars(dim):
@@ -140,6 +143,33 @@ def test_model_validation_rejects_off_level_samples():
     skew = LevelSample((1.0, 0.0, 0.0, 0.0), ((1.0, 0.0, 0.0, 0.0),))
     with pytest.raises(ValueError, match="not tangent"):
         HamiltonianModel(omega, field, potential, [skew])
+    e1, e2 = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)
+    ragged = [LevelSample((1.0, 0.0, 0.0, 0.0), (e1,)), LevelSample((1.0, 0.0, 0.0, 0.0), (e1, e2))]
+    with pytest.raises(ValueError, match="different sizes"):
+        HamiltonianModel(omega, field, potential, ragged)
+
+
+def test_restriction_deviations_match_per_sample_evaluation():
+    # all samples go through one eval_form call per tuple; compare with
+    # the value of each sample on its own
+    model = builtin_model("r4_rotation")
+    rng = random.Random(77)
+    for grade in (1, 2, 3, 1, 2):
+        candidate = rand_form(rng, 4, grade, max_degree=3)
+        report = level_restriction_check(model, candidate, tol=1e-9)
+        for derived, got in (
+            (interior(model.field, candidate), report.contraction),
+            (lie_derivative(model.field, candidate), report.invariance),
+        ):
+            expect = [
+                max(
+                    (abs(eval_form(derived, sample.point, [sample.tangent_basis[c] for c in combo]))
+                     for combo in combinations(range(3), derived.grade)),
+                    default=0.0,
+                )
+                for sample in model.level_samples
+            ]
+            assert np.array_equal(got.deviations, expect)
 
 
 def test_contraction_formula_on_the_round_form():
