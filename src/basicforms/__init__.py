@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .scalars import PARAM_NAME, Scalar, UnboundParameterError
 from .polynomials import Polynomial, default_var_names, render_poly
-from .linalg import Matrix, kernel_basis, rank, rref
+from .linalg import Matrix, kernel_basis, rank
 from .forms import (
     Form,
     PolyMap,
@@ -73,7 +73,6 @@ __all__ = [
     "Matrix",
     "kernel_basis",
     "rank",
-    "rref",
     "Form",
     "PolyMap",
     "VectorField",

@@ -9,7 +9,7 @@ right action: pulling back by g then by h equals pulling back by g . h.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .forms import Form, PolyMap, VectorField, pullback
@@ -213,44 +213,18 @@ def act_pullback(mapping: AffineMap, form: Form) -> Form:
     return pullback(mapping.as_poly_map(), form)
 
 
-def _right_closure(
-    reached: list[AffineMap],
-    seen: set[AffineMap],
-    letters: Sequence[AffineMap],
-    admit: Callable[[AffineMap], None],
-    done: int = 0,
-) -> None:
-    """Extend ``reached`` until it is closed under right products by ``letters``.
-
-    Breadth-first: elements are taken in list order and each is multiplied
-    on the right by the letters in order, so every product is formed exactly
-    once.  The first ``done`` elements have already met every letter but the
-    last, and meet only that one here.  A product outside ``seen`` goes to
-    ``admit``, which may raise, and is then appended to both.
-    """
-
-    def extend(product: AffineMap) -> None:
-        if product not in seen:
-            admit(product)
-            seen.add(product)
-            reached.append(product)
-
-    for i in range(done):
-        extend(reached[i].compose(letters[-1]))
-    i = done
-    while i < len(reached):
-        word = reached[i]
-        for letter in letters:
-            extend(word.compose(letter))
-        i += 1
-
-
 def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[AffineMap]:
-    """All products of generators and their inverses, breadth-first.
+    """The finite group the generators generate, closed by construction.
 
-    Deterministic: elements appear in breadth-first order by word length with
-    ties broken by insertion order.  Raises :class:`GroupNotFiniteError` as
-    soon as more than ``cap`` distinct elements appear.
+    One breadth-first walk from the identity: elements are taken in list
+    order and each is multiplied on the right by every generator in input
+    order, so every product is formed exactly once and the result is closed
+    under right products by every generator.  No inverses are needed: in a
+    finite group each inverse is a positive power, and if the generated
+    group is infinite, so are the positive words.  Elements appear by word
+    length, ties broken by insertion order.  Raises
+    :class:`GroupNotFiniteError` as soon as more than ``cap`` distinct
+    elements appear.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -258,13 +232,15 @@ def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[Affine
     for g in generators:
         if g.dim != dim:
             raise ValueError("generators live on different spaces")
-    letters = list(generators) + [g.inverse() for g in generators]
     identity = AffineMap.identity(dim)
     ordered = [identity]
-
-    def admit(candidate: AffineMap) -> None:
-        if len(ordered) >= cap:
-            raise GroupNotFiniteError(f"group not finite within cap {cap}")
-
-    _right_closure(ordered, {identity}, letters, admit)
+    seen = {identity}
+    for word in ordered:  # the list grows as the walk reaches new elements
+        for g in generators:
+            product = word.compose(g)
+            if product not in seen:
+                if len(ordered) >= cap:
+                    raise GroupNotFiniteError(f"group not finite within cap {cap}")
+                seen.add(product)
+                ordered.append(product)
     return ordered

@@ -16,7 +16,7 @@ These are the small standard situations the library is exercised on:
 
 from __future__ import annotations
 
-from .actions import ActionSpec, AffineMap, group_closure
+from .actions import ActionSpec, AffineMap
 from .forms import PolyMap, VectorField
 from .orbifolds import OrbifoldChart
 from .polynomials import Polynomial
@@ -58,7 +58,7 @@ def so2_plane() -> ActionSpec:
 
 def c4_square_chart() -> OrbifoldChart:
     quarter_turn = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
-    return OrbifoldChart(2, group_closure([quarter_turn], cap=8), label="c4")
+    return OrbifoldChart(2, [quarter_turn], label="c4", cap=8)
 
 
 def trivial_action(dim: int) -> ActionSpec:

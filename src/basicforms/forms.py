@@ -288,6 +288,9 @@ class PolyMap:
     def codomain_dim(self) -> int:
         return len(self._components)
 
+    def bind_param(self, value: Fraction) -> "PolyMap":
+        return PolyMap(self._domain_dim, [c.bind_param(value) for c in self._components])
+
     @property
     def components(self) -> tuple[Polynomial, ...]:
         return self._components

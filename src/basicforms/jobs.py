@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .actions import ActionSpec, AffineMap, GroupNotFiniteError, group_closure
+from .actions import ActionSpec, AffineMap, GroupNotFiniteError
 from .examples import solenoid_stages
 from .expressions import ParseError, parse_poly_expr, parse_scalar_expr
 from .forms import Form, PolyMap, VectorField, render_form
@@ -91,7 +92,10 @@ def _get(mapping: Mapping[str, Any], key: str, kind, path: str, default=None, re
     if kind is float:
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                  f"{path}.{key} must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond float range
+            raise JobValidationError(f"{path}.{key} is out of float range") from None
     if kind is int:
         _require(isinstance(value, int) and not isinstance(value, bool),
                  f"{path}.{key} must be an integer")
@@ -243,6 +247,34 @@ class _Binding:
     def describe(self) -> Any:
         return "formal" if self.formal else str(self.exact)
 
+    def bind(self, value, path: str):
+        """An exact input (anything with ``bind_param``) with ``a`` bound.
+
+        Unchanged when ``a`` stays formal.  An input that has no value at
+        the bound number (a pole, or a map that stops being invertible)
+        is a validation error that names the input and the number.
+        """
+        if self.exact is None:
+            return value
+        try:
+            return value.bind_param(self.exact)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise JobValidationError(f"{path} at a = {self.exact}: {exc}") from None
+
+
+def _check_tolerance(value: float, path: str) -> float:
+    _require(math.isfinite(value) and value >= 0,
+             f"{path} must be finite and at least 0, not {value}")
+    return value
+
+
+def _tolerance(job: Mapping[str, Any], tol: float | None, default: float) -> float:
+    """The ``tol`` override if given (``run_job`` checked it), else job.tolerance."""
+    if tol is not None:
+        return tol
+    return _check_tolerance(_get(job, "tolerance", float, "job", default=default),
+                            "job.tolerance")
+
 
 def _form_json(form: Form) -> dict:
     names = default_var_names(form.dim)
@@ -275,9 +307,7 @@ def _run_basis(job: Mapping[str, Any], binding: _Binding, tol: float | None) -> 
     spec = _parse_truncation(_get(job, "truncation", dict, "job", required=True), "job.truncation")
     _require(spec.grade <= action.dim,
              "job.truncation.grade exceeds the action dimension")
-    if binding.exact is not None:
-        action = action.bind_param(binding.exact)
-    basis = basic_form_basis(action, spec)
+    basis = basic_form_basis(binding.bind(action, "job.action"), spec)
     results = {
         "window": {"grade": spec.grade, "max_degree": spec.max_degree},
         "dimension": len(basis),
@@ -290,8 +320,7 @@ def _run_cohomology(job, binding: _Binding, tol) -> tuple[dict, bool]:
     action = _parse_action(_get(job, "action", dict, "job", required=True), "job.action")
     max_degree = _get(job, "max_degree", int, "job", required=True)
     _require(max_degree >= 0, "job.max_degree must be nonnegative")
-    if binding.exact is not None:
-        action = action.bind_param(binding.exact)
+    action = binding.bind(action, "job.action")
     windows = []
     for d in (max_degree, max_degree + 2):
         records = truncated_basic_cohomology(action, d)
@@ -335,13 +364,9 @@ def _run_stages(job, binding: _Binding, tol) -> tuple[dict, bool]:
         _require(example == "solenoid", f"unknown stages example {example!r}")
         big, projection, induced = solenoid_stages()
     spec = _parse_truncation(_get(job, "truncation", dict, "job", required=True), "job.truncation")
-    if binding.exact is not None:
-        big = big.bind_param(binding.exact)
-        induced = induced.bind_param(binding.exact)
-        projection = PolyMap(
-            projection.domain_dim,
-            [c.bind_param(binding.exact) for c in projection.components],
-        )
+    big = binding.bind(big, "job.big")
+    projection = binding.bind(projection, "job.projection")
+    induced = binding.bind(induced, "job.induced")
     try:
         report = stages_check(big, projection, induced, spec)
     except (ValueError, IntertwiningError) as exc:
@@ -368,8 +393,7 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
     first_name = _get(plots_spec, "first", str, "job.plots", required=True)
     second_name = _get(plots_spec, "second", str, "job.plots", required=True)
     grid = _parse_grid(_get(job, "grid", dict, "job"), "job.grid")
-    tolerance = tol if tol is not None else _get(job, "tolerance", float, "job",
-                                                 default=DEFAULT_SYMBOLIC_TOL)
+    tolerance = _tolerance(job, tol, DEFAULT_SYMBOLIC_TOL)
     bind = binding.numeric
 
     def sample(rows, block):
@@ -403,8 +427,7 @@ def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
     plot_name = _get(job, "plot", str, "job", required=True)
     gauge_name = _get(job, "gauge", str, "job", required=True)
     grid = _parse_grid(_get(job, "grid", dict, "job"), "job.grid")
-    tolerance = tol if tol is not None else _get(job, "tolerance", float, "job",
-                                                 default=DEFAULT_FD_TOL)
+    tolerance = _tolerance(job, tol, DEFAULT_FD_TOL)
     bind = binding.numeric
 
     def sample(rows, block):
@@ -439,24 +462,22 @@ def _run_orbifold(job, binding: _Binding, tol) -> tuple[dict, bool]:
     chart_spec = _get(job, "chart", dict, "job", required=True)
     dim = _get(chart_spec, "dimension", int, "job.chart", required=True)
     _require(dim >= 1, "job.chart.dimension must be positive")
-    generators = [
-        _parse_affine(g, dim, f"job.chart.generators[{i}]")
-        for i, g in enumerate(_get(chart_spec, "generators", list, "job.chart", required=True))
-    ]
+    generators = []
+    for i, g in enumerate(_get(chart_spec, "generators", list, "job.chart", required=True)):
+        path = f"job.chart.generators[{i}]"
+        generators.append(binding.bind(_parse_affine(g, dim, path), path))
     _require(bool(generators), "job.chart.generators must be nonempty")
     cap = _get(chart_spec, "closure_cap", int, "job.chart", default=64)
+    label = _get(chart_spec, "label", str, "job.chart", default="")
     try:
-        group = group_closure(generators, cap=cap)
-        chart = OrbifoldChart(
-            dim, group, label=_get(chart_spec, "label", str, "job.chart", default="")
-        )
-    except (GroupNotFiniteError, ValueError) as exc:
+        chart = OrbifoldChart(dim, generators, label=label, cap=cap)
+    except GroupNotFiniteError as exc:
         raise JobValidationError(f"job.chart: {exc}") from None
     spec = _parse_truncation(_get(job, "truncation", dict, "job", required=True), "job.truncation")
     _require(spec.grade <= dim, "job.truncation.grade exceeds the chart dimension")
     basis = orbifold_invariant_forms(chart, spec)
     results = {
-        "group_order": len(group),
+        "group_order": len(chart.group),
         "window": {"grade": spec.grade, "max_degree": spec.max_degree},
         "dimension": len(basis),
         "basis": [_form_json(f) for f in basis],
@@ -470,8 +491,7 @@ def _run_symplectic(job, binding: _Binding, tol: float | None) -> tuple[dict, bo
         model = builtin_model(model_name)
     except KeyError as exc:
         raise JobValidationError(str(exc.args[0])) from None
-    tolerance = tol if tol is not None else _get(job, "tolerance", float, "job",
-                                                 default=DEFAULT_SYMBOLIC_TOL)
+    tolerance = _tolerance(job, tol, DEFAULT_SYMBOLIC_TOL)
     sigma_spec = _get(job, "sigma", dict, "job")
     sigma = (
         _parse_form(sigma_spec, model.dim, "job.sigma")
@@ -551,6 +571,8 @@ def run_job(
         if bind_a is not None:
             raw_param = bind_a
         binding = _Binding(raw_param)
+        if tol is not None:
+            _check_tolerance(tol, "tol")
         properness = job.get("assume_identity_component_proper")
         _require(properness is None or isinstance(properness, bool),
                  "job.assume_identity_component_proper must be a boolean")

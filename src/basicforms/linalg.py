@@ -6,8 +6,8 @@ Gauss-Jordan elimination serves every routine here: rows are taken in
 order, each is reduced against the rows already accepted, and a row that
 stays nonzero is accepted with its first nonzero column as pivot, scaled to
 a unit pivot and used to clear that column from the earlier rows.  Rank,
-RREF, kernels, span tests, the determinant and the inverse are all read off
-its result, so every routine is deterministic.
+kernels, span tests, the determinant and the inverse are all read off its
+result, so every routine is deterministic.
 
 Kernel bases are canonical: they come from the reduced row echelon form
 (one basis vector per free column, in column order) and each vector is
@@ -182,14 +182,6 @@ def _gauss_jordan(matrix: Matrix) -> tuple[dict[int, SparseRow], list[int], list
 
 def rank(matrix: Matrix) -> int:
     return len(_gauss_jordan(matrix)[1])
-
-
-def rref(matrix: Matrix) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form (unit pivots, zeros above and below)."""
-    reduced, pivots, _ = _gauss_jordan(matrix)
-    order = sorted(pivots)
-    width = range(matrix.cols)
-    return [[reduced[c].get(j, ZERO) for j in width] for c in order], order
 
 
 def _sign_normalize(vector: list[Scalar]) -> Vector:

@@ -120,11 +120,6 @@ class Window:
         return Form(self.dim, self.grade, terms)
 
 
-def monomial_form_basis(dim: int, spec: TruncationSpec) -> list[Form]:
-    """Deterministic monomial basis of the truncation window."""
-    return Window(dim, spec.grade, spec.max_degree).basis_forms()
-
-
 def operator_block(
     domain: Window, target: Window, op: Callable[[Form], Form]
 ) -> Matrix:
@@ -194,8 +189,8 @@ def basic_form_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
 def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
     """Group average (1/|G|) sum of pullbacks over the chart's group.
 
-    The chart checked on construction that its group is a whole finite
-    group, closed under composition.
+    The chart built its group as the closure of its generators, so the
+    group is whole and closed by construction.
     """
     group = chart.group
     total = Form.zero(form.dim, form.grade)
@@ -240,11 +235,7 @@ def truncated_basic_cohomology(action: ActionSpec, max_degree: int) -> list[Coho
         # rank of d restricted to the basic subspace
         if k < n:
             image_window = Window(n, k + 1, max(max_degree - 1, 0))
-            d_matrix = (
-                Matrix.from_columns([image_window.coordinates(ext_d(b)) for b in basis])
-                if basis
-                else Matrix.zero(image_window.size, 0)
-            )
+            d_matrix = span_matrix(image_window, [ext_d(b) for b in basis])
             dim_closed = dim_basic - rank(d_matrix)
         else:
             dim_closed = dim_basic
@@ -252,12 +243,7 @@ def truncated_basic_cohomology(action: ActionSpec, max_degree: int) -> list[Coho
             dim_exact = 0
         else:
             potentials = basics[(k - 1, max_degree + 1)]
-            window = Window(n, k, max_degree)
-            image = (
-                Matrix.from_columns([window.coordinates(ext_d(b)) for b in potentials])
-                if potentials
-                else Matrix.zero(window.size, 0)
-            )
+            image = span_matrix(Window(n, k, max_degree), [ext_d(b) for b in potentials])
             dim_exact = rank(image)
         records.append(
             CohomologyRecord(

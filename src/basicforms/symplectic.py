@@ -25,7 +25,7 @@ import numpy as np
 
 from .forms import Form, VectorField, ext_d, eval_form, interior, lie_derivative
 from .linalg import Matrix, determinant
-from .plots import DeviationReport
+from .plots import DeviationReport, _report
 from .polynomials import Polynomial
 
 LEVEL_TOL = 1e-10
@@ -178,20 +178,11 @@ def level_restriction_check(
     invariance = lie_derivative(model.field, candidate)
     c_dev = _tuple_deviations(contraction, model.level_samples, bind_a)
     i_dev = _tuple_deviations(invariance, model.level_samples, bind_a)
-
-    def report(devs: np.ndarray) -> DeviationReport:
-        idx = int(np.argmax(devs))
-        worst = float(devs[idx])
-        return DeviationReport(
-            max_abs_deviation=worst,
-            argmax_index=idx,
-            argmax_param=(float(idx),),
-            tolerance=tol,
-            passed=worst <= tol,
-            deviations=devs,
-        )
-
-    return RestrictionReport(contraction=report(c_dev), invariance=report(i_dev))
+    # samples have no plot parameter; a report names the worst by its index
+    indices = np.arange(len(model.level_samples), dtype=float)[:, None]
+    return RestrictionReport(
+        contraction=_report(c_dev, indices, tol), invariance=_report(i_dev, indices, tol)
+    )
 
 
 def _hopf_samples(count_per_axis: int = 4) -> list[LevelSample]:

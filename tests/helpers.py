@@ -128,3 +128,20 @@ def eval_poly_exact(
             value *= x**e
         total += value
     return total
+
+
+def naive_group(generators: Sequence[AffineMap], limit: int = 256) -> set[AffineMap]:
+    """Every product of the generators and their inverses, by word length.
+
+    Adds all words one letter longer until a length brings nothing new;
+    fails past ``limit`` elements.  Kept apart from ``group_closure``, which
+    walks right products by the generators alone.
+    """
+    letters = list(generators) + [g.inverse() for g in generators]
+    reached = {AffineMap.identity(generators[0].dim)}
+    frontier = set(reached)
+    while frontier:
+        frontier = {w.compose(g) for w in frontier for g in letters} - reached
+        reached |= frontier
+        assert len(reached) <= limit, "group is larger than the limit"
+    return reached

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from basicforms.actions import AffineMap, act_pullback, group_closure
+from basicforms.actions import AffineMap, act_pullback
 from basicforms.examples import (
     c4_square_chart,
     irrational_torus_line,
@@ -43,7 +43,6 @@ from basicforms.solver import (
     TruncationSpec,
     Window,
     basic_form_basis,
-    monomial_form_basis,
     reynolds_average,
     spans_equal,
     truncated_basic_cohomology,
@@ -127,7 +126,7 @@ def test_criterion_04_sign_flip_reynolds():
         basis == [Form.monomial(1, (0,), x), Form.monomial(1, (0,), x**3)],
         "kernel basis is not {x dx, x^3 dx}",
     )
-    chart = OrbifoldChart(1, group_closure([action.discrete[0]]))
+    chart = OrbifoldChart(1, action.discrete)
     window = Window(1, 1, 3)
     _expect(failures, window.size == 4, "monomial window is not 4-dimensional")
     averaged = [reynolds_average(chart, window.monomial(j)) for j in range(window.size)]

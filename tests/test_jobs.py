@@ -316,3 +316,77 @@ def test_oversized_grid_is_a_validation_error():
         assert code == EXIT_VALIDATION_ERROR
         assert report["error"]["kind"] == "validation"
         assert "count must be at most" in report["error"]["message"]
+
+
+def _chart_job(entry: str, parameter=None) -> dict:
+    job = {
+        "command": "orbifold",
+        "chart": {"dimension": 1, "generators": [{"matrix": [[entry]]}]},
+        "truncation": {"grade": 1, "max_degree": 3},
+    }
+    if parameter is not None:
+        job["parameter"] = parameter
+    return job
+
+
+def test_parameter_binds_chart_generators():
+    report, code = run_job(_chart_job("a", parameter="-1"))
+    assert code == EXIT_OK, report.get("error")
+    assert report["provenance"]["scalar_field"] == "Q"
+    assert report["results"]["group_order"] == 2
+    plain, plain_code = run_job(_chart_job("-1"))
+    assert plain_code == EXIT_OK
+    assert report["results"]["basis"] == plain["results"]["basis"]
+    # the CLI's --bind-a reaches the generators the same way
+    bound, bound_code = run_job(_chart_job("a"), bind_a="-1")
+    assert bound_code == EXIT_OK
+    assert bound["results"] == report["results"]
+
+
+def _scaling_basis_job(matrix_entry: str, shift: str, parameter=None) -> dict:
+    job = {
+        "command": "basis",
+        "action": {
+            "dimension": 1,
+            "discrete": [{"matrix": [[matrix_entry]], "translation": [shift]}],
+        },
+        "truncation": {"grade": 0, "max_degree": 2},
+    }
+    if parameter is not None:
+        job["parameter"] = parameter
+    return job
+
+
+@pytest.mark.parametrize(
+    "job, bind_a, value",
+    [
+        (_scaling_basis_job("a", "0", parameter="0"), None, "a = 0"),
+        (_scaling_basis_job("1", "1/(a-1)", parameter="1"), None, "a = 1"),
+        (_scaling_basis_job("a", "0"), "0", "a = 0"),
+    ],
+    ids=["singular-map", "pole", "bind-a"],
+)
+def test_binding_to_a_bad_value_is_a_validation_error(job, bind_a, value):
+    report, code = run_job(job, bind_a=bind_a)
+    assert code == EXIT_VALIDATION_ERROR, report.get("error")
+    assert report["error"]["kind"] == "validation"
+    assert "job.action" in report["error"]["message"]
+    assert value in report["error"]["message"]
+
+
+@pytest.mark.parametrize("name", ["z2_criterion", "so2_gauge", "symplectic_r4"])
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")], ids=["nan", "neg", "inf"])
+def test_out_of_range_tolerance_is_a_validation_error(name, bad):
+    job = _builtin(name)
+    job["tolerance"] = bad
+    report, code = run_job(job)
+    assert code == EXIT_VALIDATION_ERROR
+    assert "job.tolerance must be finite and at least 0" in report["error"]["message"]
+    job["tolerance"] = 10**400  # a JSON integer no float can hold
+    report, code = run_job(job)
+    assert code == EXIT_VALIDATION_ERROR
+    assert "job.tolerance is out of float range" in report["error"]["message"]
+    report, code = run_job(_builtin(name), tol=bad)
+    assert code == EXIT_VALIDATION_ERROR
+    assert "tol must be finite and at least 0" in report["error"]["message"]
+    json.dumps(report, allow_nan=False)  # the report is strict JSON

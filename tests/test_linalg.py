@@ -22,7 +22,6 @@ from basicforms.linalg import (
     invert,
     kernel_basis,
     rank,
-    rref,
     stack,
 )
 from basicforms.scalars import Scalar
@@ -127,23 +126,6 @@ def test_kernel_dim_zero_for_identity():
     assert rank(Matrix.identity(4)) == 4
     assert rank(Matrix.zero(3, 5)) == 0
     assert len(kernel_basis(Matrix.zero(3, 5))) == 5
-
-
-def test_rref_shape_and_idempotence():
-    rng = random.Random(104)
-    for _ in range(60):
-        rows = _rand_fraction_matrix(rng, max_side=5)
-        reduced, pivots = rref(_as_matrix(rows))
-        assert len(pivots) == naive_rank(rows)
-        for r, c in enumerate(pivots):
-            assert reduced[r][c].is_one
-            for other in range(len(reduced)):
-                if other != r:
-                    assert reduced[other][c].is_zero
-        if reduced:
-            again, pivots2 = rref(Matrix.from_rows(reduced))
-            assert pivots2 == pivots
-            assert again == reduced
 
 
 def test_parameter_kernel_golden():
