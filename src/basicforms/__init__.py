@@ -44,7 +44,6 @@ from .plots import (
     criterion_check,
     default_line_grid,
     gauge_names,
-    plot_from_poly_map,
     plot_names,
     pullback_along_plot,
     smooth_gauge_check,
@@ -106,7 +105,6 @@ __all__ = [
     "criterion_check",
     "default_line_grid",
     "gauge_names",
-    "plot_from_poly_map",
     "plot_names",
     "pullback_along_plot",
     "smooth_gauge_check",

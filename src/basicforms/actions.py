@@ -42,8 +42,8 @@ class AffineMap:
     def _invertible(cls, linear: Matrix, translation: tuple[Scalar, ...]) -> "AffineMap":
         """Map from parts already known to be square and invertible.
 
-        Only products and inverses of invertible maps come here, so the
-        determinant that ``__init__`` runs would be nonzero by construction.
+        Only products of invertible maps come here, so the determinant that
+        ``__init__`` runs would be nonzero by construction.
         """
         out = cls.__new__(cls)
         out._linear = linear
@@ -117,22 +117,6 @@ class AffineMap:
         shift = self._linear.apply(other._translation)
         translation = tuple(shift[i] + self._translation[i] for i in range(n))
         return AffineMap._invertible(Matrix.from_columns(columns), translation)
-
-    def inverse(self) -> "AffineMap":
-        inv = linalg.invert(self._linear)
-        shifted = inv.apply(self._translation)
-        return AffineMap._invertible(inv, tuple(-t for t in shifted))
-
-    def apply_exact(self, point: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-        image = self._linear.apply(point)
-        return tuple(image[i] + self._translation[i] for i in range(self.dim))
-
-    def to_float(self, bind_a: float | None = None):
-        """(linear, translation) as float nested lists for numeric paths."""
-        n = self.dim
-        lin = [[self._linear.entry(i, j).evaluate(bind_a) for j in range(n)] for i in range(n)]
-        tr = [t.evaluate(bind_a) for t in self._translation]
-        return lin, tr
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineMap):

@@ -61,10 +61,6 @@ def c4_square_chart() -> OrbifoldChart:
     return OrbifoldChart(2, [quarter_turn], label="c4", cap=8)
 
 
-def trivial_action(dim: int) -> ActionSpec:
-    return ActionSpec(dim, discrete=[AffineMap.identity(dim)])
-
-
 def solenoid_stages() -> tuple[ActionSpec, PolyMap, ActionSpec]:
     """(big action, projection along the flow, induced action downstairs).
 

@@ -223,15 +223,6 @@ class VectorField:
     def bind_param(self, value: Fraction) -> "VectorField":
         return VectorField([c.bind_param(value) for c in self._components])
 
-    def apply_to(self, poly: Polynomial) -> Polynomial:
-        """Directional derivative X(f) = sum_i X^i d f / d x_i."""
-        if poly.num_vars != self._dim:
-            raise ValueError("function lives in the wrong variable count")
-        out = Polynomial.zero(self._dim)
-        for i, comp in enumerate(self._components):
-            out = out + comp * poly.partial(i)
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -302,13 +293,6 @@ class PolyMap:
     @property
     def uses_parameter(self) -> bool:
         return any(c.uses_parameter for c in self._components)
-
-    def compose(self, inner: "PolyMap") -> "PolyMap":
-        """self after inner: (self . inner)(u) = self(inner(u))."""
-        if inner.codomain_dim != self._domain_dim:
-            raise ValueError("composition dimension mismatch")
-        comps = [c.substitute(inner.components) for c in self._components]
-        return PolyMap(inner.domain_dim, comps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMap):

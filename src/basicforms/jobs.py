@@ -19,7 +19,9 @@ A FAIL is a result, not a crash: the report is still written.
 Parameter policy: jobs run over the exact field with ``a`` formal unless
 ``parameter`` binds it to a number.  The numeric commands (criterion,
 gauge, symplectic) refuse to run with ``a`` formal if any of their inputs
-mention it, rather than silently picking a value.
+mention it, rather than silently picking a value; a form they check is
+bound exactly before any sampling, so a pole at the bound number is an
+invalid job rather than a float division by zero.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ EXIT_COMPUTATION_ERROR = 4
 # arrays (about 16 bytes a sample), so a larger grid is refused (exit 2)
 # before anything is allocated.
 MAX_GRID_SAMPLES = 1_000_001
+
+# Largest "closure_cap" of an orbifold chart.  The closure walk keeps every
+# element it reaches, so a chart whose group is infinite walks until the
+# cap; with no upper bound that walk runs out of memory.  A walk to this
+# cap ends within a second, and B5, of order 3840, still fits.
+MAX_CLOSURE_CAP = 4096
 
 COMMANDS = (
     "basis",
@@ -219,9 +227,8 @@ class _Binding:
         if isinstance(raw, bool):
             raise JobValidationError("parameter must be 'formal', a number, or a fraction string")
         if isinstance(raw, (int, float)):
-            self.formal = False
-            self.exact = Fraction(str(raw))
-        elif isinstance(raw, str):
+            raw = str(raw)  # NaN and infinities then fail like bad strings
+        if isinstance(raw, str):
             try:
                 self.exact = Fraction(raw)
             except (ValueError, ZeroDivisionError):
@@ -235,14 +242,6 @@ class _Binding:
     @property
     def numeric(self) -> float | None:
         return None if self.exact is None else float(self.exact)
-
-    def require_numeric(self, what: str) -> float:
-        if self.exact is None:
-            raise JobValidationError(
-                f"{what} mentions the parameter 'a'; bind it with \"parameter\" "
-                "or --bind-a instead of running formally"
-            )
-        return float(self.exact)
 
     def describe(self) -> Any:
         return "formal" if self.formal else str(self.exact)
@@ -260,6 +259,26 @@ class _Binding:
             return value.bind_param(self.exact)
         except (ValueError, ZeroDivisionError) as exc:
             raise JobValidationError(f"{path} at a = {self.exact}: {exc}") from None
+
+
+def _parse_numeric_form(
+    spec: Mapping[str, Any], dim: int, path: str, binding: _Binding
+) -> Form:
+    """The form a numeric check evaluates, with ``a`` bound exactly.
+
+    A form that mentions ``a`` needs a bound value and is bound before any
+    sampling: a pole there is a validation error, and a value near a pole
+    is evaluated from the exact bound coefficients, not at the float.
+    """
+    form = _parse_form(spec, dim, path)
+    if not form.uses_parameter:
+        return form
+    if binding.exact is None:
+        raise JobValidationError(
+            f"{path} mentions the parameter 'a'; bind it with \"parameter\" "
+            "or --bind-a instead of running formally"
+        )
+    return binding.bind(form, path)
 
 
 def _check_tolerance(value: float, path: str) -> float:
@@ -406,10 +425,8 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
         raise JobValidationError(str(exc.args[0])) from None
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
-    form = _parse_form(_get(job, "form", dict, "job", required=True),
-                       first.ambient_dim, "job.form")
-    if form.uses_parameter:
-        bind = binding.require_numeric("job.form")
+    form = _parse_numeric_form(_get(job, "form", dict, "job", required=True),
+                               first.ambient_dim, "job.form", binding)
     _require(first.ambient_dim == second.ambient_dim, "plots land in different ambient spaces")
     try:
         report = _criterion_rows(grid, sample, form, tolerance, bind)
@@ -440,10 +457,8 @@ def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
         raise JobValidationError(str(exc.args[0])) from None
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
-    form = _parse_form(_get(job, "form", dict, "job", required=True),
-                       plot.ambient_dim, "job.form")
-    if form.uses_parameter:
-        bind = binding.require_numeric("job.form")
+    form = _parse_numeric_form(_get(job, "form", dict, "job", required=True),
+                               plot.ambient_dim, "job.form", binding)
     _require(gauge.dim == plot.ambient_dim, "gauge acts on the wrong ambient dimension")
     try:
         report = _gauge_rows(grid, sample, form, tolerance, bind)
@@ -468,6 +483,8 @@ def _run_orbifold(job, binding: _Binding, tol) -> tuple[dict, bool]:
         generators.append(binding.bind(_parse_affine(g, dim, path), path))
     _require(bool(generators), "job.chart.generators must be nonempty")
     cap = _get(chart_spec, "closure_cap", int, "job.chart", default=64)
+    _require(1 <= cap <= MAX_CLOSURE_CAP,
+             f"job.chart.closure_cap must be between 1 and {MAX_CLOSURE_CAP}")
     label = _get(chart_spec, "label", str, "job.chart", default="")
     try:
         chart = OrbifoldChart(dim, generators, label=label, cap=cap)
@@ -494,16 +511,13 @@ def _run_symplectic(job, binding: _Binding, tol: float | None) -> tuple[dict, bo
     tolerance = _tolerance(job, tol, DEFAULT_SYMBOLIC_TOL)
     sigma_spec = _get(job, "sigma", dict, "job")
     sigma = (
-        _parse_form(sigma_spec, model.dim, "job.sigma")
+        _parse_numeric_form(sigma_spec, model.dim, "job.sigma", binding)
         if sigma_spec is not None
         else model.omega
     )
-    bind = None
-    if sigma.uses_parameter:
-        bind = binding.require_numeric("job.sigma")
     residual = momentum_residual(model)
     try:
-        report = level_restriction_check(model, sigma, tolerance, bind)
+        report = level_restriction_check(model, sigma, tolerance)
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
     passed = residual.is_zero and report.passed

@@ -6,8 +6,8 @@ Gauss-Jordan elimination serves every routine here: rows are taken in
 order, each is reduced against the rows already accepted, and a row that
 stays nonzero is accepted with its first nonzero column as pivot, scaled to
 a unit pivot and used to clear that column from the earlier rows.  Rank,
-kernels, span tests, the determinant and the inverse are all read off its
-result, so every routine is deterministic.
+kernels, span tests and the determinant are all read off its result, so
+every routine is deterministic.
 
 Kernel bases are canonical: they come from the reduced row echelon form
 (one basis vector per free column, in column order) and each vector is
@@ -251,14 +251,3 @@ def determinant(matrix: Matrix) -> Scalar:
         det = det * p
     inversions = sum(c > d for i, c in enumerate(pivots) for d in pivots[i + 1 :])
     return -det if inversions % 2 else det
-
-
-def invert(matrix: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on singular input."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = matrix.rows
-    reduced, _, _ = _gauss_jordan(matrix.stack_right(Matrix.identity(n)))
-    if any(c not in reduced for c in range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(n, [{j - n: v for j, v in reduced[i].items() if j >= n} for i in range(n)])

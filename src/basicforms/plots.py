@@ -304,27 +304,6 @@ def builtin_gauge(name: str, grid: np.ndarray, bind_a: float | None = None) -> G
     return builder(np.asarray(grid, dtype=float), bind_a)
 
 
-def plot_from_poly_map(
-    mapping, grid: np.ndarray, bind_a: float | None = None
-) -> Plot:
-    """Sample a polynomial map and its exact Jacobian on a grid."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    q = g.shape[1]
-    if mapping.domain_dim != q:
-        raise ValueError("grid parameter count does not match the map's domain")
-    columns = list(g.T)
-    samples = g.shape[0]
-    values = np.empty((samples, mapping.codomain_dim))
-    jac = np.empty((samples, mapping.codomain_dim, q))
-    for i, comp in enumerate(mapping.components):
-        values[:, i] = comp.evaluate(columns, bind_a)
-        for j in range(q):
-            jac[:, i, j] = comp.partial(j).evaluate(columns, bind_a)
-    return Plot(g, values, jac)
-
-
 def basis_tuples(param_dim: int, grade: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(param_dim), grade))
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .actions import ActionSpec, act_pullback
 from .forms import Form, VectorField, ext_d, interior, lie_derivative
-from .linalg import Matrix, column_span_equal, kernel_basis, rank, stack
+from .linalg import Matrix, kernel_basis, rank, stack
 from .polynomials import Exponents, Polynomial, grlex_key
 from .scalars import Scalar
 
@@ -88,9 +88,6 @@ class Window:
     def monomial(self, position: int) -> Form:
         e, indices = self.pairs[position]
         return Form.monomial(self.dim, indices, Polynomial(self.dim, {e: 1}))
-
-    def basis_forms(self) -> list[Form]:
-        return [self.monomial(i) for i in range(self.size)]
 
     def coordinates(self, form: Form) -> list[Scalar]:
         """Expand a form in window coordinates; error if it sticks out."""
@@ -263,7 +260,3 @@ def span_matrix(window: Window, forms: Sequence[Form]) -> Matrix:
     if not forms:
         return Matrix.zero(window.size, 0)
     return Matrix.from_columns([window.coordinates(f) for f in forms])
-
-
-def spans_equal(window: Window, first: Sequence[Form], second: Sequence[Form]) -> bool:
-    return column_span_equal(span_matrix(window, first), span_matrix(window, second))

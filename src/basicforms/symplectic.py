@@ -139,9 +139,7 @@ class RestrictionReport:
         return self.contraction.passed and self.invariance.passed
 
 
-def _tuple_deviations(
-    form: Form, samples: Sequence[LevelSample], bind_a: float | None
-) -> np.ndarray:
+def _tuple_deviations(form: Form, samples: Sequence[LevelSample]) -> np.ndarray:
     """Per-sample worst |form(point; tangent tuple)| over basis tuples.
 
     All samples are evaluated at once: one :func:`eval_form` call per
@@ -152,7 +150,7 @@ def _tuple_deviations(
     out = np.zeros(len(samples))
     for combo in combinations(range(bases.shape[1]), form.grade):
         vectors = [bases[:, c, :].T for c in combo]
-        out = np.maximum(out, np.abs(eval_form(form, points, vectors, bind_a)))
+        out = np.maximum(out, np.abs(eval_form(form, points, vectors)))
     return out
 
 
@@ -160,13 +158,13 @@ def level_restriction_check(
     model: HamiltonianModel,
     candidate: Form,
     tol: float = 1e-9,
-    bind_a: float | None = None,
 ) -> RestrictionReport:
     """Check that a form restricts to the level set invariantly and horizontally.
 
     On every sampled level point, both the contraction ``i_X candidate`` and
     the Lie derivative ``L_X candidate`` are evaluated on all tangent-basis
     tuples of the appropriate size; PASS means every value is within ``tol``.
+    A candidate that mentions ``a`` is bound first (``Form.bind_param``).
     """
     if not model.level_samples:
         raise ValueError("model carries no level samples")
@@ -176,8 +174,8 @@ def level_restriction_check(
         raise ValueError("restriction check needs a form of grade at least 1")
     contraction = interior(model.field, candidate)
     invariance = lie_derivative(model.field, candidate)
-    c_dev = _tuple_deviations(contraction, model.level_samples, bind_a)
-    i_dev = _tuple_deviations(invariance, model.level_samples, bind_a)
+    c_dev = _tuple_deviations(contraction, model.level_samples)
+    i_dev = _tuple_deviations(invariance, model.level_samples)
     # samples have no plot parameter; a report names the worst by its index
     indices = np.arange(len(model.level_samples), dtype=float)[:, None]
     return RestrictionReport(

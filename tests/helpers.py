@@ -4,6 +4,8 @@ Everything is driven by an explicit ``random.Random`` handed in by the
 caller, so every test run is reproducible from its seed.  The evaluation
 helpers re-derive values from first principles (Horner loops over
 ``Fraction``) instead of calling the code paths they are used to check.
+The affine, polynomial-map and window helpers below serve only as test
+oracles: the library has no public routine for them.
 """
 
 from __future__ import annotations
@@ -12,10 +14,15 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from basicforms.actions import AffineMap
-from basicforms.forms import Form, VectorField
+import numpy as np
+
+from basicforms.actions import ActionSpec, AffineMap
+from basicforms.forms import Form, PolyMap, VectorField
+from basicforms.linalg import column_span_equal
+from basicforms.plots import Plot
 from basicforms.polynomials import Polynomial
-from basicforms.scalars import Scalar
+from basicforms.scalars import Scalar, ScalarLike
+from basicforms.solver import Window, span_matrix
 
 
 def rand_fraction(rng: random.Random, span: int = 6) -> Fraction:
@@ -137,7 +144,7 @@ def naive_group(generators: Sequence[AffineMap], limit: int = 256) -> set[Affine
     fails past ``limit`` elements.  Kept apart from ``group_closure``, which
     walks right products by the generators alone.
     """
-    letters = list(generators) + [g.inverse() for g in generators]
+    letters = list(generators) + [affine_inverse(g) for g in generators]
     reached = {AffineMap.identity(generators[0].dim)}
     frontier = set(reached)
     while frontier:
@@ -145,3 +152,91 @@ def naive_group(generators: Sequence[AffineMap], limit: int = 256) -> set[Affine
         reached |= frontier
         assert len(reached) <= limit, "group is larger than the limit"
     return reached
+
+
+def trivial_action(dim: int) -> ActionSpec:
+    """The identity map as the only generator: every form is invariant."""
+    return ActionSpec(dim, discrete=[AffineMap.identity(dim)])
+
+
+def apply_exact(mapping: AffineMap, point: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
+    """Image A x + b of a point, summed entry by entry."""
+    n = mapping.dim
+    return tuple(
+        sum(
+            (mapping.linear.entry(i, j) * Scalar.of(point[j]) for j in range(n)),
+            mapping.translation[i],
+        )
+        for i in range(n)
+    )
+
+
+def _cofactor_det(rows: list[list[Scalar]]) -> Scalar:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Scalar.of(1)
+    total = Scalar.of(0)
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = entry * _cofactor_det(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def affine_inverse(mapping: AffineMap) -> AffineMap:
+    """x -> A^-1 (x - b), with A^-1 the adjugate over the determinant."""
+    n = mapping.dim
+    rows = [[mapping.linear.entry(i, j) for j in range(n)] for i in range(n)]
+    det = _cofactor_det(rows)
+
+    def cofactor(r: int, c: int) -> Scalar:
+        minor = [row[:c] + row[c + 1 :] for k, row in enumerate(rows) if k != r]
+        value = _cofactor_det(minor)
+        return -value if (r + c) % 2 else value
+
+    inverse = [[cofactor(j, i) / det for j in range(n)] for i in range(n)]
+    shift = [
+        -sum((inverse[i][j] * mapping.translation[j] for j in range(n)), Scalar.of(0))
+        for i in range(n)
+    ]
+    return AffineMap.from_rows(inverse, shift)
+
+
+def window_monomials(window: Window) -> list[Form]:
+    """Every monomial form of the window, in window order."""
+    return [window.monomial(i) for i in range(window.size)]
+
+
+def spans_equal(window: Window, first: Sequence[Form], second: Sequence[Form]) -> bool:
+    """Whether two lists of forms span one subspace of the window."""
+    return column_span_equal(span_matrix(window, first), span_matrix(window, second))
+
+
+def compose_maps(outer: PolyMap, inner: PolyMap) -> PolyMap:
+    """outer after inner, expanded term by term as products of inner's components."""
+    m = inner.domain_dim
+    components = []
+    for comp in outer.components:
+        total = Polynomial.zero(m)
+        for exps, coeff in comp.terms.items():
+            term = Polynomial.constant(m, coeff)
+            for image, e in zip(inner.components, exps):
+                for _ in range(e):
+                    term = term * image
+            total = total + term
+        components.append(total)
+    return PolyMap(m, components)
+
+
+def plot_from_poly_map(mapping: PolyMap, grid: np.ndarray) -> Plot:
+    """Sample a parameter-free map and its Jacobian, each value exact then rounded."""
+    samples, q = grid.shape
+    values = np.empty((samples, mapping.codomain_dim))
+    jacobians = np.empty((samples, mapping.codomain_dim, q))
+    for s in range(samples):
+        point = [Fraction(float(x)) for x in grid[s]]
+        for i, comp in enumerate(mapping.components):
+            values[s, i] = float(eval_poly_exact(comp, point))
+            for j in range(q):
+                jacobians[s, i, j] = float(eval_poly_exact(comp.partial(j), point))
+    return Plot(grid, values, jacobians)

@@ -21,7 +21,14 @@ from basicforms.forms import Form
 from basicforms.linalg import Matrix
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
-from helpers import eval_scalar_exact, rand_affine, rand_form, rand_fraction
+from helpers import (
+    affine_inverse,
+    apply_exact,
+    eval_scalar_exact,
+    rand_affine,
+    rand_form,
+    rand_fraction,
+)
 
 
 def _rotation() -> AffineMap:
@@ -41,9 +48,9 @@ def test_constructor_rejects_singular():
 
 def test_identity_and_translation():
     ident = AffineMap.identity(3)
-    assert ident.apply_exact([1, 2, 3]) == (Scalar.of(1), Scalar.of(2), Scalar.of(3))
+    assert apply_exact(ident, [1, 2, 3]) == (Scalar.of(1), Scalar.of(2), Scalar.of(3))
     shift = AffineMap.translation_by([Fraction(1, 2), -1])
-    assert shift.apply_exact([0, 0]) == (Scalar.of(Fraction(1, 2)), Scalar.of(-1))
+    assert apply_exact(shift, [0, 0]) == (Scalar.of(Fraction(1, 2)), Scalar.of(-1))
 
 
 def test_compose_against_pointwise_application():
@@ -54,20 +61,9 @@ def test_compose_against_pointwise_application():
         h = rand_affine(rng, dim, with_param=rng.random() < 0.3)
         point = [rand_fraction(rng, 4) for _ in range(dim)]
         product = g.compose(h)
-        assert product.apply_exact(point) == g.apply_exact(h.apply_exact(point))
+        assert apply_exact(product, point) == apply_exact(g, apply_exact(h, point))
         # compose skips the determinant; the checked constructor agrees
         assert AffineMap(product.linear, product.translation) == product
-
-
-def test_inverse_round_trip():
-    rng = random.Random(302)
-    for _ in range(120):
-        dim = rng.randint(1, 3)
-        g = rand_affine(rng, dim, with_param=rng.random() < 0.3)
-        inv = g.inverse()
-        assert g.compose(inv) == AffineMap.identity(dim)
-        assert inv.compose(g) == AffineMap.identity(dim)
-        assert AffineMap(inv.linear, inv.translation) == inv
 
 
 def test_as_poly_map_agrees_with_apply_exact():
@@ -78,7 +74,7 @@ def test_as_poly_map_agrees_with_apply_exact():
         g = rand_affine(rng, dim, with_param=True)
         point = tuple(rand_fraction(rng, 4) for _ in range(dim))
         try:
-            image = g.apply_exact(point)
+            image = apply_exact(g, point)
         except ZeroDivisionError:
             continue
         for comp, expect in zip(g.as_poly_map().components, image):
@@ -130,7 +126,7 @@ def test_closure_of_quarter_turn_matches_powers():
     assert set(group) == set(powers)
     # breadth-first: identity first, generator next
     assert group[0] == AffineMap.identity(2)
-    assert group[1] in (r, r.inverse())
+    assert group[1] in (r, affine_inverse(r))
 
 
 def test_closure_of_sign_flip():
@@ -160,4 +156,4 @@ def test_action_spec_validation_and_binding():
     assert spec.uses_parameter
     bound = spec.bind_param(Fraction(1, 3))
     assert not bound.uses_parameter
-    assert bound.discrete[0].apply_exact([0]) == (Scalar.of(Fraction(1, 3)),)
+    assert apply_exact(bound.discrete[0], [0]) == (Scalar.of(Fraction(1, 3)),)

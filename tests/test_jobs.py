@@ -8,6 +8,7 @@ ran and failed its tolerance, 4 unexpected computation error.
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from basicforms.jobs import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VALIDATION_ERROR,
+    MAX_CLOSURE_CAP,
     MAX_GRID_SAMPLES,
     format_report,
     run_job,
@@ -166,6 +168,17 @@ def test_bad_parameter_value_is_a_validation_error():
     assert code == EXIT_VALIDATION_ERROR
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_parameter_is_a_validation_error(value):
+    job = _builtin("solenoid_basis")
+    job["parameter"] = value  # Python's json reads NaN and Infinity
+    for report, code in (run_job(job), run_job(_builtin("solenoid_basis"), bind_a=value)):
+        assert code == EXIT_VALIDATION_ERROR, report.get("error")
+        assert f"parameter '{value}' is not 'formal'" in report["error"]["message"]
+        json.dumps(report, allow_nan=False)  # the report is strict JSON
+
+
 def test_infinite_closure_is_a_validation_error():
     job = {
         "command": "orbifold",
@@ -178,6 +191,29 @@ def test_infinite_closure_is_a_validation_error():
     }
     report, code = run_job(job)
     assert code == EXIT_VALIDATION_ERROR
+
+
+def _doubling_chart_job(cap: int) -> dict:
+    return {
+        "command": "orbifold",
+        "chart": {"dimension": 1, "generators": [{"matrix": [["2"]]}], "closure_cap": cap},
+        "truncation": {"grade": 0, "max_degree": 1},
+    }
+
+
+@pytest.mark.parametrize("cap", [10**9, MAX_CLOSURE_CAP + 1, 0, -1])
+def test_out_of_range_closure_cap_is_refused_before_walking(cap):
+    started = time.perf_counter()
+    report, code = run_job(_doubling_chart_job(cap))
+    assert time.perf_counter() - started < 2.0
+    assert code == EXIT_VALIDATION_ERROR
+    assert "closure_cap must be between 1 and 4096" in report["error"]["message"]
+
+
+def test_largest_closure_cap_ends_an_infinite_walk():
+    report, code = run_job(_doubling_chart_job(MAX_CLOSURE_CAP))
+    assert code == EXIT_VALIDATION_ERROR
+    assert "not finite within cap 4096" in report["error"]["message"]
 
 
 def test_properness_flag_is_echoed():
@@ -357,21 +393,41 @@ def _scaling_basis_job(matrix_entry: str, shift: str, parameter=None) -> dict:
     return job
 
 
+def _numeric_pole_job(name: str, parameter: str) -> dict:
+    """A bundled numeric job whose checked form has a pole at a = 1."""
+    job = _builtin(name)
+    key = "sigma" if name == "symplectic_r4" else "form"
+    job[key]["terms"][0]["coefficient"] = "x/(a-1)" if key == "form" else "1/(a-1)"
+    job["parameter"] = parameter
+    return job
+
+
 @pytest.mark.parametrize(
-    "job, bind_a, value",
+    "job, bind_a, path, value",
     [
-        (_scaling_basis_job("a", "0", parameter="0"), None, "a = 0"),
-        (_scaling_basis_job("1", "1/(a-1)", parameter="1"), None, "a = 1"),
-        (_scaling_basis_job("a", "0"), "0", "a = 0"),
+        (_scaling_basis_job("a", "0", parameter="0"), None, "job.action", "a = 0"),
+        (_scaling_basis_job("1", "1/(a-1)", parameter="1"), None, "job.action", "a = 1"),
+        (_scaling_basis_job("a", "0"), "0", "job.action", "a = 0"),
+        (_numeric_pole_job("z2_criterion", "1"), None, "job.form", "a = 1"),
+        (_numeric_pole_job("so2_gauge", "1"), None, "job.form", "a = 1"),
+        (_numeric_pole_job("symplectic_r4", "1"), None, "job.sigma", "a = 1"),
     ],
-    ids=["singular-map", "pole", "bind-a"],
+    ids=["singular-map", "pole", "bind-a", "criterion-pole", "gauge-pole", "symplectic-pole"],
 )
-def test_binding_to_a_bad_value_is_a_validation_error(job, bind_a, value):
+def test_binding_to_a_bad_value_is_a_validation_error(job, bind_a, path, value):
     report, code = run_job(job, bind_a=bind_a)
     assert code == EXIT_VALIDATION_ERROR, report.get("error")
     assert report["error"]["kind"] == "validation"
-    assert "job.action" in report["error"]["message"]
+    assert path in report["error"]["message"]
     assert value in report["error"]["message"]
+
+
+@pytest.mark.parametrize("name", ["z2_criterion", "so2_gauge", "symplectic_r4"])
+def test_value_near_a_pole_is_bound_exactly(name):
+    # a = 1 + 10^-20 is 1.0 as a float, but not a pole of 1/(a-1)
+    job = _numeric_pole_job(name, "100000000000000000001/100000000000000000000")
+    report, code = run_job(job)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED), report.get("error")
 
 
 @pytest.mark.parametrize("name", ["z2_criterion", "so2_gauge", "symplectic_r4"])

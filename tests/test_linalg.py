@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, RREF, kernels, determinants, inverses.
+"""Exact linear algebra: rank, RREF, kernels, determinants.
 
 Oracle: a deliberately naive dense Fraction-only Gauss-Jordan elimination
 recomputes rank, RREF and the canonical kernel for random rational
@@ -19,7 +19,6 @@ from basicforms.linalg import (
     column_span_contains,
     column_span_equal,
     determinant,
-    invert,
     kernel_basis,
     rank,
     stack,
@@ -197,34 +196,6 @@ def test_determinant_multiplicative_with_parameter():
             assert lhs.bind(a0) == rhs.bind(a0)
         except ZeroDivisionError:
             assert lhs == rhs
-
-
-def test_invert_round_trip():
-    rng = random.Random(108)
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 4)
-        rows = [[rand_fraction(rng, 4) for _ in range(n)] for _ in range(n)]
-        mat = _as_matrix(rows)
-        if determinant(mat).is_zero:
-            continue
-        inv = invert(mat)
-        prod = Matrix.from_rows(
-            [
-                [
-                    sum((mat.entry(i, k) * inv.entry(k, j) for k in range(n)), Scalar.of(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        assert prod == Matrix.identity(n)
-        done += 1
-
-
-def test_invert_rejects_singular():
-    with pytest.raises(ValueError):
-        invert(Matrix.from_rows([[Scalar.of(1), Scalar.of(2)], [Scalar.of(2), Scalar.of(4)]]))
 
 
 def test_column_span_relations():

@@ -13,8 +13,8 @@ from basicforms.orbifolds import (
     orbifold_invariant_forms,
 )
 from basicforms.polynomials import Polynomial
-from basicforms.solver import TruncationSpec, Window, basic_form_basis, spans_equal
-from helpers import naive_group, rand_form
+from basicforms.solver import TruncationSpec, Window, basic_form_basis
+from helpers import naive_group, rand_form, spans_equal
 
 
 def test_c4_chart_shape():

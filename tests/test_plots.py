@@ -26,13 +26,12 @@ from basicforms.plots import (
     criterion_check,
     default_line_grid,
     gauge_names,
-    plot_from_poly_map,
     plot_names,
     pullback_along_plot,
     smooth_gauge_check,
 )
 from basicforms.polynomials import Polynomial
-from helpers import rand_form
+from helpers import plot_from_poly_map, rand_form
 
 
 def _form(dim: int, *terms: tuple[tuple[int, ...], str], names=("x", "y", "z")):
@@ -219,13 +218,6 @@ def test_pullback_along_plot_matches_symbolic_pullback():
     for s in range(grid.shape[0]):
         expect = eval_form(sym, grid[s], [e0, e1])
         assert numeric[s, 0] == pytest.approx(expect, abs=1e-12)
-
-
-def test_plot_from_poly_map_checks_domain():
-    u = Polynomial.variable(1, 0)
-    phi = PolyMap(1, [u * u])
-    with pytest.raises(ValueError, match="domain"):
-        plot_from_poly_map(phi, np.zeros((5, 2)))
 
 
 def test_grade_above_param_dim_pulls_back_to_nothing():

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from basicforms.actions import ActionSpec, AffineMap
-from basicforms.examples import solenoid_stages, trivial_action
+from basicforms.examples import solenoid_stages
 from basicforms.forms import PolyMap, pullback
 from basicforms.polynomials import Polynomial
-from basicforms.solver import TruncationSpec, Window, basic_form_basis, spans_equal
+from basicforms.solver import TruncationSpec, Window, basic_form_basis
 from basicforms.stages import IntertwiningError, StagesReport, stages_check
+from helpers import spans_equal, trivial_action
 
 
 def test_solenoid_stages_agree_in_low_grades():
