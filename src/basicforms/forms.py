@@ -20,7 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polynomials import Polynomial, default_var_names, render_poly
+from .polynomials import (
+    Exponents,
+    Polynomial,
+    PowerTable,
+    add_product,
+    default_var_names,
+    render_poly,
+)
 from .scalars import Scalar, ScalarLike
 
 Indices = tuple[int, ...]
@@ -86,6 +93,26 @@ class Form:
         self._grade = grade
         self._terms = clean
 
+    @classmethod
+    def _from_sums(
+        cls, dim: int, grade: int, sums: Mapping[Indices, Mapping[Exponents, Scalar]]
+    ) -> "Form":
+        """Form from coefficient term maps of exact sums, dropping the zeros.
+
+        For maps this package built itself, with valid index tuples: the
+        checks of ``__init__`` are skipped.
+        """
+        terms = {}
+        for indices, coeff_sums in sums.items():
+            coeff = Polynomial._from_sums(dim, coeff_sums)
+            if not coeff.is_zero:
+                terms[indices] = coeff
+        out = cls.__new__(cls)
+        out._dim = dim
+        out._grade = grade
+        out._terms = terms
+        return out
+
     @staticmethod
     def zero(dim: int, grade: int) -> "Form":
         return Form(dim, grade, {})
@@ -150,12 +177,6 @@ class Form:
     def scale(self, factor: ScalarLike) -> "Form":
         f = Scalar.of(factor)
         return Form(self._dim, self._grade, {i: p.scale(f) for i, p in self._terms.items()})
-
-    def multiply_function(self, poly: Polynomial) -> "Form":
-        """Multiply every coefficient by a polynomial (f * alpha)."""
-        if poly.num_vars != self._dim:
-            raise ValueError("function lives in the wrong variable count")
-        return Form(self._dim, self._grade, {i: p * poly for i, p in self._terms.items()})
 
     def bind_param(self, value: Fraction) -> "Form":
         return Form(
@@ -233,9 +254,17 @@ class VectorField:
 
 
 class PolyMap:
-    """Polynomial map R^m -> R^n given by n component polynomials in m variables."""
+    """Polynomial map R^m -> R^n given by n component polynomials in m variables.
 
-    __slots__ = ("_domain_dim", "_components", "_pulled_covectors")
+    A map keeps what :func:`pullback` needs from it, built on first use and
+    shared by every form pulled back along it: the powers of each component
+    (a :class:`~basicforms.polynomials.PowerTable`, at most n*d term maps
+    for coefficient degree d) and the pullback of each dx_I.  Both depend on
+    the components alone, so a result never depends on what was pulled
+    back before; :meth:`bind_param` returns a new map with empty tables.
+    """
+
+    __slots__ = ("_domain_dim", "_components", "_powers", "_pulled_covectors")
 
     def __init__(self, domain_dim: int, components: Sequence[Polynomial]):
         if domain_dim < 1:
@@ -245,6 +274,7 @@ class PolyMap:
                 raise ValueError("component variable count must equal the domain dimension")
         self._domain_dim = domain_dim
         self._components = tuple(components)
+        self._powers = PowerTable(domain_dim, self._components)
         self._pulled_covectors: dict[Indices, Form] = {}
 
     def _pulled_covector(self, indices: Indices) -> Form:
@@ -386,25 +416,24 @@ def lie_derivative(field: VectorField, form: Form) -> Form:
 def pullback(mapping: PolyMap, form: Form) -> Form:
     """Pullback along a polynomial map; the result lives on the domain.
 
-    Coefficients are composed with the map and each dx_i becomes the
-    differential of the i-th component.  If the grade exceeds the domain
-    dimension the result is the zero form of top grade.
+    Coefficients are composed with the map through its power table, and
+    each dx_I becomes the wedge of the differentials of the components in
+    I.  Every product is added straight into one term map per index tuple
+    of the result, so no intermediate form is built.  If the grade exceeds
+    the domain dimension the result is the zero form of top grade.
     """
     if mapping.codomain_dim != form.dim:
         raise ValueError("form does not live on the map's codomain")
     m = mapping.domain_dim
-    out_grade = min(form.grade, m)
-    out = Form.zero(m, out_grade)
-    if form.is_zero:
-        return out
+    sums: dict[Indices, dict[Exponents, Scalar]] = {}
     for indices, coeff in form.terms.items():
         piece = mapping._pulled_covector(indices)
         if piece.is_zero:
             continue
-        composed = coeff.substitute(mapping.components)
-        if not composed.is_zero:
-            out = out + piece.multiply_function(composed)
-    return out
+        composed = mapping._powers.compose(coeff).terms
+        for target, factor in piece.terms.items():
+            add_product(sums.setdefault(target, {}), composed, factor.terms)
+    return Form._from_sums(m, min(form.grade, m), sums)
 
 
 def _det_float(rows: list[list]):

@@ -429,7 +429,7 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
                                first.ambient_dim, "job.form", binding)
     _require(first.ambient_dim == second.ambient_dim, "plots land in different ambient spaces")
     try:
-        report = _criterion_rows(grid, sample, form, tolerance, bind)
+        report = _criterion_rows(grid, sample, form, tolerance)
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
     results = {
@@ -461,7 +461,7 @@ def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
                                plot.ambient_dim, "job.form", binding)
     _require(gauge.dim == plot.ambient_dim, "gauge acts on the wrong ambient dimension")
     try:
-        report = _gauge_rows(grid, sample, form, tolerance, bind)
+        report = _gauge_rows(grid, sample, form, tolerance)
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
     results = {

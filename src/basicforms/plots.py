@@ -354,12 +354,14 @@ def _criterion_rows(
     sample: Callable[[slice, np.ndarray], tuple[Plot, Plot]],
     form: Form,
     tol: float,
-    bind_a: float | None,
+    *,
+    bind_a: float | None = None,
 ) -> DeviationReport:
     """:func:`criterion_check` block by block.
 
     ``sample(rows, grid[rows])`` returns the two plots on those grid rows;
-    the plots must land in one ambient space.
+    the plots must land in one ambient space.  ``bind_a`` is needed only
+    for a form that still mentions the parameter.
     """
     grid = grid.reshape(grid.shape[0], -1)
     samples = grid.shape[0]
@@ -389,7 +391,11 @@ def criterion_check(
     if first.ambient_dim != second.ambient_dim:
         raise ValueError("plots land in different ambient spaces")
     return _criterion_rows(
-        first.grid, lambda rows, _: (first._rows(rows), second._rows(rows)), form, tol, bind_a
+        first.grid,
+        lambda rows, _: (first._rows(rows), second._rows(rows)),
+        form,
+        tol,
+        bind_a=bind_a,
     )
 
 
@@ -435,7 +441,8 @@ def _gauge_rows(
     sample: Callable[[slice, np.ndarray], tuple[Plot, GroupPath]],
     form: Form,
     tol: float,
-    bind_a: float | None,
+    *,
+    bind_a: float | None = None,
 ) -> DeviationReport:
     """:func:`smooth_gauge_check` block by block.
 
@@ -503,5 +510,9 @@ def smooth_gauge_check(
     if gauge.dim != plot.ambient_dim:
         raise ValueError("gauge acts on the wrong ambient dimension")
     return _gauge_rows(
-        plot.grid, lambda rows, _: (plot._rows(rows), gauge._rows(rows)), form, tol, bind_a
+        plot.grid,
+        lambda rows, _: (plot._rows(rows), gauge._rows(rows)),
+        form,
+        tol,
+        bind_a=bind_a,
     )

@@ -14,9 +14,10 @@ first, then lexicographic with earlier variables ranked higher.  Rendering
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
-from .scalars import Scalar, ScalarLike
+from .scalars import ONE, Scalar, ScalarLike
 
 Exponents = tuple[int, ...]
 
@@ -58,6 +59,19 @@ class Polynomial:
             clean[exps] = c
         self._num_vars = num_vars
         self._terms = clean
+
+    @classmethod
+    def _from_sums(cls, num_vars: int, sums: Mapping[Exponents, Scalar]) -> "Polynomial":
+        """Polynomial from a term map of exact sums, dropping the zeros.
+
+        For maps this package built itself (see :func:`add_product`): the
+        exponent tuples are already valid and the values already Scalars,
+        so the checks of ``__init__`` are skipped.
+        """
+        out = cls.__new__(cls)
+        out._num_vars = num_vars
+        out._terms = {e: c for e, c in sums.items() if not c.is_zero}
+        return out
 
     @staticmethod
     def zero(num_vars: int) -> "Polynomial":
@@ -127,12 +141,8 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_space(other)
         out: dict[Exponents, Scalar] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps)
-                out[exps] = c1 * c2 if acc is None else acc + c1 * c2
-        return Polynomial(self._num_vars, out)
+        add_product(out, self._terms, other._terms)
+        return Polynomial._from_sums(self._num_vars, out)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -168,7 +178,9 @@ class Polynomial:
         """Compose with a polynomial map: variable i is replaced by images[i].
 
         All images must share a common variable count, which becomes the
-        variable count of the result.
+        variable count of the result.  The composition goes through a fresh
+        :class:`PowerTable`, the routine a :class:`~basicforms.forms.PolyMap`
+        keeps for every form it pulls back.
         """
         if len(images) != self._num_vars:
             raise ValueError(
@@ -176,29 +188,7 @@ class Polynomial:
             )
         if self._num_vars == 0:
             raise ValueError("substitution into a 0-variable polynomial is ambiguous")
-        m = images[0].num_vars
-        for img in images:
-            if img.num_vars != m:
-                raise ValueError("substitution images live in different spaces")
-        out = Polynomial.zero(m)
-        # cache powers per variable to keep repeated exponents cheap
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(m, 1)} for _ in range(self._num_vars)
-        ]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
-        for exps, c in self._terms.items():
-            term = Polynomial.constant(m, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        return PowerTable(images[0].num_vars, images).compose(self)
 
     def bind_param(self, value: Fraction) -> "Polynomial":
         """Substitute an exact rational for the parameter in every coefficient."""
@@ -247,6 +237,77 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self._num_vars}, {self})"
+
+
+def add_product(
+    into: dict[Exponents, Scalar],
+    left: Mapping[Exponents, Scalar],
+    right: Mapping[Exponents, Scalar],
+) -> None:
+    """Add the product of two term maps into ``into``, term by term.
+
+    Nothing is copied: each product coefficient is added in place.  A sum
+    that cancels stays in ``into`` as a zero Scalar until the map becomes a
+    polynomial, which drops it.
+    """
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exps = tuple(map(add, e1, e2))
+            old = into.get(exps)
+            into[exps] = c1 * c2 if old is None else old + c1 * c2
+
+
+class PowerTable:
+    """Composition with a polynomial map, through a table of powers.
+
+    ``compose(p)`` replaces variable i of ``p`` by ``images[i]``.  The power
+    ``images[i]**e`` is built once, by one product with the power below
+    it, and kept; each term of ``p`` then costs one product per variable it
+    mentions, added straight into one term map for the result.  A table
+    held by a map serves every polynomial composed through that map;
+    :meth:`Polynomial.substitute` builds a fresh one for each call.  Only
+    powers are kept, never the image of a whole monomial, so a table holds
+    at most ``n*d`` term maps for ``n`` images and degree ``d``.
+    """
+
+    __slots__ = ("_num_vars", "_origin", "_powers")
+
+    def __init__(self, num_vars: int, images: Sequence[Polynomial]):
+        """``num_vars`` is the variable count of the images and results."""
+        for img in images:
+            if img.num_vars != num_vars:
+                raise ValueError("substitution images live in different spaces")
+        self._num_vars = num_vars
+        self._origin = (0,) * num_vars
+        unit = {self._origin: ONE}
+        self._powers = [[unit, img.terms] for img in images]
+
+    def _power(self, i: int, e: int) -> Mapping[Exponents, Scalar]:
+        table = self._powers[i]
+        while len(table) <= e:
+            step: dict[Exponents, Scalar] = {}
+            add_product(step, table[-1], table[1])
+            table.append({x: c for x, c in step.items() if not c.is_zero})
+        return table[e]
+
+    def compose(self, poly: Polynomial) -> Polynomial:
+        """``poly`` with variable i replaced by the i-th image."""
+        if poly.num_vars != len(self._powers):
+            raise ValueError(
+                f"expected {poly.num_vars} substitution images, got {len(self._powers)}"
+            )
+        out: dict[Exponents, Scalar] = {}
+        for exps, c in poly.terms.items():
+            term: Mapping[Exponents, Scalar] = {self._origin: c}
+            factors = [self._power(i, e) for i, e in enumerate(exps) if e]
+            if not factors:
+                factors = [{self._origin: ONE}]
+            for factor in factors[:-1]:
+                step: dict[Exponents, Scalar] = {}
+                add_product(step, term, factor)
+                term = step
+            add_product(out, term, factors[-1])
+        return Polynomial._from_sums(self._num_vars, out)
 
 
 def _monomial_str(exps: Exponents, names: Sequence[str]) -> str:

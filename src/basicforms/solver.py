@@ -15,6 +15,13 @@ hold every image coefficient, so no condition is silently dropped:
 * Lie invariance: target degree d + delta - 1 where delta is the largest
   generator component degree (transport adds delta - 1, Jacobian terms too);
 * horizontality: grade k - 1, target degree d + delta.
+
+Assembly is sparse: a constraint block's column holds the image of one
+window monomial, and its nonzero coordinates go straight from the image's
+terms into the matrix rows (:func:`span_matrix`); no dense coordinate
+vector is ever built.  Affine images come from each map's cached
+pullback routine, which shares one power table per map across every
+monomial of every block and across the Reynolds average.
 """
 
 from __future__ import annotations
@@ -89,11 +96,11 @@ class Window:
         e, indices = self.pairs[position]
         return Form.monomial(self.dim, indices, Polynomial(self.dim, {e: 1}))
 
-    def coordinates(self, form: Form) -> list[Scalar]:
-        """Expand a form in window coordinates; error if it sticks out."""
+    def entries(self, form: Form) -> dict[int, Scalar]:
+        """The form's nonzero window coordinates by position; error if it sticks out."""
         if form.dim != self.dim or form.grade != self.grade:
             raise ValueError("form does not match the window's dimension or grade")
-        vec = [Scalar.of(0)] * self.size
+        out: dict[int, Scalar] = {}
         for indices, poly in form.terms.items():
             for exps, coeff in poly.terms.items():
                 pos = self._index.get((exps, indices))
@@ -102,27 +109,28 @@ class Window:
                         f"term x^{exps} dx_{indices} falls outside the degree-"
                         f"{self.max_degree} window"
                     )
-                vec[pos] = coeff
-        return vec
+                out[pos] = coeff
+        return out
 
     def combine(self, coords: Sequence[Scalar]) -> Form:
         if len(coords) != self.size:
             raise ValueError("coordinate vector has the wrong length")
-        terms: dict[tuple[int, ...], Polynomial] = {}
+        sums: dict[tuple[int, ...], dict[Exponents, Scalar]] = {}
         for (exps, indices), c in zip(self.pairs, coords):
-            if c.is_zero:
-                continue
-            add = Polynomial(self.dim, {exps: c})
-            terms[indices] = terms[indices] + add if indices in terms else add
-        return Form(self.dim, self.grade, terms)
+            sums.setdefault(indices, {})[exps] = c
+        return Form._from_sums(self.dim, self.grade, sums)
 
 
 def operator_block(
     domain: Window, target: Window, op: Callable[[Form], Form]
 ) -> Matrix:
-    """Matrix of a linear operator from a window into a target window."""
-    columns = [target.coordinates(op(domain.monomial(j))) for j in range(domain.size)]
-    return Matrix.from_columns(columns) if columns else Matrix.zero(target.size, 0)
+    """Matrix of a linear operator from a window into a target window.
+
+    Column j holds the target coordinates of ``op`` applied to the j-th
+    domain monomial, filled sparsely from the image's terms (see
+    :func:`span_matrix`).
+    """
+    return span_matrix(target, [op(domain.monomial(j)) for j in range(domain.size)])
 
 
 def invariance_constraints(action: ActionSpec, spec: TruncationSpec) -> Matrix:
@@ -187,13 +195,20 @@ def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
     """Group average (1/|G|) sum of pullbacks over the chart's group.
 
     The chart built its group as the closure of its generators, so the
-    group is whole and closed by construction.
+    group is whole and closed by construction.  Each element's pullback
+    goes through that element's cached map and power table, and its terms
+    are added into one term map per index tuple; the sum becomes a form
+    once, at the end.
     """
     group = chart.group
-    total = Form.zero(form.dim, form.grade)
+    sums: dict[tuple[int, ...], dict[Exponents, Scalar]] = {}
     for g in group:
-        total = total + act_pullback(g, form)
-    return total.scale(Scalar.of(1) / len(group))
+        for indices, poly in act_pullback(g, form).terms.items():
+            acc = sums.setdefault(indices, {})
+            for exps, c in poly.terms.items():
+                old = acc.get(exps)
+                acc[exps] = c if old is None else old + c
+    return Form._from_sums(form.dim, form.grade, sums).scale(Scalar.of(1) / len(group))
 
 
 @dataclass(frozen=True)
@@ -256,7 +271,13 @@ def truncated_basic_cohomology(action: ActionSpec, max_degree: int) -> list[Coho
 
 
 def span_matrix(window: Window, forms: Sequence[Form]) -> Matrix:
-    """Forms as columns in window coordinates (for span comparisons)."""
-    if not forms:
-        return Matrix.zero(window.size, 0)
-    return Matrix.from_columns([window.coordinates(f) for f in forms])
+    """Forms as columns in window coordinates (for span comparisons).
+
+    The sparse rows are filled straight from each form's terms; no dense
+    coordinate vector is built.
+    """
+    rows: list[dict[int, Scalar]] = [{} for _ in range(window.size)]
+    for j, form in enumerate(forms):
+        for pos, coeff in window.entries(form).items():
+            rows[pos][j] = coeff
+    return Matrix(len(forms), rows)

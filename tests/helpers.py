@@ -207,25 +207,41 @@ def window_monomials(window: Window) -> list[Form]:
     return [window.monomial(i) for i in range(window.size)]
 
 
+def dense_coordinates(window: Window, form: Form) -> list[Scalar]:
+    """Every window coordinate of a form, zeros included, in window order."""
+    coords = [Scalar.of(0)] * window.size
+    for pos, coeff in window.entries(form).items():
+        coords[pos] = coeff
+    return coords
+
+
 def spans_equal(window: Window, first: Sequence[Form], second: Sequence[Form]) -> bool:
     """Whether two lists of forms span one subspace of the window."""
     return column_span_equal(span_matrix(window, first), span_matrix(window, second))
 
 
+def compose_terms(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
+    """``poly`` with variable i replaced by ``images[i]``, term by term.
+
+    Each term is its coefficient times one factor per unit of exponent;
+    no power is kept and ``Polynomial.substitute`` is never called.
+    """
+    m = images[0].num_vars
+    total = Polynomial.zero(m)
+    for exps, coeff in poly.terms.items():
+        term = Polynomial.constant(m, coeff)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        total = total + term
+    return total
+
+
 def compose_maps(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """outer after inner, expanded term by term as products of inner's components."""
-    m = inner.domain_dim
-    components = []
-    for comp in outer.components:
-        total = Polynomial.zero(m)
-        for exps, coeff in comp.terms.items():
-            term = Polynomial.constant(m, coeff)
-            for image, e in zip(inner.components, exps):
-                for _ in range(e):
-                    term = term * image
-            total = total + term
-        components.append(total)
-    return PolyMap(m, components)
+    return PolyMap(
+        inner.domain_dim, [compose_terms(c, inner.components) for c in outer.components]
+    )
 
 
 def plot_from_poly_map(mapping: PolyMap, grid: np.ndarray) -> Plot:

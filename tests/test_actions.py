@@ -28,6 +28,7 @@ from helpers import (
     rand_affine,
     rand_form,
     rand_fraction,
+    safe_a0,
 )
 
 
@@ -114,6 +115,26 @@ def test_rotation_pullback_hand_values():
     assert act_pullback(r, dy) == dx
     area = Form.monomial(2, (0, 1), Polynomial.constant(2, 1))
     assert act_pullback(r, area) == area
+
+
+def test_binding_an_affine_map_with_filled_tables():
+    # the map's cached PolyMap and power table are full before binding
+    rng = random.Random(306)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        g = rand_affine(rng, n, with_param=True)
+        forms = [rand_form(rng, n, rng.randint(0, n), 2, with_param=True) for _ in range(3)]
+        pulled = [act_pullback(g, f) for f in forms]
+        coeffs = [p for f in forms for p in f.terms.values()]
+        while True:
+            a0 = safe_a0(rng, *g.as_poly_map().components, *coeffs)
+            try:
+                bound = g.bind_param(a0)
+            except ValueError:  # singular at a0
+                continue
+            break
+        for f, image in zip(forms, pulled):
+            assert act_pullback(bound, f.bind_param(a0)) == image.bind_param(a0)
 
 
 def test_closure_of_quarter_turn_matches_powers():

@@ -30,7 +30,14 @@ from basicforms.forms import (
 )
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import UnboundParameterError
-from helpers import compose_maps, rand_form, rand_poly, rand_vector_field
+from helpers import (
+    compose_maps,
+    compose_terms,
+    rand_form,
+    rand_poly,
+    rand_vector_field,
+    safe_a0,
+)
 
 
 def same_form(lhs: Form, rhs: Form) -> bool:
@@ -54,11 +61,11 @@ def lie_by_transport(field: VectorField, form: Form) -> Form:
             derived = derived + field.component(i) * coeff.partial(i)
         out = out + Form.monomial(n, indices, derived)
         for pos in range(k):
-            piece = Form.function(Polynomial.constant(n, 1))
+            piece = Form.function(coeff)
             for slot, idx in enumerate(indices):
                 factor = d_components[idx] if slot == pos else Form.covector(n, idx)
                 piece = wedge(piece, factor)
-            out = out + piece.multiply_function(coeff)
+            out = out + piece
     return out
 
 
@@ -265,6 +272,51 @@ def test_pullback_is_ring_map_on_functions():
         assert pullback(f, Form.function(p * q)) == Form.function(
             p.substitute(f.components) * q.substitute(f.components)
         )
+
+
+def _random_map_and_forms(rng, with_param):
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    mapping = PolyMap(m, [rand_poly(rng, m, 2, 3, with_param) for _ in range(n)])
+    forms = [
+        rand_form(rng, n, rng.randint(0, n), max_degree=3, with_param=with_param)
+        for _ in range(5)
+    ]
+    return mapping, forms
+
+
+def test_pullback_of_functions_matches_term_by_term_composition():
+    rng = random.Random(215)
+    for _ in range(60):
+        mapping, _ = _random_map_and_forms(rng, rng.random() < 0.5)
+        for _ in range(4):  # the map's power table fills as it goes
+            p = rand_poly(rng, mapping.codomain_dim, max_degree=4, max_terms=5)
+            expect = compose_terms(p, mapping.components)
+            assert pullback(mapping, Form.function(p)) == Form.function(expect)
+
+
+def test_pullback_does_not_depend_on_earlier_pullbacks():
+    # two maps with the same components fill their tables in opposite
+    # orders; a third pulls back each form on empty tables
+    rng = random.Random(216)
+    for _ in range(60):
+        mapping, forms = _random_map_and_forms(rng, rng.random() < 0.5)
+        twin = PolyMap(mapping.domain_dim, mapping.components)
+        forward = [pullback(mapping, f) for f in forms]
+        backward = [pullback(twin, f) for f in reversed(forms)][::-1]
+        fresh = [pullback(PolyMap(mapping.domain_dim, mapping.components), f) for f in forms]
+        assert forward == backward == fresh
+
+
+def test_binding_a_map_with_filled_tables():
+    rng = random.Random(217)
+    for _ in range(60):
+        mapping, forms = _random_map_and_forms(rng, with_param=True)
+        pulled = [pullback(mapping, f) for f in forms]
+        coeffs = [p for f in forms for p in f.terms.values()]
+        a0 = safe_a0(rng, *mapping.components, *coeffs)
+        bound = mapping.bind_param(a0)
+        for f, image in zip(forms, pulled):
+            assert pullback(bound, f.bind_param(a0)) == image.bind_param(a0)
 
 
 def test_pullback_drops_overflowing_grades():

@@ -13,9 +13,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from basicforms.polynomials import Polynomial, default_var_names, grlex_key, render_poly
+from basicforms.polynomials import (
+    Polynomial,
+    PowerTable,
+    default_var_names,
+    grlex_key,
+    render_poly,
+)
 from basicforms.scalars import Scalar
-from helpers import eval_poly_exact, rand_fraction, rand_poly, safe_a0
+from helpers import compose_terms, eval_poly_exact, rand_affine, rand_fraction, rand_poly, safe_a0
 
 
 def _point(rng, n):
@@ -102,12 +108,35 @@ def test_substitute_is_composition():
         assert eval_poly_exact(p.substitute(imgs), pt) == eval_poly_exact(p, inner)
 
 
+def test_power_tables_match_term_by_term_composition():
+    # affine images (as every chart map) and polynomial ones, with and
+    # without the parameter; one table serves several polynomials in turn
+    rng = random.Random(17)
+    for _ in range(60):
+        with_param = rng.random() < 0.5
+        n = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            m = n
+            images = rand_affine(rng, n, with_param).as_poly_map().components
+        else:
+            m = rng.randint(1, 3)
+            images = [rand_poly(rng, m, 2, 3, with_param) for _ in range(n)]
+        table = PowerTable(m, images)
+        for _ in range(3):
+            p = rand_poly(rng, n, max_degree=3, max_terms=5, with_param=with_param)
+            expect = compose_terms(p, images)
+            assert p.substitute(images) == expect
+            assert table.compose(p) == expect
+
+
 def test_substitute_shape_errors():
     p = Polynomial.variable(2, 0)
     with pytest.raises(ValueError):
         p.substitute([Polynomial.variable(1, 0)])  # one image for two variables
     with pytest.raises(ValueError):
         p.substitute([Polynomial.variable(1, 0), Polynomial.variable(2, 0)])
+    with pytest.raises(ValueError, match="expected 2 substitution images"):
+        PowerTable(1, [Polynomial.variable(1, 0)]).compose(p)
 
 
 def test_bind_param_random():

@@ -37,7 +37,13 @@ from basicforms.solver import (
     span_matrix,
     truncated_basic_cohomology,
 )
-from helpers import rand_form, spans_equal, trivial_action, window_monomials
+from helpers import (
+    dense_coordinates,
+    rand_form,
+    spans_equal,
+    trivial_action,
+    window_monomials,
+)
 
 
 def _is_basic(action: ActionSpec, form: Form) -> bool:
@@ -78,14 +84,16 @@ def test_window_round_trip():
         grade = rng.randint(0, dim)
         w = Window(dim, grade, 3)
         form = rand_form(rng, dim, grade, max_degree=3, with_param=True)
-        assert w.combine(w.coordinates(form)) == form
+        assert w.combine(dense_coordinates(w, form)) == form
 
 
 def test_window_rejects_out_of_window_terms():
     w = Window(1, 0, 1)
     cubic = Form.function(Polynomial(1, {(3,): 1}))
     with pytest.raises(ValueError, match="outside"):
-        w.coordinates(cubic)
+        w.entries(cubic)
+    with pytest.raises(ValueError, match="outside"):
+        span_matrix(w, [cubic])
 
 
 def test_monomial_basis_is_deterministic_and_ordered():
@@ -111,7 +119,7 @@ def test_constraint_kernel_matches_direct_conditions():
         spec = TruncationSpec(grade, rng.randint(0, 2))
         w = Window(action.dim, grade, spec.max_degree)
         form = rand_form(rng, action.dim, grade, max_degree=spec.max_degree)
-        coords = w.coordinates(form)
+        coords = dense_coordinates(w, form)
         system = stack(
             [invariance_constraints(action, spec), horizontality_constraints(action, spec)]
         )
