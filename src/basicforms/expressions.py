@@ -11,9 +11,12 @@ Grammar (whitespace-insensitive)::
 Identifiers are the declared variable names plus the reserved parameter
 ``a``.  Rationals are written ``p/q``; division is only allowed by nonzero
 constant expressions (which may involve ``a``), never by variables.
-Exponents must be literal non-negative integers.  Parentheses and unary
-minus signs nest fewer than ``MAX_NESTING`` deep, so a hostile expression is
-a parse error rather than a blown interpreter stack.
+Exponents must be literal non-negative integers of at most
+``MAX_EXPONENT``; nor may the exponents of nested powers, such as
+``(x^16)^32``, multiply past it, or a power have a higher total degree, as
+``(x*y)^200`` would.  Parentheses and unary minus signs nest fewer than
+``MAX_NESTING`` deep.  A hostile expression is thus a parse error rather
+than a blown interpreter stack, or a power that exhausts memory or time.
 
 Errors carry the character position and a description of what was expected,
 so job files can point at the offending column.
@@ -50,6 +53,14 @@ _OPS = set("+-*/^()")
 # Each level is at most five parser frames, well inside Python's default
 # recursion limit of 1000 even when called from a deep stack.
 MAX_NESTING = 100
+
+# Largest exponent literal, product of the exponents of nested powers, and
+# total degree of a power.  Far above any window degree a job can solve,
+# yet ``x^100000`` would make every numeric evaluation keep 100000 powers
+# of each sample array (a MemoryError under a 1 GB address-space cap), and
+# a basis job translating by ``3^3000000`` ran for minutes.  ``(1 + a)^256``
+# parses in about half a second.
+MAX_EXPONENT = 256
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -94,6 +105,8 @@ class _Parser:
         self._vars = {name: i for i, name in enumerate(var_names)}
         self._num_vars = len(var_names)
         self._depth = 0
+        # largest product of nested exponents in what was parsed last
+        self._power_weight = 1
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -170,7 +183,10 @@ class _Parser:
         return value
 
     def _power(self) -> Polynomial:
+        outer = self._power_weight
+        self._power_weight = 1
         base = self._atom()
+        weight = self._power_weight
         tok = self._peek()
         if tok.kind == "op" and tok.text == "^":
             self._advance()
@@ -179,8 +195,28 @@ class _Parser:
                 raise ParseError(
                     "exponent must be a non-negative integer literal", exp_tok.position
                 )
+            exponent = int(exp_tok.text)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}",
+                    exp_tok.position,
+                )
+            weight *= max(exponent, 1)
+            if weight > MAX_EXPONENT:
+                raise ParseError(
+                    f"nested powers multiply to an exponent of {weight}, "
+                    f"past the limit of {MAX_EXPONENT}",
+                    exp_tok.position,
+                )
+            degree = max(base.total_degree(), 0) * exponent
+            if degree > MAX_EXPONENT:
+                raise ParseError(
+                    f"power of degree {degree} is past the limit of {MAX_EXPONENT}",
+                    exp_tok.position,
+                )
             self._advance()
-            return base ** int(exp_tok.text)
+            base = base ** exponent
+        self._power_weight = max(outer, weight)
         return base
 
     def _atom(self) -> Polynomial:

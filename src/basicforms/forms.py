@@ -31,6 +31,9 @@ from .polynomials import (
 from .scalars import Scalar, ScalarLike
 
 Indices = tuple[int, ...]
+# A form being summed: one coefficient term map per index tuple, as
+# :func:`~basicforms.polynomials.add_product` fills them.
+FormSums = dict[Indices, dict[Exponents, Scalar]]
 
 
 def merge_indices(left: Indices, right: Indices) -> tuple[Indices | None, int]:
@@ -94,9 +97,7 @@ class Form:
         self._terms = clean
 
     @classmethod
-    def _from_sums(
-        cls, dim: int, grade: int, sums: Mapping[Indices, Mapping[Exponents, Scalar]]
-    ) -> "Form":
+    def _from_sums(cls, dim: int, grade: int, sums: FormSums) -> "Form":
         """Form from coefficient term maps of exact sums, dropping the zeros.
 
         For maps this package built itself, with valid index tuples: the
@@ -292,7 +293,7 @@ class PolyMap:
                 piece = Form.function(Polynomial.constant(m, 1))
             elif len(indices) == 1:
                 comp = self._components[indices[0]]
-                piece = Form(m, 1, {(j,): comp.partial(j) for j in range(m)})
+                piece = Form._from_sums(m, 1, {(j,): comp.partial(j).terms for j in range(m)})
             else:
                 piece = wedge(
                     self._pulled_covector(indices[:-1]),
@@ -336,6 +337,45 @@ class PolyMap:
         return f"PolyMap({self._domain_dim}->{self.codomain_dim})"
 
 
+def _negated(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
+    return {e: -c for e, c in terms.items()}
+
+
+def _add_ext_d(sums: FormSums, form: Form) -> None:
+    """Add ``d form`` into ``sums``; the form must be below top grade."""
+    for indices, coeff in form.terms.items():
+        for i in range(form.dim):
+            merged, sign = merge_indices((i,), indices)
+            if merged is None:
+                continue
+            dp = coeff.partial(i)
+            if dp.is_zero:
+                continue
+            into = sums.setdefault(merged, {})
+            for exps, c in dp.terms.items():
+                if sign < 0:
+                    c = -c
+                old = into.get(exps)
+                into[exps] = c if old is None else old + c
+
+
+def _add_interior(sums: FormSums, field: VectorField, form: Form) -> None:
+    """Add ``i_X form`` into ``sums``; the form must have positive grade."""
+    negated: dict[int, dict[Exponents, Scalar]] = {}
+    for indices, coeff in form.terms.items():
+        for pos, idx in enumerate(indices):
+            comp = field.component(idx)
+            if comp.is_zero:
+                continue
+            factor = comp.terms
+            if pos % 2:
+                if idx not in negated:
+                    negated[idx] = _negated(factor)
+                factor = negated[idx]
+            reduced = indices[:pos] + indices[pos + 1 :]
+            add_product(sums.setdefault(reduced, {}), coeff.terms, factor)
+
+
 def wedge(left: Form, right: Form) -> Form:
     """Wedge product; grades summing past n give the zero n-form."""
     if left.dim != right.dim:
@@ -344,17 +384,20 @@ def wedge(left: Form, right: Form) -> Form:
     grade = left.grade + right.grade
     if grade > n:
         return Form.zero(n, n)
-    out: dict[Indices, Polynomial] = {}
+    sums: FormSums = {}
     for li, lp in left.terms.items():
+        negated = None
         for ri, rp in right.terms.items():
             merged, sign = merge_indices(li, ri)
             if merged is None:
                 continue
-            contrib = lp * rp
+            factor = lp.terms
             if sign < 0:
-                contrib = -contrib
-            out[merged] = out[merged] + contrib if merged in out else contrib
-    return Form(n, grade, out)
+                if negated is None:
+                    negated = _negated(factor)
+                factor = negated
+            add_product(sums.setdefault(merged, {}), factor, rp.terms)
+    return Form._from_sums(n, grade, sums)
 
 
 def ext_d(form: Form) -> Form:
@@ -362,18 +405,9 @@ def ext_d(form: Form) -> Form:
     n = form.dim
     if form.grade >= n:
         return Form.zero(n, n)
-    out: dict[Indices, Polynomial] = {}
-    for indices, coeff in form.terms.items():
-        for i in range(n):
-            dp = coeff.partial(i)
-            if dp.is_zero:
-                continue
-            merged, sign = merge_indices((i,), indices)
-            if merged is None:
-                continue
-            contrib = dp if sign > 0 else -dp
-            out[merged] = out[merged] + contrib if merged in out else contrib
-    return Form(n, form.grade + 1, out)
+    sums: FormSums = {}
+    _add_ext_d(sums, form)
+    return Form._from_sums(n, form.grade + 1, sums)
 
 
 def interior(field: VectorField, form: Form) -> Form:
@@ -382,35 +416,26 @@ def interior(field: VectorField, form: Form) -> Form:
         raise ValueError("field and form live on different spaces")
     if form.grade == 0:
         raise ValueError("interior product of a 0-form is undefined")
-    out: dict[Indices, Polynomial] = {}
-    for indices, coeff in form.terms.items():
-        for pos, idx in enumerate(indices):
-            comp = field.component(idx)
-            if comp.is_zero:
-                continue
-            contrib = coeff * comp
-            if pos % 2:
-                contrib = -contrib
-            reduced = indices[:pos] + indices[pos + 1 :]
-            out[reduced] = out[reduced] + contrib if reduced in out else contrib
-    return Form(form.dim, form.grade - 1, out)
+    sums: FormSums = {}
+    _add_interior(sums, field, form)
+    return Form._from_sums(form.dim, form.grade - 1, sums)
 
 
 def lie_derivative(field: VectorField, form: Form) -> Form:
-    """Lie derivative via the homotopy formula L_X = i_X d + d i_X."""
+    """Lie derivative via the homotopy formula L_X = i_X d + d i_X.
+
+    Both halves are added into one term map per index tuple; d of a top
+    form is zero, and so is i_X of a 0-form.
+    """
     if field.dim != form.dim:
         raise ValueError("field and form live on different spaces")
     n, k = form.dim, form.grade
-    da = ext_d(form)
-    if da.grade == k + 1:
-        first = interior(field, da)
-    else:
-        # top form: d(form) is the clamped zero n-form
-        first = Form.zero(n, k)
-    if k == 0:
-        return first
-    second = ext_d(interior(field, form))
-    return first + second
+    sums: FormSums = {}
+    if k < n:
+        _add_interior(sums, field, ext_d(form))
+    if k > 0:
+        _add_ext_d(sums, interior(field, form))
+    return Form._from_sums(n, k, sums)
 
 
 def pullback(mapping: PolyMap, form: Form) -> Form:
@@ -425,7 +450,7 @@ def pullback(mapping: PolyMap, form: Form) -> Form:
     if mapping.codomain_dim != form.dim:
         raise ValueError("form does not live on the map's codomain")
     m = mapping.domain_dim
-    sums: dict[Indices, dict[Exponents, Scalar]] = {}
+    sums: FormSums = {}
     for indices, coeff in form.terms.items():
         piece = mapping._pulled_covector(indices)
         if piece.is_zero:

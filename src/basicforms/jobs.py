@@ -268,17 +268,28 @@ def _parse_numeric_form(
 
     A form that mentions ``a`` needs a bound value and is bound before any
     sampling: a pole there is a validation error, and a value near a pole
-    is evaluated from the exact bound coefficients, not at the float.
+    is evaluated from the exact bound coefficients, not at the float.  A
+    coefficient with no float value (beyond float range) is a validation
+    error too.
     """
     form = _parse_form(spec, dim, path)
-    if not form.uses_parameter:
-        return form
-    if binding.exact is None:
-        raise JobValidationError(
-            f"{path} mentions the parameter 'a'; bind it with \"parameter\" "
-            "or --bind-a instead of running formally"
-        )
-    return binding.bind(form, path)
+    if form.uses_parameter:
+        if binding.exact is None:
+            raise JobValidationError(
+                f"{path} mentions the parameter 'a'; bind it with \"parameter\" "
+                "or --bind-a instead of running formally"
+            )
+        form = binding.bind(form, path)
+    for indices, coeff in form.terms.items():
+        for c in coeff.terms.values():
+            try:
+                c.evaluate()
+            except OverflowError:
+                raise JobValidationError(
+                    f"{path} has a coefficient beyond float range "
+                    f"in its {list(indices)} term"
+                ) from None
+    return form
 
 
 def _check_tolerance(value: float, path: str) -> float:

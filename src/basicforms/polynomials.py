@@ -170,9 +170,9 @@ class Polynomial:
             e = exps[index]
             if e == 0:
                 continue
-            lowered = tuple(v - 1 if i == index else v for i, v in enumerate(exps))
-            out[lowered] = out.get(lowered, Scalar.of(0)) + c * e
-        return Polynomial(self._num_vars, out)
+            lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
+            out[lowered] = c * e
+        return Polynomial._from_sums(self._num_vars, out)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Compose with a polynomial map: variable i is replaced by images[i].

@@ -9,6 +9,17 @@ A :class:`Scalar` is stored as a pair of univariate polynomials (numerator,
 denominator) over ``Fraction``, kept coprime with a monic denominator, so
 structural equality is field equality.  No floats ever enter a ``Scalar``;
 numeric evaluation happens only through :meth:`Scalar.evaluate`.
+
+Rational fast path.  Every scalar whose denominator is 1 holds the one
+module-level tuple ``_UNIT`` as its denominator, so "is a plain rational"
+is an identity test on the denominator plus a numerator of length at most
+one.  When both operands of ``+``, ``-``, ``*`` or ``/`` are rational, the
+operator combines their two ``Fraction`` values directly (after the
+shortcuts for a 0 or 1 operand) and builds the result unchecked; only
+scalars that involve ``a`` go through the univariate polynomial arithmetic
+and the normalising constructor.  Both routes give the same canonical
+form, so which one built a scalar never shows in equality, hashing or
+rendering.  Only ``Fraction``'s public operators are used.
 """
 
 from __future__ import annotations
@@ -26,6 +37,9 @@ Coeffs = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The denominator of every scalar that does not involve a (see the module
+# docstring): shared, so that the rational test is ``den is _UNIT``.
+_UNIT: Coeffs = (_ONE,)
 
 
 class UnboundParameterError(ValueError):
@@ -147,14 +161,14 @@ class Scalar:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: Coeffs, den: Coeffs = (_ONE,)):
+    def __init__(self, num: Coeffs, den: Coeffs = _UNIT):
         num = _trim(num)
         den = _trim(den)
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
-            den = (_ONE,)
-        elif den != (_ONE,):
+            den = _UNIT
+        elif len(den) > 1 or den[0] != 1:
             g = _ugcd(num, den)
             if len(g) > 1 or g[0] != 1:
                 num = _udivmod(num, g)[0]
@@ -163,21 +177,36 @@ class Scalar:
             if lead != 1:
                 num = _uscale(num, 1 / lead)
                 den = _uscale(den, 1 / lead)
+        if len(den) == 1:
+            den = _UNIT
         self._num = num
         self._den = den
+
+    @staticmethod
+    def _rational(value: Fraction) -> "Scalar":
+        """The scalar of one ``Fraction``, built without the checks of ``__init__``."""
+        out = object.__new__(Scalar)
+        out._num = (value,) if value else ()
+        out._den = _UNIT
+        return out
 
     @staticmethod
     def of(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
+        if type(value) is Fraction:
+            return Scalar._rational(value)
         if isinstance(value, (int, Fraction)):
-            f = Fraction(value)
-            return Scalar((f,) if f != 0 else ())
+            return Scalar._rational(Fraction(value))
         raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
 
     @staticmethod
     def parameter() -> "Scalar":
         return Scalar((_ZERO, _ONE))
+
+    def __reduce__(self):
+        # rebuilt through __init__, which restores the shared _UNIT
+        return (Scalar, (self._num, self._den))
 
     @property
     def is_zero(self) -> bool:
@@ -185,16 +214,17 @@ class Scalar:
 
     @property
     def is_one(self) -> bool:
-        return self._num == (_ONE,) and self._den == (_ONE,)
+        num = self._num
+        return self._den is _UNIT and len(num) == 1 and num[0] == 1
 
     @property
     def is_rational(self) -> bool:
         """True when the value is a plain rational (no dependence on a)."""
-        return len(self._num) <= 1 and self._den == (_ONE,)
+        return self._den is _UNIT and len(self._num) <= 1
 
     @property
     def uses_parameter(self) -> bool:
-        return len(self._num) > 1 or len(self._den) > 1
+        return self._den is not _UNIT or len(self._num) > 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -212,44 +242,76 @@ class Scalar:
         return Scalar(self._den)
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        if self.is_zero:
+        o = other if isinstance(other, Scalar) else Scalar.of(other)
+        sn, on = self._num, o._num
+        if not sn:
             return o
-        if o.is_zero:
+        if not on:
             return self
-        if self._den == (_ONE,) and o._den == (_ONE,):
-            return Scalar(_uadd(self._num, o._num))
-        num = _uadd(_umul(self._num, o._den), _umul(o._num, self._den))
+        if self._den is _UNIT and o._den is _UNIT:
+            if len(sn) == 1 and len(on) == 1:
+                return Scalar._rational(sn[0] + on[0])
+            return Scalar(_uadd(sn, on))
+        num = _uadd(_umul(sn, o._den), _umul(on, self._den))
         return Scalar(num, _umul(self._den, o._den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_uneg(self._num), self._den)
+        num = self._num
+        if self._den is _UNIT and len(num) <= 1:
+            return Scalar._rational(-num[0]) if num else self
+        return Scalar(_uneg(num), self._den)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        return self + (-Scalar.of(other))
+        o = other if isinstance(other, Scalar) else Scalar.of(other)
+        sn, on = self._num, o._num
+        if (
+            sn and on
+            and self._den is _UNIT and o._den is _UNIT
+            and len(sn) == 1 and len(on) == 1
+        ):
+            return Scalar._rational(sn[0] - on[0])
+        return self + (-o)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.of(other) + (-self)
+        return Scalar.of(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        if self.is_zero or o.is_one:
+        o = other if isinstance(other, Scalar) else Scalar.of(other)
+        sn, on = self._num, o._num
+        # the 0 and 1 shortcuts come before any product
+        if not sn:
             return self
-        if o.is_zero or self.is_one:
+        if not on:
             return o
-        return Scalar(_umul(self._num, o._num), _umul(self._den, o._den))
+        if o._den is _UNIT and len(on) == 1:
+            b = on[0]
+            if b == 1:
+                return self
+            if self._den is _UNIT and len(sn) == 1:
+                a = sn[0]
+                return o if a == 1 else Scalar._rational(a * b)
+        elif self._den is _UNIT and len(sn) == 1 and sn[0] == 1:
+            return o
+        return Scalar(_umul(sn, on), _umul(self._den, o._den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        if o.is_zero:
+        o = other if isinstance(other, Scalar) else Scalar.of(other)
+        sn, on = self._num, o._num
+        if not on:
             raise ZeroDivisionError("scalar division by zero")
-        if self.is_zero or o.is_one:
+        if not sn:
             return self
-        return Scalar(_umul(self._num, o._den), _umul(self._den, o._num))
+        if o._den is _UNIT and len(on) == 1:
+            b = on[0]
+            if b == 1:
+                return self
+            if self._den is _UNIT and len(sn) == 1:
+                return Scalar._rational(sn[0] / b)
+        return Scalar(_umul(sn, o._den), _umul(self._den, on))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) / self
@@ -299,7 +361,7 @@ class Scalar:
 
     def __str__(self) -> str:
         num = _ustr(self._num)
-        if self._den == (_ONE,):
+        if self._den is _UNIT:
             return num
         den = _ustr(self._den)
         num_part = num if _is_atom(num) else f"({num})"

@@ -49,6 +49,83 @@ def rand_scalar(rng: random.Random, with_param: bool = True, span: int = 4) -> S
     return num
 
 
+# A scalar as raw (numerator, denominator) coefficient tuples in the
+# parameter, low degree first, neither trimmed nor reduced.
+RawScalar = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+
+
+def rand_operand(rng: random.Random) -> tuple[ScalarLike, RawScalar]:
+    """An operand for the scalar arithmetic checks, with its raw value.
+
+    Mostly plain rationals: 0, 1, -1, small integers and heights up to
+    10^6, each as a Scalar, or as an int or a Fraction when that holds the
+    value.  The rest are rational functions of the parameter, built by the
+    checking constructor from the raw tuples returned with them.
+    """
+    one = (Fraction(1),)
+    if rng.random() < 0.3:
+        num = tuple(rand_fraction(rng, 5) for _ in range(rng.randint(1, 3)))
+        den = one
+        if rng.random() < 0.5:
+            den = (rand_fraction(rng, 5), rand_nonzero_fraction(rng, 5))
+        return Scalar(num, den), (num, den)
+    kind = rng.randrange(4)
+    if kind == 0:
+        value = Fraction(rng.choice((0, 1, -1)))
+    elif kind == 1:
+        value = Fraction(rng.randint(-50, 50))
+    else:
+        value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    shapes = ["scalar", "fraction"] + (["int"] if value.denominator == 1 else [])
+    shape = rng.choice(shapes)
+    if shape == "scalar":
+        operand: ScalarLike = Scalar.of(value)
+    elif shape == "int":
+        operand = int(value)
+    else:
+        operand = value
+    return operand, ((value,), one)
+
+
+def _raw_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _raw_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(p), len(q))
+    for i, x in enumerate(p):
+        out[i] += x
+    for i, y in enumerate(q):
+        out[i] += y
+    return out
+
+
+def scalar_oracle(op: str, left: RawScalar, right: RawScalar | None = None) -> Scalar:
+    """``left op right`` (or ``op left`` for "neg") through ``Scalar(num, den)``.
+
+    The result is formed on the raw tuples by schoolbook fraction
+    arithmetic and only then handed to the checking constructor, so it
+    shares nothing with the operators it checks but the normalisation.
+    """
+    (n1, d1) = left
+    if op == "neg":
+        return Scalar(tuple(-c for c in n1), d1)
+    (n2, d2) = right
+    if op == "-":
+        n2 = tuple(-c for c in n2)
+    if op in "+-":
+        return Scalar(_raw_add(_raw_mul(n1, d2), _raw_mul(n2, d1)), _raw_mul(d1, d2))
+    if op == "*":
+        return Scalar(_raw_mul(n1, n2), _raw_mul(d1, d2))
+    if op == "/":
+        return Scalar(_raw_mul(n1, d2), _raw_mul(d1, n2))
+    raise ValueError(f"unknown operator {op!r}")
+
+
 def rand_poly(
     rng: random.Random,
     num_vars: int,

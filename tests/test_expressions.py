@@ -11,7 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from basicforms.expressions import ParseError, parse_poly_expr, parse_scalar_expr
+from basicforms.expressions import (
+    MAX_EXPONENT,
+    ParseError,
+    parse_poly_expr,
+    parse_scalar_expr,
+)
 from basicforms.polynomials import Polynomial, render_poly
 from basicforms.scalars import Scalar
 from helpers import rand_poly
@@ -78,6 +83,25 @@ def test_exponent_must_be_literal():
         _p("x^(2)")
     with pytest.raises(ParseError):
         _p("x^-1")
+
+
+def test_exponent_limit_covers_literals_and_nested_powers():
+    x = Polynomial.variable(2, 0)
+    assert _p(f"x^{MAX_EXPONENT}") == x**MAX_EXPONENT
+    assert _p("(x^16)^16") == x**256
+    assert parse_scalar_expr(f"(1 + a)^{MAX_EXPONENT}").bind(Fraction(1)) == 2**MAX_EXPONENT
+    for text, position in [
+        (f"x^{MAX_EXPONENT + 1}", 2),
+        ("y + 3^3000000", 6),
+        ("(x^16)^17", 7),
+        ("((y^2)^2)^65", 10),
+        ("(x + y^200)^2", 12),
+        ("(x*y)^200", 6),
+        ("(" + "*".join(["x"] * 400) + ")^256", 802),
+    ]:
+        with pytest.raises(ParseError, match=f"limit of {MAX_EXPONENT}") as info:
+            _p(text)
+        assert info.value.position == position, text
 
 
 def test_unknown_identifier_lists_known_names():

@@ -14,6 +14,7 @@ import tracemalloc
 import pytest
 
 from basicforms.cli import builtin_job_names, run
+from basicforms.expressions import MAX_EXPONENT
 from basicforms.jobs import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -132,6 +133,44 @@ def test_deep_nesting_is_a_parse_error():
         report, code = run_job(job)
         assert code == EXIT_PARSE_ERROR, report["error"]
         assert report["error"]["kind"] == "parse"
+
+
+def _hostile_exponent_job(kind: str) -> tuple[dict, str]:
+    """A job with a power far past MAX_EXPONENT, and the path of that input."""
+    if kind == "criterion-coefficient":
+        job = _builtin("z2_criterion")
+        job["form"]["terms"][0]["coefficient"] = "x^100000"
+        return job, "job.form.terms[0].coefficient"
+    job = _builtin("solenoid_basis")
+    job["action"]["discrete"][0]["translation"] = ["3^3000000", "0"]
+    return job, "job.action.discrete[0].translation"
+
+
+@pytest.mark.parametrize("kind", ["criterion-coefficient", "basis-translation"])
+def test_hostile_exponent_is_a_parse_error(kind):
+    # before the limit the first ran out of memory evaluating 100000 powers
+    # per sample, and the second spent minutes building one integer
+    job, path = _hostile_exponent_job(kind)
+    began = time.perf_counter()
+    report, code = run_job(job)
+    assert time.perf_counter() - began < 5.0
+    assert code == EXIT_PARSE_ERROR, report.get("error")
+    assert report["error"]["kind"] == "parse"
+    assert report["error"]["message"].startswith(path)
+    assert f"limit of {MAX_EXPONENT}" in report["error"]["message"]
+    assert report["error"]["position"] == 2
+
+
+@pytest.mark.parametrize("name", ["z2_criterion", "so2_gauge", "symplectic_r4"])
+def test_coefficient_beyond_float_range_is_a_validation_error(name):
+    job = _builtin(name)
+    key = "sigma" if name == "symplectic_r4" else "form"
+    big = "1" + "0" * 400  # 10^400: exact, but no float holds it
+    job[key]["terms"][0]["coefficient"] = big if key == "sigma" else f"{big}*x"
+    report, code = run_job(job)
+    assert code == EXIT_VALIDATION_ERROR, report.get("error")
+    assert report["error"]["message"].startswith(f"job.{key} ")
+    assert "beyond float range" in report["error"]["message"]
 
 
 def test_unknown_builtin_plot_is_a_validation_error():

@@ -3,16 +3,21 @@
 The oracle is binding: Scalar.bind reduces to plain Fraction arithmetic
 that is first pinned against hand-computed values, after which every
 algebraic identity is checked by binding both sides at random rational
-points where the denominators do not vanish.
+points where the denominators do not vanish.  The operators' rational fast
+path is checked against a second oracle, ``helpers.scalar_oracle``, which
+forms each result from raw fraction tuples and normalises it through the
+checking constructor: results must agree in value, hash and rendering.
 """
 
+import operator
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from basicforms.scalars import PARAM_NAME, Scalar, UnboundParameterError
-from helpers import rand_fraction, rand_scalar
+from helpers import rand_fraction, rand_operand, rand_scalar, scalar_oracle
 
 A = Scalar.parameter()
 
@@ -122,6 +127,64 @@ def test_str_round_trips_through_bind_checks():
     assert str(A + 1) == "a + 1"
     assert str(Scalar.of(Fraction(-3, 4))) == "-3/4"
     assert str((A + 1) / (A - 2)) == "(a + 1)/(a - 2)"
+
+
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _assert_same(got, want: Scalar) -> None:
+    assert isinstance(got, Scalar)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert got.is_rational == want.is_rational
+    assert got.is_zero == want.is_zero and got.is_one == want.is_one
+
+
+def test_operators_match_the_oracle():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        left, left_raw = rand_operand(rng)
+        right, right_raw = rand_operand(rng)
+        if not isinstance(left, Scalar) and not isinstance(right, Scalar):
+            left = Scalar.of(left)
+        for op, fn in BINARY.items():
+            if op == "/" and not any(right_raw[0]):
+                with pytest.raises(ZeroDivisionError):
+                    fn(left, right)
+                continue
+            _assert_same(fn(left, right), scalar_oracle(op, left_raw, right_raw))
+        _assert_same(-Scalar.of(left), scalar_oracle("neg", left_raw))
+        _assert_same(Scalar.of(right), scalar_oracle("+", right_raw, ((), (Fraction(1),))))
+
+
+def test_rational_results_hash_and_render_as_fractions():
+    rng = random.Random(11)
+    for _ in range(500):
+        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        y = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) or Fraction(1)
+        for value, scalar in [
+            (x, Scalar.of(x)),
+            (Fraction(0), Scalar.of(x) - x),
+            (x + y, Scalar.of(x) + y),
+            (x - y, x - Scalar.of(y)),
+            (x * y, Scalar.of(x) * Scalar.of(y)),
+            (x / y, x / Scalar.of(y)),
+            (-x, -Scalar.of(x)),
+        ]:
+            assert scalar.is_rational and scalar.as_fraction() == value
+            assert hash(scalar) == hash(value) and scalar == value
+            assert str(scalar) == str(value)
+    # a ratio of polynomials that cancels to a rational is one too
+    a = Scalar.parameter()
+    assert str((2 * a + 2) / (a + 1)) == "2" and hash((a + 1) / (a + 1)) == hash(1)
+
+
+def test_pickled_scalars_keep_their_canonical_form():
+    for s in (Scalar.of(Fraction(-3, 4)), Scalar.of(0), Scalar.of(1), (A + 1) / (A - 2)):
+        back = pickle.loads(pickle.dumps(s))
+        _assert_same(back, s)
+        _assert_same(back * 2 - s, s)
 
 
 def _b(s: Scalar, a0: Fraction) -> Fraction:
