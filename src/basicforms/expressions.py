@@ -13,10 +13,12 @@ Identifiers are the declared variable names plus the reserved parameter
 constant expressions (which may involve ``a``), never by variables.
 Exponents must be literal non-negative integers of at most
 ``MAX_EXPONENT``; nor may the exponents of nested powers, such as
-``(x^16)^32``, multiply past it, or a power have a higher total degree, as
-``(x*y)^200`` would.  Parentheses and unary minus signs nest fewer than
-``MAX_NESTING`` deep.  A hostile expression is thus a parse error rather
-than a blown interpreter stack, or a power that exhausts memory or time.
+``(x^16)^32``, multiply past it, or a power or a product have a higher
+total degree, as ``(x*y)^200`` or ``x*x*...*x`` with 300 factors would (a
+sum is no higher than its terms).  Parentheses and unary minus signs nest
+fewer than ``MAX_NESTING`` deep.  A hostile expression is thus a parse
+error rather than a blown interpreter stack, or a power or a product that
+exhausts memory or time.
 
 Errors carry the character position and a description of what was expected,
 so job files can point at the offending column.
@@ -55,11 +57,12 @@ _OPS = set("+-*/^()")
 MAX_NESTING = 100
 
 # Largest exponent literal, product of the exponents of nested powers, and
-# total degree of a power.  Far above any window degree a job can solve,
-# yet ``x^100000`` would make every numeric evaluation keep 100000 powers
-# of each sample array (a MemoryError under a 1 GB address-space cap), and
-# a basis job translating by ``3^3000000`` ran for minutes.  ``(1 + a)^256``
-# parses in about half a second.
+# total degree of a power or a product.  Far above any window degree a job
+# can solve, yet ``x^100000``, or a product of 100000 factors ``x``, would
+# make every numeric evaluation keep 100000 powers of each sample array (a
+# MemoryError under a 1 GB address-space cap), and a basis job translating
+# by ``3^3000000`` ran for minutes.  ``(1 + a)^256`` parses in about half
+# a second.
 MAX_EXPONENT = 256
 
 
@@ -152,6 +155,12 @@ class _Parser:
                 self._advance()
                 rhs = self._factor()
                 if tok.text == "*":
+                    degree = max(value.total_degree(), 0) + max(rhs.total_degree(), 0)
+                    if degree > MAX_EXPONENT:
+                        raise ParseError(
+                            f"product of degree {degree} is past the limit of {MAX_EXPONENT}",
+                            tok.position,
+                        )
                     value = value * rhs
                 else:
                     value = self._divide(value, rhs, tok.position)

@@ -22,6 +22,10 @@ gauge, symplectic) refuse to run with ``a`` formal if any of their inputs
 mention it, rather than silently picking a value; a form they check is
 bound exactly before any sampling, so a pole at the bound number is an
 invalid job rather than a float division by zero.
+
+The numeric commands import the verification layer (:mod:`basicforms.plots`,
+:mod:`basicforms.symplectic`, and with them numpy) when they first run; the
+exact commands never load it.
 """
 
 from __future__ import annotations
@@ -32,27 +36,15 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
 from .actions import ActionSpec, AffineMap, GroupNotFiniteError
 from .examples import solenoid_stages
 from .expressions import ParseError, parse_poly_expr, parse_scalar_expr
 from .forms import Form, PolyMap, VectorField, render_form
 from .orbifolds import OrbifoldChart, orbifold_invariant_forms
-from .plots import (
-    DEFAULT_FD_TOL,
-    DEFAULT_SYMBOLIC_TOL,
-    _criterion_rows,
-    _gauge_rows,
-    builtin_gauge,
-    builtin_plot,
-    default_line_grid,
-)
 from .polynomials import default_var_names, render_poly
 from .solver import TruncationSpec, basic_form_basis, truncated_basic_cohomology
 from .stages import IntertwiningError, stages_check
-from .symplectic import builtin_model, level_restriction_check, momentum_residual
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 1
@@ -203,9 +195,10 @@ def _parse_form(spec: Mapping[str, Any], dim: int, path: str) -> Form:
     return form
 
 
-def _parse_grid(spec: Mapping[str, Any] | None, path: str) -> np.ndarray:
+def _parse_grid(spec: Mapping[str, Any] | None, path: str) -> dict[str, Any]:
+    """The arguments of ``plots.default_line_grid`` for job.grid (none if absent)."""
     if spec is None:
-        return default_line_grid()
+        return {}
     _require(isinstance(spec, dict), f"{path} must be an object")
     start = _get(spec, "start", float, path, required=True)
     stop = _get(spec, "stop", float, path, required=True)
@@ -213,7 +206,7 @@ def _parse_grid(spec: Mapping[str, Any] | None, path: str) -> np.ndarray:
     _require(count >= 2, f"{path}.count must be at least 2")
     _require(count <= MAX_GRID_SAMPLES, f"{path}.count must be at most {MAX_GRID_SAMPLES}")
     _require(stop > start, f"{path}.stop must exceed {path}.start")
-    return default_line_grid(start, stop, count)
+    return {"start": start, "stop": stop, "count": count}
 
 
 class _Binding:
@@ -419,10 +412,12 @@ def _run_stages(job, binding: _Binding, tol) -> tuple[dict, bool]:
 
 
 def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
+    from .plots import DEFAULT_SYMBOLIC_TOL, _criterion_rows, builtin_plot, default_line_grid
+
     plots_spec = _get(job, "plots", dict, "job", required=True)
     first_name = _get(plots_spec, "first", str, "job.plots", required=True)
     second_name = _get(plots_spec, "second", str, "job.plots", required=True)
-    grid = _parse_grid(_get(job, "grid", dict, "job"), "job.grid")
+    grid = default_line_grid(**_parse_grid(_get(job, "grid", dict, "job"), "job.grid"))
     tolerance = _tolerance(job, tol, DEFAULT_SYMBOLIC_TOL)
     bind = binding.numeric
 
@@ -431,7 +426,7 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
 
     try:
         # no samples: checks the names and the binding, gives the dimensions
-        first, second = sample(slice(0, 0), np.empty(0))
+        first, second = sample(slice(0, 0), grid[:0])
     except KeyError as exc:
         raise JobValidationError(str(exc.args[0])) from None
     except ValueError as exc:
@@ -452,9 +447,11 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
 
 
 def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
+    from .plots import DEFAULT_FD_TOL, _gauge_rows, builtin_gauge, builtin_plot, default_line_grid
+
     plot_name = _get(job, "plot", str, "job", required=True)
     gauge_name = _get(job, "gauge", str, "job", required=True)
-    grid = _parse_grid(_get(job, "grid", dict, "job"), "job.grid")
+    grid = default_line_grid(**_parse_grid(_get(job, "grid", dict, "job"), "job.grid"))
     tolerance = _tolerance(job, tol, DEFAULT_FD_TOL)
     bind = binding.numeric
 
@@ -463,7 +460,7 @@ def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
 
     try:
         # no samples: checks the names and the binding, gives the dimensions
-        plot, gauge = sample(slice(0, 0), np.empty(0))
+        plot, gauge = sample(slice(0, 0), grid[:0])
     except KeyError as exc:
         raise JobValidationError(str(exc.args[0])) from None
     except ValueError as exc:
@@ -514,6 +511,9 @@ def _run_orbifold(job, binding: _Binding, tol) -> tuple[dict, bool]:
 
 
 def _run_symplectic(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
+    from .plots import DEFAULT_SYMBOLIC_TOL
+    from .symplectic import builtin_model, level_restriction_check, momentum_residual
+
     model_name = _get(job, "model", str, "job", default="r4_rotation")
     try:
         model = builtin_model(model_name)

@@ -30,11 +30,11 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .actions import ActionSpec, act_pullback
-from .forms import Form, VectorField, ext_d, interior, lie_derivative
+from .actions import ActionSpec, AffineMap, act_pullback
+from .forms import Form, FormSums, VectorField, ext_d, interior, lie_derivative
 from .linalg import Matrix, kernel_basis, rank, stack
-from .polynomials import Exponents, Polynomial, grlex_key
-from .scalars import Scalar
+from .polynomials import Exponents, grlex_key
+from .scalars import ONE, Scalar
 
 if TYPE_CHECKING:  # orbifolds imports this module
     from .orbifolds import OrbifoldChart
@@ -94,7 +94,7 @@ class Window:
 
     def monomial(self, position: int) -> Form:
         e, indices = self.pairs[position]
-        return Form.monomial(self.dim, indices, Polynomial(self.dim, {e: 1}))
+        return Form._from_sums(self.dim, self.grade, {indices: {e: ONE}})
 
     def entries(self, form: Form) -> dict[int, Scalar]:
         """The form's nonzero window coordinates by position; error if it sticks out."""
@@ -133,6 +133,25 @@ def operator_block(
     return span_matrix(target, [op(domain.monomial(j)) for j in range(domain.size)])
 
 
+def _add_terms(sums: FormSums, form: Form, negate: bool = False) -> None:
+    """Add ``form`` (or ``-form``) into a term map per index tuple, in place."""
+    for indices, poly in form.terms.items():
+        acc = sums.setdefault(indices, {})
+        for exps, c in poly.terms.items():
+            if negate:
+                c = -c
+            old = acc.get(exps)
+            acc[exps] = c if old is None else old + c
+
+
+def _moved(g: AffineMap, form: Form) -> Form:
+    """``act_pullback(g, form) - form``, summed into one term map."""
+    sums: FormSums = {}
+    _add_terms(sums, act_pullback(g, form))
+    _add_terms(sums, form, negate=True)
+    return Form._from_sums(form.dim, form.grade, sums)
+
+
 def invariance_constraints(action: ActionSpec, spec: TruncationSpec) -> Matrix:
     """Stacked linear conditions for invariance under every generator.
 
@@ -145,7 +164,7 @@ def invariance_constraints(action: ActionSpec, spec: TruncationSpec) -> Matrix:
     for g in action.discrete:
         target = Window(action.dim, spec.grade, spec.max_degree)
         blocks.append(
-            operator_block(domain, target, lambda f, g=g: act_pullback(g, f) - f)
+            operator_block(domain, target, lambda f, g=g: _moved(g, f))
         )
     for xi in action.infinitesimal:
         delta = xi.max_degree()
@@ -201,13 +220,9 @@ def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
     once, at the end.
     """
     group = chart.group
-    sums: dict[tuple[int, ...], dict[Exponents, Scalar]] = {}
+    sums: FormSums = {}
     for g in group:
-        for indices, poly in act_pullback(g, form).terms.items():
-            acc = sums.setdefault(indices, {})
-            for exps, c in poly.terms.items():
-                old = acc.get(exps)
-                acc[exps] = c if old is None else old + c
+        _add_terms(sums, act_pullback(g, form))
     return Form._from_sums(form.dim, form.grade, sums).scale(Scalar.of(1) / len(group))
 
 

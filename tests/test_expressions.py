@@ -97,9 +97,24 @@ def test_exponent_limit_covers_literals_and_nested_powers():
         ("((y^2)^2)^65", 10),
         ("(x + y^200)^2", 12),
         ("(x*y)^200", 6),
-        ("(" + "*".join(["x"] * 400) + ")^256", 802),
+        ("(" + "*".join(["x"] * 200) + ")^2", 402),
     ]:
         with pytest.raises(ParseError, match=f"limit of {MAX_EXPONENT}") as info:
+            _p(text)
+        assert info.value.position == position, text
+
+
+def test_exponent_limit_covers_products():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert _p("*".join(["x"] * MAX_EXPONENT)) == x**MAX_EXPONENT
+    assert _p("x^200*y^56 + x^256") == x**200 * y**56 + x**256
+    for text, position in [
+        # refused at the factor that takes the degree to 257
+        ("*".join(["x"] * 300), 511),
+        ("1 + x^200*y^57", 9),
+        ("(x + y)^128*(x - 1)^100*y^29", 23),
+    ]:
+        with pytest.raises(ParseError, match=f"product of degree .* {MAX_EXPONENT}") as info:
             _p(text)
         assert info.value.position == position, text
 

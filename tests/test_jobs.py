@@ -161,6 +161,20 @@ def test_hostile_exponent_is_a_parse_error(kind):
     assert report["error"]["position"] == 2
 
 
+@pytest.mark.parametrize("factors, expected", [(MAX_EXPONENT, EXIT_OK), (300, EXIT_PARSE_ERROR)])
+def test_product_degree_limit_in_a_criterion_coefficient(factors, expected):
+    # before the product limit, x*x*...*x passed where x^300 did not, and with
+    # 100000 factors it ran out of memory evaluating the powers per sample
+    job = _builtin("z2_criterion")
+    job["form"]["terms"][0]["coefficient"] = "*".join(["x"] * factors)
+    report, code = run_job(job)
+    assert code == expected, report.get("error")
+    if expected == EXIT_PARSE_ERROR:
+        message = report["error"]["message"]
+        assert message.startswith("job.form.terms[0].coefficient: product of degree 257")
+        assert f"limit of {MAX_EXPONENT}" in message
+
+
 @pytest.mark.parametrize("name", ["z2_criterion", "so2_gauge", "symplectic_r4"])
 def test_coefficient_beyond_float_range_is_a_validation_error(name):
     job = _builtin(name)
