@@ -15,8 +15,11 @@ Exponents must be literal non-negative integers of at most
 ``MAX_EXPONENT``; nor may the exponents of nested powers, such as
 ``(x^16)^32``, multiply past it, or a power or a product have a higher
 total degree, as ``(x*y)^200`` or ``x*x*...*x`` with 300 factors would (a
-sum is no higher than its terms).  Parentheses and unary minus signs nest
-fewer than ``MAX_NESTING`` deep.  A hostile expression is thus a parse
+sum is no higher than its terms).  The degree in ``a`` of a product, a
+quotient or a power (the larger of its numerator and denominator degree)
+is predicted before it is computed and bounded the same way, so
+``(a*a*a)^100`` and ``(1+a)*(1+a)*...`` with 300 factors are refused too.
+Parentheses and unary minus signs nest fewer than ``MAX_NESTING`` deep.  A hostile expression is thus a parse
 error rather than a blown interpreter stack, or a power or a product that
 exhausts memory or time.
 
@@ -57,13 +60,28 @@ _OPS = set("+-*/^()")
 MAX_NESTING = 100
 
 # Largest exponent literal, product of the exponents of nested powers, and
-# total degree of a power or a product.  Far above any window degree a job
-# can solve, yet ``x^100000``, or a product of 100000 factors ``x``, would
-# make every numeric evaluation keep 100000 powers of each sample array (a
-# MemoryError under a 1 GB address-space cap), and a basis job translating
-# by ``3^3000000`` ran for minutes.  ``(1 + a)^256`` parses in about half
-# a second.
+# total degree, or degree in a, of a power or a product.  Far above any
+# window degree a job can solve, yet ``x^100000``, or a product of 100000
+# factors ``x``, would make every numeric evaluation keep 100000 powers of
+# each sample array (a MemoryError under a 1 GB address-space cap), a basis
+# job translating by ``3^3000000`` ran for minutes, and 2000 factors
+# ``(1+a)`` took 20 s to parse.  ``(1 + a)^256`` parses in about a third
+# of a second.
 MAX_EXPONENT = 256
+
+
+def _param_degree(poly: Polynomial) -> int:
+    """The highest degree in ``a`` of a coefficient's numerator or denominator."""
+    return max((c.param_degree for c in poly.terms.values()), default=0)
+
+
+def _check_degree(what: str, degree: int, position: int, in_a: bool = False) -> None:
+    if degree > MAX_EXPONENT:
+        where = f" in {PARAM_NAME}" if in_a else ""
+        raise ParseError(
+            f"{what} of degree {degree}{where} is past the limit of {MAX_EXPONENT}",
+            position,
+        )
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -156,11 +174,9 @@ class _Parser:
                 rhs = self._factor()
                 if tok.text == "*":
                     degree = max(value.total_degree(), 0) + max(rhs.total_degree(), 0)
-                    if degree > MAX_EXPONENT:
-                        raise ParseError(
-                            f"product of degree {degree} is past the limit of {MAX_EXPONENT}",
-                            tok.position,
-                        )
+                    _check_degree("product", degree, tok.position)
+                    degree = _param_degree(value) + _param_degree(rhs)
+                    _check_degree("product", degree, tok.position, in_a=True)
                     value = value * rhs
                 else:
                     value = self._divide(value, rhs, tok.position)
@@ -173,6 +189,7 @@ class _Parser:
         c = den.constant_coefficient()
         if c.is_zero:
             raise ParseError("division by zero", position)
+        _check_degree("quotient", _param_degree(num) + c.param_degree, position, in_a=True)
         return num.scale(Scalar.of(1) / c)
 
     def _factor(self) -> Polynomial:
@@ -218,11 +235,8 @@ class _Parser:
                     exp_tok.position,
                 )
             degree = max(base.total_degree(), 0) * exponent
-            if degree > MAX_EXPONENT:
-                raise ParseError(
-                    f"power of degree {degree} is past the limit of {MAX_EXPONENT}",
-                    exp_tok.position,
-                )
+            _check_degree("power", degree, exp_tok.position)
+            _check_degree("power", _param_degree(base) * exponent, exp_tok.position, in_a=True)
             self._advance()
             base = base ** exponent
         self._power_weight = max(outer, weight)

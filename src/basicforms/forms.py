@@ -6,7 +6,10 @@ key ``()``.  All five classical operations live here: wedge product,
 exterior derivative, interior product, Lie derivative (via the Cartan
 homotopy formula) and pullback along polynomial maps.  Everything is exact
 except :func:`eval_form`, the only float path, which takes floats or numpy
-arrays of many samples at once, through the same arithmetic.
+arrays of many samples at once, through the same arithmetic.  It never
+floats ``a``: a form that mentions it is bound exactly first, with
+:meth:`Form.bind_param`, or its evaluation raises
+:class:`~basicforms.scalars.UnboundParameterError`.
 
 Grade bookkeeping: a wedge whose grades sum past the ambient dimension, and
 the exterior derivative of a top form, both return the zero form of grade n
@@ -481,16 +484,11 @@ def _det_float(rows: list[list]):
     return total
 
 
-def eval_form(
-    form: Form,
-    point: Sequence,
-    vectors: Sequence[Sequence],
-    bind_a: float | None = None,
-):
+def eval_form(form: Form, point: Sequence, vectors: Sequence[Sequence]):
     """Evaluate the form at a point on a tuple of tangent vectors.
 
     ``len(vectors)`` must equal the grade; each vector has ``dim``
-    coordinates.  Forms that mention the parameter need ``bind_a``.
+    coordinates.  A form that mentions the parameter is bound exactly first.
     Coordinates are floats, or numpy arrays of one length holding many
     samples at once (then ``point`` and each vector may be a ``(dim, S)``
     array); the value is then an array of the values at each sample, each
@@ -508,7 +506,7 @@ def eval_form(
     total = 0.0
     for indices, coeff in form.terms.items():
         rows = [[vectors[col][i] for col in range(form.grade)] for i in indices]
-        total += coeff.evaluate(point, bind_a) * _det_float(rows)
+        total += coeff.evaluate(point) * _det_float(rows)
     return total
 
 

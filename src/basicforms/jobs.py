@@ -411,35 +411,45 @@ def _run_stages(job, binding: _Binding, tol) -> tuple[dict, bool]:
     return results, report.passed
 
 
-def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
-    from .plots import DEFAULT_SYMBOLIC_TOL, _criterion_rows, builtin_plot, default_line_grid
+def _plot_check(job, binding: _Binding, tol: float | None, check, default_tol: float, sample):
+    """The form of a criterion or gauge job, and the report of ``check`` on it.
 
-    plots_spec = _get(job, "plots", dict, "job", required=True)
-    first_name = _get(plots_spec, "first", str, "job.plots", required=True)
-    second_name = _get(plots_spec, "second", str, "job.plots", required=True)
+    ``sample(rows)`` builds the job's registry plot or gauge pair on a block
+    of grid rows, and ``check`` is :func:`~basicforms.plots.criterion_check`
+    or :func:`~basicforms.plots.smooth_gauge_check`.
+    """
+    from .plots import default_line_grid
+
     grid = default_line_grid(**_parse_grid(_get(job, "grid", dict, "job"), "job.grid"))
-    tolerance = _tolerance(job, tol, DEFAULT_SYMBOLIC_TOL)
-    bind = binding.numeric
-
-    def sample(rows, block):
-        return builtin_plot(first_name, block, bind), builtin_plot(second_name, block, bind)
-
+    tolerance = _tolerance(job, tol, default_tol)
     try:
-        # no samples: checks the names and the binding, gives the dimensions
-        first, second = sample(slice(0, 0), grid[:0])
+        # no samples: checks the names and the binding, gives the dimension
+        dim = sample(grid[:0])[0].ambient_dim
     except KeyError as exc:
         raise JobValidationError(str(exc.args[0])) from None
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
     form = _parse_numeric_form(_get(job, "form", dict, "job", required=True),
-                               first.ambient_dim, "job.form", binding)
-    _require(first.ambient_dim == second.ambient_dim, "plots land in different ambient spaces")
+                               dim, "job.form", binding)
     try:
-        report = _criterion_rows(grid, sample, form, tolerance)
+        return form, check(grid, sample, form, tolerance)
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
+
+
+def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
+    from .plots import DEFAULT_SYMBOLIC_TOL, builtin_plot, criterion_check
+
+    plots_spec = _get(job, "plots", dict, "job", required=True)
+    first = _get(plots_spec, "first", str, "job.plots", required=True)
+    second = _get(plots_spec, "second", str, "job.plots", required=True)
+    bind = binding.numeric
+    form, report = _plot_check(
+        job, binding, tol, criterion_check, DEFAULT_SYMBOLIC_TOL,
+        lambda rows: (builtin_plot(first, rows, bind), builtin_plot(second, rows, bind)),
+    )
     results = {
-        "plots": {"first": first_name, "second": second_name},
+        "plots": {"first": first, "second": second},
         "form": _form_json(form),
         "check": _deviation_json(report),
     }
@@ -447,34 +457,18 @@ def _run_criterion(job, binding: _Binding, tol: float | None) -> tuple[dict, boo
 
 
 def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
-    from .plots import DEFAULT_FD_TOL, _gauge_rows, builtin_gauge, builtin_plot, default_line_grid
+    from .plots import DEFAULT_FD_TOL, builtin_gauge, builtin_plot, smooth_gauge_check
 
-    plot_name = _get(job, "plot", str, "job", required=True)
-    gauge_name = _get(job, "gauge", str, "job", required=True)
-    grid = default_line_grid(**_parse_grid(_get(job, "grid", dict, "job"), "job.grid"))
-    tolerance = _tolerance(job, tol, DEFAULT_FD_TOL)
+    plot = _get(job, "plot", str, "job", required=True)
+    gauge = _get(job, "gauge", str, "job", required=True)
     bind = binding.numeric
-
-    def sample(rows, block):
-        return builtin_plot(plot_name, block, bind), builtin_gauge(gauge_name, block, bind)
-
-    try:
-        # no samples: checks the names and the binding, gives the dimensions
-        plot, gauge = sample(slice(0, 0), grid[:0])
-    except KeyError as exc:
-        raise JobValidationError(str(exc.args[0])) from None
-    except ValueError as exc:
-        raise JobValidationError(str(exc)) from None
-    form = _parse_numeric_form(_get(job, "form", dict, "job", required=True),
-                               plot.ambient_dim, "job.form", binding)
-    _require(gauge.dim == plot.ambient_dim, "gauge acts on the wrong ambient dimension")
-    try:
-        report = _gauge_rows(grid, sample, form, tolerance)
-    except ValueError as exc:
-        raise JobValidationError(str(exc)) from None
+    form, report = _plot_check(
+        job, binding, tol, smooth_gauge_check, DEFAULT_FD_TOL,
+        lambda rows: (builtin_plot(plot, rows, bind), builtin_gauge(gauge, rows, bind)),
+    )
     results = {
-        "plot": plot_name,
-        "gauge": gauge_name,
+        "plot": plot,
+        "gauge": gauge,
         "form": _form_json(form),
         "check": _deviation_json(report),
     }

@@ -8,6 +8,13 @@ quotient (same composition with the projection) must produce identical
 pullback tensors for any form that descends; :func:`criterion_check`
 measures the worst disagreement.
 
+Forms are evaluated with ``a`` bound exactly: a form that mentions the
+parameter is bound with ``bind_param`` to a rational before it is
+sampled, and raises ``UnboundParameterError`` otherwise.  The float
+``bind_a`` of :func:`builtin_plot` and :func:`builtin_gauge` is data of
+the plot itself (``solenoid_line_flowed`` moves along the flow of slope
+``a``), never a form coefficient.
+
 The flat bump functions used by the built-in ``z2_p1``/``z2_p2`` pair are
 the classic smooth-but-not-analytic examples: e^(-1/t^2) glued at 0, where
 every derivative vanishes.  Their closed-form derivatives are built in, so
@@ -26,14 +33,17 @@ odd-symmetric and differs from Python's float power on some inputs, while a
 product flips sign exactly with its factor, so an odd form pulls back to
 exactly opposite values at opposite points.
 
-Both checks stream over the grid in fixed blocks of rows (``_BLOCK_ROWS``),
-so their memory does not grow with the grid beyond the grid itself and one
-deviation per sample.  A gauge block also samples a halo of two rows on
-each side (``_HALO``, and at least five rows in all), which its
-fourth-order derivative stencils read; halo rows count neither in the
-deviations nor in the finite-difference error estimate, so a report is the
-same, bit for bit, whatever the block size.  The job runners sample the
-registry plots and gauges block by block and never build them whole.
+Each check is one public function that streams: it takes the grid and a
+``sample`` function that builds the plots (or the plot and the gauge) on
+one block of grid rows, and walks the grid in fixed blocks of rows
+(``_BLOCK_ROWS``), so its memory does not grow with the grid beyond the
+grid itself and one deviation per sample.  A gauge block also samples a
+halo of two rows on each side (``_HALO``, and at least five rows in all),
+which its fourth-order derivative stencils read; halo rows count neither
+in the deviations nor in the finite-difference error estimate, so a
+report is the same, bit for bit, whatever the block size.  The job
+runners call these functions with samplers of the registry plots and
+gauges, which are never built whole.
 """
 
 from __future__ import annotations
@@ -89,9 +99,6 @@ class Plot:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "jacobians", jac)
 
-    def _rows(self, rows: slice) -> "Plot":
-        return Plot(self.grid[rows], self.values[rows], self.jacobians[rows])
-
     @property
     def num_samples(self) -> int:
         return self.grid.shape[0]
@@ -134,9 +141,6 @@ class GroupPath:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "linears", linears)
         object.__setattr__(self, "translations", translations)
-
-    def _rows(self, rows: slice) -> "GroupPath":
-        return GroupPath(self.grid[rows], self.linears[rows], self.translations[rows])
 
     @property
     def dim(self) -> int:
@@ -308,14 +312,13 @@ def basis_tuples(param_dim: int, grade: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(param_dim), grade))
 
 
-def pullback_along_plot(
-    plot: Plot, form: Form, bind_a: float | None = None
-) -> np.ndarray:
+def pullback_along_plot(plot: Plot, form: Form) -> np.ndarray:
     """Per-sample components of the pulled-back form.
 
     Output has shape (num_samples, C(param_dim, grade)); columns follow
     lexicographic parameter index tuples.  A grade above the parameter
-    dimension yields a zero-width result (nothing survives pullback).
+    dimension yields a zero-width result (nothing survives pullback).  A
+    form that mentions ``a`` is bound exactly first (see :func:`eval_form`).
     """
     if form.dim != plot.ambient_dim:
         raise ValueError("form and plot live in different ambient dimensions")
@@ -324,7 +327,7 @@ def pullback_along_plot(
     point = plot.values.T
     for ci, combo in enumerate(combos):
         vectors = [plot.jacobians[:, :, j].T for j in combo]
-        out[:, ci] = eval_form(form, point, vectors, bind_a)
+        out[:, ci] = eval_form(form, point, vectors)
     return out
 
 
@@ -341,62 +344,34 @@ def _report(deviations: np.ndarray, grid: np.ndarray, tol: float) -> DeviationRe
     )
 
 
-def _deviations(first: Plot, second: Plot, form: Form, bind_a: float | None) -> np.ndarray:
+def _deviations(first: Plot, second: Plot, form: Form) -> np.ndarray:
     """Per-sample worst absolute difference of the two pullbacks."""
-    diff = np.abs(
-        pullback_along_plot(first, form, bind_a) - pullback_along_plot(second, form, bind_a)
-    )
+    diff = np.abs(pullback_along_plot(first, form) - pullback_along_plot(second, form))
     return diff.max(axis=1) if diff.shape[1] else np.zeros(first.num_samples)
 
 
-def _criterion_rows(
+def criterion_check(
     grid: np.ndarray,
-    sample: Callable[[slice, np.ndarray], tuple[Plot, Plot]],
+    sample: Callable[[np.ndarray], tuple[Plot, Plot]],
     form: Form,
-    tol: float,
-    *,
-    bind_a: float | None = None,
+    tol: float = DEFAULT_SYMBOLIC_TOL,
 ) -> DeviationReport:
-    """:func:`criterion_check` block by block.
+    """Compare pullbacks of a form along two plots over one grid.
 
-    ``sample(rows, grid[rows])`` returns the two plots on those grid rows;
-    the plots must land in one ambient space.  ``bind_a`` is needed only
-    for a form that still mentions the parameter.
+    ``sample(rows)`` returns the two plots sampled on ``rows``, a block of
+    rows of ``grid``; they must land in one ambient space.  PASS means the
+    worst absolute difference of pullback components is within ``tol``.
     """
     grid = grid.reshape(grid.shape[0], -1)
     samples = grid.shape[0]
     deviations = np.empty(samples)
     for start in range(0, samples, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, samples))
-        first, second = sample(rows, grid[rows])
-        deviations[rows] = _deviations(first, second, form, bind_a)
+        first, second = sample(grid[rows])
+        if first.ambient_dim != second.ambient_dim:
+            raise ValueError("plots land in different ambient spaces")
+        deviations[rows] = _deviations(first, second, form)
     return _report(deviations, grid, tol)
-
-
-def criterion_check(
-    first: Plot,
-    second: Plot,
-    form: Form,
-    tol: float = DEFAULT_SYMBOLIC_TOL,
-    bind_a: float | None = None,
-) -> DeviationReport:
-    """Compare pullbacks of a form along two plots over a shared grid.
-
-    The two plots must be sampled on identical grids and land in the same
-    ambient space.  PASS means the worst absolute difference of pullback
-    components is within ``tol``.
-    """
-    if not np.array_equal(first.grid, second.grid):
-        raise ValueError("plots are sampled on different grids")
-    if first.ambient_dim != second.ambient_dim:
-        raise ValueError("plots land in different ambient spaces")
-    return _criterion_rows(
-        first.grid,
-        lambda rows, _: (first._rows(rows), second._rows(rows)),
-        form,
-        tol,
-        bind_a=bind_a,
-    )
 
 
 def _fd_derivative(arr: np.ndarray, spacing: float, own: slice) -> tuple[np.ndarray, float]:
@@ -436,22 +411,27 @@ def _uniform_spacing(t: np.ndarray) -> float:
     return h
 
 
-def _gauge_rows(
+def smooth_gauge_check(
     grid: np.ndarray,
-    sample: Callable[[slice, np.ndarray], tuple[Plot, GroupPath]],
+    sample: Callable[[np.ndarray], tuple[Plot, GroupPath]],
     form: Form,
-    tol: float,
-    *,
-    bind_a: float | None = None,
+    tol: float = DEFAULT_FD_TOL,
 ) -> DeviationReport:
-    """:func:`smooth_gauge_check` block by block.
+    """Compare a plot against its pointwise gauge transform.
 
-    ``sample(rows, grid[rows])`` returns the plot and the gauge on those
-    grid rows; the gauge must act on the plot's ambient space.  Each block
-    is sampled with its halo, and at least five rows, for the stencils;
-    halo rows never enter the deviations or the error estimate.
+    ``sample(rows)`` returns the plot and the gauge path sampled on
+    ``rows``, a block of rows of the uniform 1-parameter ``grid``; the
+    gauge must act on the plot's ambient space.  The second plot is a(u)
+    applied to the first; its Jacobian needs the derivative of the gauge
+    path, estimated by finite differences over the grid, so each block is
+    sampled with its halo, and at least five rows, for the stencils; halo
+    rows never enter the deviations or the error estimate.  Raises
+    :class:`GridTooCoarseError` when the estimated finite-difference error
+    exceeds tol / 10.
     """
     grid = grid.reshape(grid.shape[0], -1)
+    if grid.shape[1] != 1:
+        raise ValueError("gauge checks support 1-parameter plots only")
     t = grid[:, 0]
     samples = len(t)
     if samples < 5:
@@ -463,13 +443,16 @@ def _gauge_rows(
         stop = min(start + _BLOCK_ROWS, samples)
         lo = max(0, min(start - _HALO, samples - 5))
         hi = min(samples, max(stop + _HALO, 5))
-        plot, gauge = sample(slice(lo, hi), grid[lo:hi])
+        plot, gauge = sample(grid[lo:hi])
+        if gauge.dim != plot.ambient_dim:
+            raise ValueError("gauge acts on the wrong ambient dimension")
         own = slice(start - lo, stop - lo)
         lin_prime, err = _fd_derivative(gauge.linears, h, own)
         lin_err = max(lin_err, err)
         tr_prime, err = _fd_derivative(gauge.translations, h, own)
         tr_err = max(tr_err, err)
-        plot, linears = plot._rows(own), gauge.linears[own]
+        plot = Plot(plot.grid[own], plot.values[own], plot.jacobians[own])
+        linears = gauge.linears[own]
         if plot.values.size:
             scale = max(scale, float(np.max(np.abs(plot.values))))
         values = np.einsum("sij,sj->si", linears, plot.values) + gauge.translations[own]
@@ -478,7 +461,7 @@ def _gauge_rows(
             + (np.einsum("sij,sj->si", lin_prime, plot.values) + tr_prime)[:, :, None]
         )
         transformed = Plot(plot.grid, values, jac)
-        deviations[start:stop] = _deviations(plot, transformed, form, bind_a)
+        deviations[start:stop] = _deviations(plot, transformed, form)
 
     estimate = lin_err * max(scale, 1.0) + tr_err
     if estimate > tol / 10.0:
@@ -487,32 +470,3 @@ def _gauge_rows(
             f"{tol / 10.0:.3e}; refine the grid"
         )
     return _report(deviations, grid, tol)
-
-
-def smooth_gauge_check(
-    plot: Plot,
-    gauge: GroupPath,
-    form: Form,
-    tol: float = DEFAULT_FD_TOL,
-    bind_a: float | None = None,
-) -> DeviationReport:
-    """Compare a plot against its pointwise gauge transform.
-
-    The second plot is a(u) applied to the first; its Jacobian needs the
-    derivative of the gauge path, estimated by finite differences over the
-    (uniform, 1-parameter) grid.  Raises :class:`GridTooCoarseError` when
-    the estimated finite-difference error exceeds tol / 10.
-    """
-    if plot.param_dim != 1:
-        raise ValueError("gauge checks support 1-parameter plots only")
-    if not np.array_equal(plot.grid, gauge.grid):
-        raise ValueError("plot and gauge are sampled on different grids")
-    if gauge.dim != plot.ambient_dim:
-        raise ValueError("gauge acts on the wrong ambient dimension")
-    return _gauge_rows(
-        plot.grid,
-        lambda rows, _: (plot._rows(rows), gauge._rows(rows)),
-        form,
-        tol,
-        bind_a=bind_a,
-    )

@@ -174,34 +174,20 @@ class Polynomial:
             out[lowered] = c * e
         return Polynomial._from_sums(self._num_vars, out)
 
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Compose with a polynomial map: variable i is replaced by images[i].
-
-        All images must share a common variable count, which becomes the
-        variable count of the result.  The composition goes through a fresh
-        :class:`PowerTable`, the routine a :class:`~basicforms.forms.PolyMap`
-        keeps for every form it pulls back.
-        """
-        if len(images) != self._num_vars:
-            raise ValueError(
-                f"expected {self._num_vars} substitution images, got {len(images)}"
-            )
-        if self._num_vars == 0:
-            raise ValueError("substitution into a 0-variable polynomial is ambiguous")
-        return PowerTable(images[0].num_vars, images).compose(self)
-
     def bind_param(self, value: Fraction) -> "Polynomial":
         """Substitute an exact rational for the parameter in every coefficient."""
         return Polynomial(
             self._num_vars, {e: c.bind(value) for e, c in self._terms.items()}
         )
 
-    def evaluate(self, point: Sequence, bind_a: float | None = None):
-        """Float value at a numeric point.
+    def evaluate(self, point: Sequence):
+        """Float value at a numeric point; bind ``a`` exactly first.
 
-        Each coordinate is a float, or a numpy array with one entry per
-        sample (all of one length); the value is then an array too, or a
-        float when the polynomial is constant.  Both kinds take the same
+        A coefficient that mentions ``a`` raises
+        :class:`~basicforms.scalars.UnboundParameterError`.  Each coordinate
+        is a float, or a numpy array with one entry per sample (all of one
+        length); the value is then an array too, or a float when the
+        polynomial is constant.  Both kinds take the same
         arithmetic, so an array entry equals the float value at that sample.
         Powers are repeated products, ``x^3 = (x*x)*x``, never ``**``: a
         product flips sign exactly with its factor, so odd polynomials stay
@@ -215,7 +201,7 @@ class Polynomial:
         powers = [[1.0, x] for x in point]
         total = 0.0
         for exps, c in self._terms.items():
-            v = c.evaluate(bind_a)
+            v = c.evaluate()
             for table, e in zip(powers, exps):
                 if e:
                     while len(table) <= e:
@@ -264,8 +250,7 @@ class PowerTable:
     ``images[i]**e`` is built once, by one product with the power below
     it, and kept; each term of ``p`` then costs one product per variable it
     mentions, added straight into one term map for the result.  A table
-    held by a map serves every polynomial composed through that map;
-    :meth:`Polynomial.substitute` builds a fresh one for each call.  Only
+    held by a map serves every polynomial composed through that map.  Only
     powers are kept, never the image of a whole monomial, so a table holds
     at most ``n*d`` term maps for ``n`` images and degree ``d``.
     """

@@ -7,8 +7,11 @@ mentions ``a`` pays only a small bookkeeping cost over raw ``Fraction``.
 
 A :class:`Scalar` is stored as a pair of univariate polynomials (numerator,
 denominator) over ``Fraction``, kept coprime with a monic denominator, so
-structural equality is field equality.  No floats ever enter a ``Scalar``;
-numeric evaluation happens only through :meth:`Scalar.evaluate`.
+structural equality is field equality.  No floats ever enter a ``Scalar``,
+and ``a`` is never floated: :meth:`Scalar.evaluate` gives the float of a
+plain rational only, so a scalar that mentions ``a`` is bound exactly with
+:meth:`Scalar.bind` first, and raises :class:`UnboundParameterError`
+otherwise.
 
 Rational fast path.  Every scalar whose denominator is 1 holds the one
 module-level tuple ``_UNIT`` as its denominator, so "is a plain rational"
@@ -122,13 +125,6 @@ def _ueval_fraction(p: Coeffs, value: Fraction) -> Fraction:
     return acc
 
 
-def _ueval_float(p: Coeffs, value: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * value + float(c)
-    return acc
-
-
 def _ustr(p: Coeffs) -> str:
     """Render a univariate polynomial in the parameter, highest degree first."""
     if not p:
@@ -237,9 +233,10 @@ class Scalar:
             return 0
         return 1 if self._num[-1] > 0 else -1
 
-    def denominator(self) -> "Scalar":
-        """The monic denominator as a scalar (1 unless the value is a true ratio)."""
-        return Scalar(self._den)
+    @property
+    def param_degree(self) -> int:
+        """The larger degree in ``a`` of the numerator and the denominator."""
+        return max(len(self._num), len(self._den)) - 1
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = other if isinstance(other, Scalar) else Scalar.of(other)
@@ -349,14 +346,8 @@ class Scalar:
             )
         return Scalar.of(_ueval_fraction(self._num, value) / den)
 
-    def evaluate(self, bind_a: float | None = None) -> float:
-        """Numeric value; ``bind_a`` is required when the scalar uses ``a``."""
-        if self.uses_parameter:
-            if bind_a is None:
-                raise UnboundParameterError(
-                    f"scalar {self} needs a numeric value for '{PARAM_NAME}'"
-                )
-            return _ueval_float(self._num, bind_a) / _ueval_float(self._den, bind_a)
+    def evaluate(self) -> float:
+        """Float value; a scalar that mentions ``a`` needs :meth:`bind` first."""
         return float(self.as_fraction())
 
     def __str__(self) -> str:

@@ -152,24 +152,22 @@ def _moved(g: AffineMap, form: Form) -> Form:
     return Form._from_sums(form.dim, form.grade, sums)
 
 
-def invariance_constraints(action: ActionSpec, spec: TruncationSpec) -> Matrix:
-    """Stacked linear conditions for invariance under every generator.
+def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
+    """Stacked linear conditions on the window for invariance under every generator.
 
     Block order is fixed: discrete generators first (input order), then
     infinitesimal generators.  A form in the window is invariant iff its
-    coordinate vector is in the kernel.
+    coordinate vector is in the kernel.  A discrete generator keeps the
+    window, so its block maps the domain into the domain itself.
     """
-    domain = Window(action.dim, spec.grade, spec.max_degree)
-    blocks: list[Matrix] = []
-    for g in action.discrete:
-        target = Window(action.dim, spec.grade, spec.max_degree)
-        blocks.append(
-            operator_block(domain, target, lambda f, g=g: _moved(g, f))
-        )
+    blocks: list[Matrix] = [
+        operator_block(domain, domain, lambda f, g=g: _moved(g, f))
+        for g in action.discrete
+    ]
     for xi in action.infinitesimal:
         delta = xi.max_degree()
-        target_degree = max(spec.max_degree + delta - 1, 0)
-        target = Window(action.dim, spec.grade, target_degree)
+        target_degree = max(domain.max_degree + delta - 1, 0)
+        target = Window(action.dim, domain.grade, target_degree)
         blocks.append(
             operator_block(domain, target, lambda f, xi=xi: lie_derivative(xi, f))
         )
@@ -178,19 +176,18 @@ def invariance_constraints(action: ActionSpec, spec: TruncationSpec) -> Matrix:
     return stack(blocks)
 
 
-def horizontality_constraints(action: ActionSpec, spec: TruncationSpec) -> Matrix:
-    """Stacked conditions i_xi(form) = 0 for every infinitesimal generator.
+def horizontality_constraints(action: ActionSpec, domain: Window) -> Matrix:
+    """Stacked conditions i_xi(form) = 0 on the window for every infinitesimal generator.
 
     Empty (zero rows) for finite groups: no connected directions, nothing to
     contract against.
     """
-    domain = Window(action.dim, spec.grade, spec.max_degree)
-    if spec.grade == 0 or not action.infinitesimal:
+    if domain.grade == 0 or not action.infinitesimal:
         return Matrix.zero(0, domain.size)
     blocks = []
     for xi in action.infinitesimal:
         delta = xi.max_degree()
-        target = Window(action.dim, spec.grade - 1, spec.max_degree + delta)
+        target = Window(action.dim, domain.grade - 1, domain.max_degree + delta)
         blocks.append(
             operator_block(domain, target, lambda f, xi=xi: interior(xi, f))
         )
@@ -205,7 +202,7 @@ def basic_form_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
     """
     domain = Window(action.dim, spec.grade, spec.max_degree)
     system = stack(
-        [invariance_constraints(action, spec), horizontality_constraints(action, spec)]
+        [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
     )
     return [domain.combine(vec) for vec in kernel_basis(system)]
 

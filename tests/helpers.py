@@ -301,7 +301,7 @@ def compose_terms(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     """``poly`` with variable i replaced by ``images[i]``, term by term.
 
     Each term is its coefficient times one factor per unit of exponent;
-    no power is kept and ``Polynomial.substitute`` is never called.
+    no power is kept and no :class:`PowerTable` is used.
     """
     m = images[0].num_vars
     total = Polynomial.zero(m)

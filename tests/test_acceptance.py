@@ -150,12 +150,13 @@ def test_criterion_05_plot_criterion():
     failures: list = []
     grid = default_line_grid()
     _expect(failures, grid.shape == (2001,), "default grid is not 2001 points")
-    p1 = builtin_plot("z2_p1", grid)
-    p2 = builtin_plot("z2_p2", grid)
+    def glued(rows):
+        return builtin_plot("z2_p1", rows), builtin_plot("z2_p2", rows)
+
     x_dx = Form.monomial(1, (0,), Polynomial.variable(1, 0))
-    even = criterion_check(p1, p2, x_dx, tol=1e-9)
+    even = criterion_check(grid, glued, x_dx, tol=1e-9)
     _expect(failures, even.passed, f"x dx deviates by {even.max_abs_deviation:.2e} > 1e-9")
-    odd = criterion_check(p1, p2, Form.covector(1, 0), tol=1e-9)
+    odd = criterion_check(grid, glued, Form.covector(1, 0), tol=1e-9)
     _expect(
         failures,
         odd.max_abs_deviation >= 1e-3,
@@ -168,14 +169,16 @@ def test_criterion_06_smooth_gauge():
     started = time.perf_counter()
     failures: list = []
     grid = default_line_grid()
-    arc = builtin_plot("so2_arc", grid)
-    gauge = builtin_gauge("so2_half_turn", grid)
+
+    def arc(rows):
+        return builtin_plot("so2_arc", rows), builtin_gauge("so2_half_turn", rows)
+
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     radial = Form.monomial(2, (0,), x) + Form.monomial(2, (1,), y)
-    good = smooth_gauge_check(arc, gauge, radial, tol=1e-6)
+    good = smooth_gauge_check(grid, arc, radial, tol=1e-6)
     _expect(failures, good.passed, f"x dx + y dy deviates by {good.max_abs_deviation:.2e} > 1e-6")
-    bad = smooth_gauge_check(arc, gauge, Form.covector(2, 0), tol=1e-6)
+    bad = smooth_gauge_check(grid, arc, Form.covector(2, 0), tol=1e-6)
     _expect(
         failures,
         bad.max_abs_deviation >= 1e-3,

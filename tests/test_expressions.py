@@ -119,6 +119,24 @@ def test_exponent_limit_covers_products():
         assert info.value.position == position, text
 
 
+def test_degree_in_a_is_bounded():
+    a = Polynomial.parameter(2)
+    assert _p("(a*a*a)^85") == a**255
+    assert _p("(1 + a)^128*(1 + a)^128*x") == (a + Polynomial.constant(2, 1))**256 * _p("x")
+    assert _p("x/(1 + a)^256") == _p("x").scale(1 / parse_scalar_expr("(1 + a)^256"))
+    for text, position, what in [
+        ("(a*a*a)^100", 8, "power of degree 300"),
+        ("(a*a + x)^129", 10, "power of degree 258"),
+        ("(1 + a)^128*(1 + a)^129", 11, "product of degree 257"),
+        ("(a*x)^200*a^57", 9, "product of degree 257"),
+        ("x/(1 + a)^200/(a + 2)^57", 13, "quotient of degree 257"),
+        ("(x + 1/(a + 1)^200)*(1/(a - 1)^57)", 19, "product of degree 257"),
+    ]:
+        with pytest.raises(ParseError, match=f"{what} in a is past the limit") as info:
+            _p(text)
+        assert info.value.position == position, text
+
+
 def test_unknown_identifier_lists_known_names():
     with pytest.raises(ParseError, match="x, y"):
         _p("x + z")

@@ -28,7 +28,7 @@ from basicforms.forms import (
     render_form,
     wedge,
 )
-from basicforms.polynomials import Polynomial
+from basicforms.polynomials import Polynomial, PowerTable
 from basicforms.scalars import UnboundParameterError
 from helpers import (
     compose_maps,
@@ -269,8 +269,9 @@ def test_pullback_is_ring_map_on_functions():
         f = PolyMap(m, [rand_poly(rng, m, 2) for _ in range(n)])
         p = rand_poly(rng, n, 2)
         q = rand_poly(rng, n, 2)
+        table = PowerTable(m, f.components)
         assert pullback(f, Form.function(p * q)) == Form.function(
-            p.substitute(f.components) * q.substitute(f.components)
+            table.compose(p) * table.compose(q)
         )
 
 
@@ -354,7 +355,7 @@ def test_eval_form_needs_bound_parameter():
     alpha = Form.monomial(1, (0,), Polynomial.parameter(1))
     with pytest.raises(UnboundParameterError):
         eval_form(alpha, [0.0], [[1.0]])
-    assert eval_form(alpha, [0.0], [[1.0]], bind_a=2.0) == 2.0
+    assert eval_form(alpha.bind_param(Fraction(2)), [0.0], [[1.0]]) == 2.0
 
 
 def test_render_form_goldens():

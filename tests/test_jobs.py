@@ -175,6 +175,26 @@ def test_product_degree_limit_in_a_criterion_coefficient(factors, expected):
         assert f"limit of {MAX_EXPONENT}" in message
 
 
+@pytest.mark.parametrize(
+    "text, position, degree",
+    [("*".join(["(1+a)"] * 400), 1535, 257), ("(a*a*a)^100", 8, 300)],
+    ids=["product", "power"],
+)
+def test_degree_in_a_is_bounded_in_a_basis_translation(text, position, degree):
+    # before the bound, the 400-factor product parsed to a^400 and the power
+    # to a^300, and 2000 factors took 20 s to parse
+    job = _builtin("solenoid_basis")
+    job["action"]["discrete"][0]["translation"] = [text, "0"]
+    began = time.perf_counter()
+    report, code = run_job(job)
+    assert time.perf_counter() - began < 5.0
+    assert code == EXIT_PARSE_ERROR, report.get("error")
+    message = report["error"]["message"]
+    assert message.startswith("job.action.discrete[0].translation: ")
+    assert f"of degree {degree} in a is past the limit of {MAX_EXPONENT}" in message
+    assert report["error"]["position"] == position
+
+
 @pytest.mark.parametrize("name", ["z2_criterion", "so2_gauge", "symplectic_r4"])
 def test_coefficient_beyond_float_range_is_a_validation_error(name):
     job = _builtin(name)

@@ -8,6 +8,7 @@ independently verified sample data.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from basicforms.plots import (
     smooth_gauge_check,
 )
 from basicforms.polynomials import Polynomial
-from helpers import plot_from_poly_map, rand_form
+from basicforms.scalars import UnboundParameterError
+from helpers import plot_from_poly_map, rand_form, safe_a0
 
 
 def _form(dim: int, *terms: tuple[tuple[int, ...], str], names=("x", "y", "z")):
@@ -47,6 +49,16 @@ X_DX = _form(1, ((0,), "x"))
 DX1 = _form(1, ((0,), "1"))
 DX2 = _form(2, ((0,), "1"))
 RADIAL = _form(2, ((0,), "x"), ((1,), "y"))
+
+
+def _pair(first: str, second: str, bind_a: float | None = None):
+    """A sampler of two registry plots on a block of grid rows."""
+    return lambda rows: (builtin_plot(first, rows, bind_a), builtin_plot(second, rows, bind_a))
+
+
+def _gauged(plot: str, gauge: str):
+    """A sampler of a registry plot and a registry gauge on a block of grid rows."""
+    return lambda rows: (builtin_plot(plot, rows), builtin_gauge(gauge, rows))
 
 
 def test_default_grid_shape_and_midpoint():
@@ -103,19 +115,13 @@ def test_z2_jacobian_matches_finite_differences():
 
 
 def test_criterion_passes_for_matching_pullbacks():
-    grid = default_line_grid()
-    p1 = builtin_plot("z2_p1", grid)
-    p2 = builtin_plot("z2_p2", grid)
-    report = criterion_check(p1, p2, X_DX, tol=1e-9)
+    report = criterion_check(default_line_grid(), _pair("z2_p1", "z2_p2"), X_DX, tol=1e-9)
     assert report.passed
     assert report.max_abs_deviation <= 1e-9
 
 
 def test_criterion_fails_for_non_invariant_form():
-    grid = default_line_grid()
-    p1 = builtin_plot("z2_p1", grid)
-    p2 = builtin_plot("z2_p2", grid)
-    report = criterion_check(p1, p2, DX1, tol=1e-9)
+    report = criterion_check(default_line_grid(), _pair("z2_p1", "z2_p2"), DX1, tol=1e-9)
     assert not report.passed
     assert report.max_abs_deviation >= 1e-3
     # worst disagreement sits on the positive branch where the signs differ
@@ -124,81 +130,76 @@ def test_criterion_fails_for_non_invariant_form():
 
 def test_torus_lines_agree_on_dx_only():
     grid = default_line_grid()
-    p1 = builtin_plot("torus_line", grid)
-    p2 = builtin_plot("torus_line_shifted", grid)
-    assert criterion_check(p1, p2, DX1, tol=1e-12).passed
-    bad = criterion_check(p1, p2, X_DX, tol=1e-9)
+    lines = _pair("torus_line", "torus_line_shifted")
+    assert criterion_check(grid, lines, DX1, tol=1e-12).passed
+    bad = criterion_check(grid, lines, X_DX, tol=1e-9)
     assert not bad.passed
     assert bad.max_abs_deviation == pytest.approx(1.0)
 
 
 def test_solenoid_lines_agree_on_the_basic_form():
+    # the form's a is bound exactly; the flowed plot takes its float as data
     grid = default_line_grid()
-    line = builtin_plot("solenoid_line", grid)
     form = _form(2, ((0,), "a"), ((1,), "-1"))
-    dx2 = DX2
-    for a0 in (0.618, 2.0):
-        flowed = builtin_plot("solenoid_line_flowed", grid, bind_a=a0)
-        good = criterion_check(line, flowed, form, tol=1e-12, bind_a=a0)
+    for a0 in (Fraction("0.618"), Fraction(2)):
+        lines = _pair("solenoid_line", "solenoid_line_flowed", float(a0))
+        good = criterion_check(grid, lines, form.bind_param(a0), tol=1e-12)
         assert good.passed
-        bad = criterion_check(line, flowed, dx2, tol=1e-9, bind_a=a0)
+        bad = criterion_check(grid, lines, DX2, tol=1e-9)
         assert not bad.passed and bad.max_abs_deviation == pytest.approx(1.0)
+        with pytest.raises(UnboundParameterError):
+            criterion_check(grid, lines, form)
 
 
 def test_criterion_rejects_mismatched_plots():
-    grid = default_line_grid()
-    p1 = builtin_plot("torus_line", grid)
-    p2 = builtin_plot("torus_line", default_line_grid(count=101))
-    with pytest.raises(ValueError, match="grids"):
-        criterion_check(p1, p2, DX1)
-    sol = builtin_plot("solenoid_line", grid)
+    # one sampler on one grid: only the ambient spaces can disagree
     with pytest.raises(ValueError, match="ambient"):
-        criterion_check(p1, sol, DX1)
+        criterion_check(default_line_grid(), _pair("torus_line", "solenoid_line"), DX1)
 
 
 def test_gauge_check_passes_for_radial_form():
-    grid = default_line_grid()
-    arc = builtin_plot("so2_arc", grid)
-    gauge = builtin_gauge("so2_half_turn", grid)
-    form = RADIAL
-    report = smooth_gauge_check(arc, gauge, form, tol=1e-6)
+    report = smooth_gauge_check(
+        default_line_grid(), _gauged("so2_arc", "so2_half_turn"), RADIAL, tol=1e-6
+    )
     assert report.passed
     assert report.max_abs_deviation <= 1e-6
 
 
 def test_gauge_check_fails_for_dx():
-    grid = default_line_grid()
-    arc = builtin_plot("so2_arc", grid)
-    gauge = builtin_gauge("so2_half_turn", grid)
-    report = smooth_gauge_check(arc, gauge, DX2, tol=1e-6)
+    report = smooth_gauge_check(
+        default_line_grid(), _gauged("so2_arc", "so2_half_turn"), DX2, tol=1e-6
+    )
     assert not report.passed
     assert report.max_abs_deviation >= 1e-3
 
 
 def test_identity_gauge_deviation_is_zero():
-    grid = default_line_grid()
-    arc = builtin_plot("so2_arc", grid)
-    gauge = builtin_gauge("so2_identity", grid)
-    report = smooth_gauge_check(arc, gauge, DX2, tol=1e-9)
+    report = smooth_gauge_check(
+        default_line_grid(), _gauged("so2_arc", "so2_identity"), DX2, tol=1e-9
+    )
     assert report.passed
     assert report.max_abs_deviation == 0.0
 
 
 def test_gauge_check_rejects_coarse_grids():
-    grid = default_line_grid(count=11)
-    arc = builtin_plot("so2_arc", grid)
-    gauge = builtin_gauge("so2_half_turn", grid)
-    form = RADIAL
+    arc = _gauged("so2_arc", "so2_half_turn")
     with pytest.raises(GridTooCoarseError, match="refine"):
-        smooth_gauge_check(arc, gauge, form, tol=1e-6)
+        smooth_gauge_check(default_line_grid(count=11), arc, RADIAL, tol=1e-6)
+    with pytest.raises(GridTooCoarseError, match="at least 5"):
+        smooth_gauge_check(default_line_grid(count=4), arc, RADIAL, tol=1e-6)
 
 
-def test_gauge_check_rejects_mismatched_grids():
-    arc = builtin_plot("so2_arc", default_line_grid())
-    gauge = builtin_gauge("so2_half_turn", default_line_grid(count=1001))
-    form = RADIAL
-    with pytest.raises(ValueError, match="grids"):
-        smooth_gauge_check(arc, gauge, form)
+def test_gauge_check_rejects_wrong_dimension_and_grid_shape():
+    # one sampler on one grid: the gauge's dimension and the grid itself
+    # are what can be wrong
+    with pytest.raises(ValueError, match="ambient dimension"):
+        smooth_gauge_check(default_line_grid(), _gauged("torus_line", "so2_half_turn"), DX1)
+    arc = _gauged("so2_arc", "so2_half_turn")
+    uneven = np.concatenate([default_line_grid(count=11), [2.0]])
+    with pytest.raises(ValueError, match="uniformly increasing"):
+        smooth_gauge_check(uneven, arc, RADIAL)
+    with pytest.raises(ValueError, match="1-parameter"):
+        smooth_gauge_check(np.zeros((11, 2)), arc, RADIAL)
 
 
 def test_pullback_along_plot_matches_symbolic_pullback():
@@ -226,7 +227,7 @@ def test_grade_above_param_dim_pulls_back_to_nothing():
     area = _form(2, ((0, 1), "1"))
     out = pullback_along_plot(line, area)
     assert out.shape == (21, 0)
-    report = criterion_check(line, line, area)
+    report = criterion_check(grid, _pair("solenoid_line", "solenoid_line"), area)
     assert report.passed and report.max_abs_deviation == 0.0
 
 
@@ -244,9 +245,7 @@ def test_plot_shape_validation():
 
 def test_report_fields():
     grid = default_line_grid(count=101)
-    p1 = builtin_plot("torus_line", grid)
-    p2 = builtin_plot("torus_line_shifted", grid)
-    report = criterion_check(p1, p2, X_DX, tol=0.5)
+    report = criterion_check(grid, _pair("torus_line", "torus_line_shifted"), X_DX, tol=0.5)
     assert isinstance(report, DeviationReport)
     assert report.tolerance == 0.5
     assert report.deviations.shape == (101,)
@@ -254,7 +253,8 @@ def test_report_fields():
 
 
 def test_pullback_along_plot_equals_per_sample_eval_form():
-    # the batched pullback takes the per-sample arithmetic, bit for bit
+    # the batched pullback takes the per-sample arithmetic, bit for bit; a
+    # form over Q(a) is bound exactly to a seeded rational first
     rng = random.Random(4401)
     data = np.random.default_rng(4401)
     for _ in range(40):
@@ -263,20 +263,21 @@ def test_pullback_along_plot_equals_per_sample_eval_form():
         q = rng.randint(1, 2)
         with_param = rng.random() < 0.4
         form = rand_form(rng, dim, grade, max_degree=4, with_param=with_param)
-        bind = 0.6180339887 if with_param else None
+        if with_param:
+            form = form.bind_param(safe_a0(rng, *form.terms.values()))
         samples = 30
         plot = Plot(
             data.uniform(-2.0, 2.0, (samples, q)),
             data.uniform(-2.0, 2.0, (samples, dim)),
             data.uniform(-2.0, 2.0, (samples, dim, q)),
         )
-        got = pullback_along_plot(plot, form, bind)
+        got = pullback_along_plot(plot, form)
         combos = basis_tuples(q, grade)
         assert got.shape == (samples, len(combos))
         for s in range(samples):
             for ci, combo in enumerate(combos):
                 vectors = [plot.jacobians[s][:, j] for j in combo]
-                assert got[s, ci] == eval_form(form, plot.values[s], vectors, bind)
+                assert got[s, ci] == eval_form(form, plot.values[s], vectors)
 
 
 _ODD_PLUS_EVEN = {"grade": 1, "terms": [{"indices": [0], "coefficient": "x - 2*x^3 + 1/3*x^2"}]}
@@ -290,17 +291,14 @@ _ROTATION = {
 
 
 def _public_check(job):
-    """The job's check through the public functions, on whole plots."""
+    """The job's check through the public function the job runs."""
     count = job["grid"]["count"]
     grid = default_line_grid(-1.5, 1.5, count)
     form = jobs._parse_form(job["form"], 1 if job["command"] == "criterion" else 2, "form")
     if job["command"] == "criterion":
-        first = builtin_plot(job["plots"]["first"], grid)
-        second = builtin_plot(job["plots"]["second"], grid)
-        return criterion_check(first, second, form, job["tolerance"])
-    plot = builtin_plot(job["plot"], grid)
-    gauge = builtin_gauge(job["gauge"], grid)
-    return smooth_gauge_check(plot, gauge, form, job["tolerance"])
+        sample = _pair(job["plots"]["first"], job["plots"]["second"])
+        return criterion_check(grid, sample, form, job["tolerance"])
+    return smooth_gauge_check(grid, _gauged(job["plot"], job["gauge"]), form, job["tolerance"])
 
 
 def _outcome(check):

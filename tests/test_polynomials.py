@@ -20,7 +20,7 @@ from basicforms.polynomials import (
     grlex_key,
     render_poly,
 )
-from basicforms.scalars import Scalar
+from basicforms.scalars import Scalar, UnboundParameterError
 from helpers import compose_terms, eval_poly_exact, rand_affine, rand_fraction, rand_poly, safe_a0
 
 
@@ -105,7 +105,8 @@ def test_substitute_is_composition():
         imgs = [rand_poly(rng, 3, max_degree=2) for _ in range(2)]
         pt = _point(rng, 3)
         inner = tuple(eval_poly_exact(g, pt) for g in imgs)
-        assert eval_poly_exact(p.substitute(imgs), pt) == eval_poly_exact(p, inner)
+        composed = PowerTable(3, imgs).compose(p)
+        assert eval_poly_exact(composed, pt) == eval_poly_exact(p, inner)
 
 
 def test_power_tables_match_term_by_term_composition():
@@ -125,18 +126,16 @@ def test_power_tables_match_term_by_term_composition():
         for _ in range(3):
             p = rand_poly(rng, n, max_degree=3, max_terms=5, with_param=with_param)
             expect = compose_terms(p, images)
-            assert p.substitute(images) == expect
+            assert PowerTable(m, images).compose(p) == expect
             assert table.compose(p) == expect
 
 
 def test_substitute_shape_errors():
     p = Polynomial.variable(2, 0)
-    with pytest.raises(ValueError):
-        p.substitute([Polynomial.variable(1, 0)])  # one image for two variables
-    with pytest.raises(ValueError):
-        p.substitute([Polynomial.variable(1, 0), Polynomial.variable(2, 0)])
     with pytest.raises(ValueError, match="expected 2 substitution images"):
-        PowerTable(1, [Polynomial.variable(1, 0)]).compose(p)
+        PowerTable(1, [Polynomial.variable(1, 0)]).compose(p)  # one image for two variables
+    with pytest.raises(ValueError, match="different spaces"):
+        PowerTable(1, [Polynomial.variable(1, 0), Polynomial.variable(2, 0)])
 
 
 def test_bind_param_random():
@@ -151,20 +150,25 @@ def test_bind_param_random():
 
 
 def test_evaluate_float_against_exact():
+    # polynomials over Q(a), bound exactly to a seeded rational before any float
     rng = random.Random(16)
     for _ in range(50):
         p = rand_poly(rng, 2, with_param=True)
         pts = [_point(rng, 2) for _ in range(6)]
         a0 = safe_a0(rng, p)
+        bound = p.bind_param(a0)
         floats = []
         for pt in pts:
             exact = float(eval_poly_exact(p, pt, a0))
-            got = p.evaluate([float(c) for c in pt], float(a0))
+            got = bound.evaluate([float(c) for c in pt])
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
             floats.append(got)
         # the same points as coordinate arrays: the same arithmetic, bit for bit
         columns = np.array(pts, dtype=float).T
-        assert np.array_equal(np.broadcast_to(p.evaluate(columns, float(a0)), 6), floats)
+        assert np.array_equal(np.broadcast_to(bound.evaluate(columns), 6), floats)
+        if p.uses_parameter:
+            with pytest.raises(UnboundParameterError):
+                p.evaluate(columns)
 
 
 def test_evaluate_keeps_odd_polynomials_odd():

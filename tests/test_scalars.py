@@ -114,8 +114,10 @@ def test_mixed_int_fraction_operands():
 
 
 def test_evaluate_float_paths():
+    # a is never floated: a scalar that mentions it is bound exactly first
     s = (A * A + 1) / (A + 3)
-    assert s.evaluate(2.0) == pytest.approx(1.0)
+    assert s.bind(Fraction(2)).evaluate() == 1.0
+    assert s.bind(Fraction(1, 3)).evaluate() == float(Fraction(1, 3))
     assert Scalar.of(Fraction(1, 4)).evaluate() == 0.25
     with pytest.raises(UnboundParameterError):
         s.evaluate()

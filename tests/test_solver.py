@@ -121,7 +121,7 @@ def test_constraint_kernel_matches_direct_conditions():
         form = rand_form(rng, action.dim, grade, max_degree=spec.max_degree)
         coords = dense_coordinates(w, form)
         system = stack(
-            [invariance_constraints(action, spec), horizontality_constraints(action, spec)]
+            [invariance_constraints(action, w), horizontality_constraints(action, w)]
         )
         in_kernel = all(v.is_zero for v in system.apply(coords))
         assert in_kernel == _is_basic(action, form)
