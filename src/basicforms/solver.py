@@ -21,7 +21,7 @@ window monomial, and its nonzero coordinates go straight from the image's
 terms into the matrix rows (:func:`span_matrix`); no dense coordinate
 vector is ever built.  Affine images come from each map's cached
 pullback routine, which shares one power table per map across every
-monomial of every block and across the Reynolds average.
+monomial of every block.
 """
 
 from __future__ import annotations

@@ -4,21 +4,23 @@ Everything is driven by an explicit ``random.Random`` handed in by the
 caller, so every test run is reproducible from its seed.  The evaluation
 helpers re-derive values from first principles (Horner loops over
 ``Fraction``) instead of calling the code paths they are used to check.
-The affine, polynomial-map and window helpers below serve only as test
-oracles: the library has no public routine for them.
+The affine, polynomial-map, window and chart helpers below serve only as
+test oracles: the library has no public routine for them.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from basicforms.actions import ActionSpec, AffineMap
+from basicforms.actions import ActionSpec, AffineMap, act_pullback
 from basicforms.forms import Form, PolyMap, VectorField
 from basicforms.linalg import column_span_equal
+from basicforms.orbifolds import OrbifoldChart
 from basicforms.plots import Plot
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar, ScalarLike
@@ -149,8 +151,6 @@ def rand_form(
     max_degree: int = 2,
     with_param: bool = False,
 ) -> Form:
-    import itertools
-
     tuples = list(itertools.combinations(range(dim), grade))
     out = Form.zero(dim, grade)
     for indices in rng.sample(tuples, k=rng.randint(1, len(tuples))):
@@ -295,6 +295,82 @@ def dense_coordinates(window: Window, form: Form) -> list[Scalar]:
 def spans_equal(window: Window, first: Sequence[Form], second: Sequence[Form]) -> bool:
     """Whether two lists of forms span one subspace of the window."""
     return column_span_equal(span_matrix(window, first), span_matrix(window, second))
+
+
+def reynolds_span(chart: OrbifoldChart, window: Window) -> list[Form]:
+    """Spanning set of the invariant forms in the window, by a literal group sum.
+
+    Each window monomial is pulled back by every element of ``chart.group``
+    and the pullbacks are added as forms; the nonzero sums span the image
+    of the Reynolds projector, which is the invariant subspace (the factor
+    1/|G| does not change a span).  Costs |G| pullbacks per monomial.
+    """
+    sums = []
+    for monomial in window_monomials(window):
+        total = Form.zero(window.dim, window.grade)
+        for g in chart.group:
+            total = total + act_pullback(g, monomial)
+        if not total.is_zero:
+            sums.append(total)
+    return sums
+
+
+def _tpoly_det(rows: list[list[list[Fraction]]]) -> list[Fraction]:
+    """Determinant of a matrix of t-polynomials, by cofactors along the first row.
+
+    Each entry is a coefficient list, low degree first.
+    """
+    if not rows:
+        return [Fraction(1)]
+    total = [Fraction(0)]
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = _raw_mul(entry, _tpoly_det(minor))
+        sign = -1 if j % 2 else 1
+        total = _raw_add(total, [sign * c for c in term])
+    return total
+
+
+def molien_counts(
+    linear_parts: Sequence[Sequence[Sequence[Fraction]]], grade: int, max_degree: int
+) -> list[Fraction]:
+    """Molien's counts of invariant k-forms of degree <= d, for d = 0..max_degree.
+
+    For a finite group given by the rational linear parts of its elements,
+    the count at d is (1/|G|) sum_g tr Lambda^k(A) [t^0 + ... + t^d] of
+    1/det(I - tA), where the trace is the sum of the principal k x k minors, det(I - tA)
+    is expanded by cofactors, and the series comes from long division.
+    Only ``Fraction`` arithmetic; unrounded, so a caller can see a
+    non-integer.
+    """
+    totals = [Fraction(0)] * (max_degree + 1)
+    for rows in linear_parts:
+        n = len(rows)
+        trace = sum(
+            _tpoly_det([[[Fraction(rows[i][j])] for j in minor] for i in minor])[0]
+            for minor in itertools.combinations(range(n), grade)
+        )
+        det = _tpoly_det(
+            [[[Fraction(i == j), -Fraction(rows[i][j])] for j in range(n)] for i in range(n)]
+        )
+        series = [Fraction(1)]
+        for k in range(1, max_degree + 1):
+            top = min(k, len(det) - 1)
+            series.append(-sum(det[i] * series[k - i] for i in range(1, top + 1)))
+        partial = Fraction(0)
+        for d, coeff in enumerate(series):
+            partial += coeff
+            totals[d] += trace * partial
+    return [total / len(linear_parts) for total in totals]
+
+
+def linear_parts(chart: OrbifoldChart, a0: Fraction = Fraction(0)) -> list[list[list[Fraction]]]:
+    """The linear part of every group element as rows of Fractions, ``a`` bound to a0."""
+    n = chart.dim
+    return [
+        [[eval_scalar_exact(g.linear.entry(i, j), a0) for j in range(n)] for i in range(n)]
+        for g in chart.group
+    ]
 
 
 def compose_terms(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:

@@ -1,9 +1,11 @@
 """Finite-group charts: invariant-form bases and overlap compatibility."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from basicforms import orbifolds, solver
 from basicforms.actions import ActionSpec, AffineMap, GroupNotFiniteError, act_pullback
 from basicforms.examples import c4_square_chart
 from basicforms.forms import Form
@@ -13,8 +15,19 @@ from basicforms.orbifolds import (
     orbifold_invariant_forms,
 )
 from basicforms.polynomials import Polynomial
+from basicforms.scalars import Scalar
 from basicforms.solver import TruncationSpec, Window, basic_form_basis
-from helpers import naive_group, rand_form, spans_equal
+from helpers import (
+    affine_inverse,
+    linear_parts,
+    molien_counts,
+    naive_group,
+    rand_form,
+    rand_fraction,
+    rand_nonzero_fraction,
+    reynolds_span,
+    spans_equal,
+)
 
 
 def test_c4_chart_shape():
@@ -124,7 +137,127 @@ def test_generator_route_matches_whole_group(dim, gens, order, grade, degree, re
     from_generators = basic_form_basis(ActionSpec(dim, discrete=chart.generators), spec)
     from_group = basic_form_basis(ActionSpec(dim, discrete=chart.group), spec)
     assert from_generators == from_group
-    assert orbifold_invariant_forms(chart, spec) == from_group
+    basis = orbifold_invariant_forms(chart, spec)
+    assert basis == from_group
+    window = Window(dim, grade, degree)
+    assert spans_equal(window, basis, reynolds_span(chart, window))
+
+
+def _random_finite_chart(rng: random.Random, dim: int) -> OrbifoldChart:
+    """Two random signed permutations, conjugated by a random rational affine map.
+
+    The conjugating map is a diagonal scaling with one shear entry and a
+    translation, all of height at most 3.  It gives non-integer linear
+    parts and nonzero translations, keeps the group finite, and keeps the
+    maps sparse enough for dimension 4 at degree 3.  Redraws until the
+    pair generates at most 64 elements.
+    """
+    while True:
+        gens = [
+            _signed_permutation(
+                rng.sample(range(dim), dim), [rng.choice((1, -1)) for _ in range(dim)]
+            )
+            for _ in range(2)
+        ]
+        rows = [
+            [rand_nonzero_fraction(rng, 3) if i == j else 0 for j in range(dim)]
+            for i in range(dim)
+        ]
+        i, j = rng.sample(range(dim), 2)
+        rows[i][j] = rand_nonzero_fraction(rng, 2)
+        h = AffineMap.from_rows(rows, [rand_fraction(rng, 3) for _ in range(dim)])
+        h_inverse = affine_inverse(h)
+        try:
+            return OrbifoldChart(dim, [h.compose(g).compose(h_inverse) for g in gens])
+        except GroupNotFiniteError:
+            continue
+
+
+@pytest.mark.parametrize("seed, dim", [(1101, 2), (1102, 2), (1103, 3), (1104, 3), (1106, 4)])
+def test_molien_count_of_conjugated_signed_permutations(seed, dim):
+    chart = _random_finite_chart(random.Random(seed), dim)
+    parts = linear_parts(chart)
+    for grade in range(dim + 1):
+        for degree, count in enumerate(molien_counts(parts, grade, 3)):
+            basis = orbifold_invariant_forms(chart, TruncationSpec(grade, degree))
+            assert len(basis) == count
+            if degree == 2:
+                window = Window(dim, grade, degree)
+                assert spans_equal(window, basis, reynolds_span(chart, window))
+
+
+_A = Scalar.parameter()
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        # the quarter turn about the point (a, 1/2)
+        AffineMap.from_rows([[0, -1], [1, 0]], [_A + _HALF, _HALF - _A]),
+        # the flip diag(-1, 1) conjugated by the shear [[1, a], [0, 1]]
+        AffineMap.from_rows([[-1, 2 * _A], [0, 1]], [0, 0]),
+    ],
+    ids=["translation_in_a", "linear_part_in_a"],
+)
+def test_chart_over_the_parameter_field(generator):
+    assert generator.uses_parameter
+    chart = OrbifoldChart(2, [generator])
+    # Molien's count holds at every bound value: each element's
+    # characteristic polynomial does not depend on a
+    parts = linear_parts(chart, Fraction(3))
+    for grade in range(3):
+        for degree, count in enumerate(molien_counts(parts, grade, 3)):
+            spec = TruncationSpec(grade, degree)
+            basis = orbifold_invariant_forms(chart, spec)
+            assert basis == basic_form_basis(ActionSpec(2, discrete=chart.group), spec)
+            assert count.denominator == 1 and len(basis) == count
+
+
+@pytest.mark.parametrize(
+    "edit, size",
+    [(lambda basis: basis[:-1], 1), (lambda basis: basis + basis[:1], 3)],
+    ids=["dropped", "repeated"],
+)
+def test_a_wrong_kernel_size_trips_completeness(monkeypatch, edit, size):
+    # every form left is invariant, so only the count can tell
+    kernel = orbifolds.basic_form_basis
+    monkeypatch.setattr(orbifolds, "basic_form_basis", lambda a, s: edit(kernel(a, s)))
+    with pytest.raises(RuntimeError, match=f"^completeness: the kernel has {size} forms but .* 2"):
+        orbifold_invariant_forms(c4_square_chart(), TruncationSpec(0, 2))
+
+
+def test_a_non_invariant_kernel_form_trips_soundness(monkeypatch):
+    kernel = orbifolds.basic_form_basis
+    x = Form.function(Polynomial.variable(2, 0))
+    monkeypatch.setattr(orbifolds, "basic_form_basis", lambda a, s: kernel(a, s) + [x])
+    with pytest.raises(RuntimeError, match="^soundness: the Reynolds projector moves"):
+        orbifold_invariant_forms(c4_square_chart(), TruncationSpec(0, 2))
+
+
+def test_a_molien_total_in_the_parameter_is_an_error(monkeypatch):
+    # det(I - tA) = 1 + a t for every element gives the total -a at grade 1
+    one_plus_at = (Scalar.of(1), _A, Scalar.of(0))
+    monkeypatch.setattr(orbifolds, "_det_coefficients", lambda linear: one_plus_at)
+    with pytest.raises(RuntimeError, match="non-integer count"):
+        orbifold_invariant_forms(c4_square_chart(), TruncationSpec(1, 0))
+
+
+def test_pullbacks_grow_with_the_basis_not_with_the_group_times_the_window(monkeypatch):
+    calls = []
+
+    def counted(mapping, form):
+        calls.append(mapping)
+        return act_pullback(mapping, form)
+
+    chart = OrbifoldChart(3, _B3)
+    spec = TruncationSpec(1, 4)
+    monkeypatch.setattr(solver, "act_pullback", counted)
+    monkeypatch.setattr(orbifolds, "act_pullback", counted)
+    basis = orbifold_invariant_forms(chart, spec)
+    window = Window(3, 1, 4)
+    budget = len(chart.generators) * window.size + len(chart.group) * len(basis)
+    assert 0 < len(calls) <= budget < len(chart.group) * window.size
 
 
 def test_compatibility_with_rotation_transition():
