@@ -222,9 +222,9 @@ def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[Affine
     for word in ordered:  # the list grows as the walk reaches new elements
         for g in generators:
             product = word.compose(g)
-            if product not in seen:
+            seen.add(product)  # hashes the product once; new iff the set grew
+            if len(seen) > len(ordered):
                 if len(ordered) >= cap:
                     raise GroupNotFiniteError(f"group not finite within cap {cap}")
-                seen.add(product)
                 ordered.append(product)
     return ordered

@@ -16,24 +16,27 @@ hold every image coefficient, so no condition is silently dropped:
   generator component degree (transport adds delta - 1, Jacobian terms too);
 * horizontality: grade k - 1, target degree d + delta.
 
-Assembly is sparse: a constraint block's column holds the image of one
-window monomial, and its nonzero coordinates go straight from the image's
-terms into the matrix rows (:func:`span_matrix`); no dense coordinate
-vector is ever built.  Affine images come from each map's cached
-pullback routine, which shares one power table per map across every
-monomial of every block.
+Assembly follows the window's tensor structure.  Column (e, I) holds the
+image of x^e dx_I, and each operator splits into a factor of e and a
+factor of I: g^*(x^e dx_I) = (x^e o g) g^*(dx_I),
+L_xi(x^e dx_I) = xi(x^e) dx_I + x^e L_xi(dx_I) and
+i_xi(x^e dx_I) = x^e i_xi(dx_I).  A block builds each polynomial factor
+once per exponent (x^e o g through the map's power table), each covector
+factor once per index tuple, and adds every product straight into its
+sparse rows; the product with x^e is an exponent shift.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from operator import add
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
-from .forms import Form, FormSums, VectorField, ext_d, interior, lie_derivative
+from .forms import Form, FormSums, Indices, VectorField, ext_d, interior, lie_derivative
 from .linalg import Matrix, kernel_basis, rank, stack
-from .polynomials import Exponents, grlex_key
+from .polynomials import Exponents, Polynomial, add_product, grlex_key
 from .scalars import ONE, Scalar
 
 if TYPE_CHECKING:  # orbifolds imports this module
@@ -73,9 +76,12 @@ def _exponents_of_degree(num_vars: int, total: int) -> list[Exponents]:
 
 
 class Window:
-    """Indexed monomial basis of the (grade, degree) truncation window."""
+    """Indexed monomial basis of the (grade, degree) truncation window.
 
-    __slots__ = ("dim", "grade", "max_degree", "pairs", "_index")
+    Exponents are graded-lex, and one exponent's index tuples are adjacent.
+    """
+
+    __slots__ = ("dim", "grade", "max_degree", "exponents", "index_tuples", "pairs", "_index")
 
     def __init__(self, dim: int, grade: int, max_degree: int):
         if not 0 <= grade <= dim:
@@ -83,18 +89,14 @@ class Window:
         self.dim = dim
         self.grade = grade
         self.max_degree = max_degree
-        exps = exponents_upto(dim, max_degree)
-        idxs = list(itertools.combinations(range(dim), grade))
-        self.pairs = [(e, I) for e in exps for I in idxs]
+        self.exponents = exponents_upto(dim, max_degree)
+        self.index_tuples = list(itertools.combinations(range(dim), grade))
+        self.pairs = [(e, I) for e in self.exponents for I in self.index_tuples]
         self._index = {pair: pos for pos, pair in enumerate(self.pairs)}
 
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def monomial(self, position: int) -> Form:
-        e, indices = self.pairs[position]
-        return Form._from_sums(self.dim, self.grade, {indices: {e: ONE}})
 
     def entries(self, form: Form) -> dict[int, Scalar]:
         """The form's nonzero window coordinates by position; error if it sticks out."""
@@ -121,35 +123,78 @@ class Window:
         return Form._from_sums(self.dim, self.grade, sums)
 
 
-def operator_block(
-    domain: Window, target: Window, op: Callable[[Form], Form]
-) -> Matrix:
-    """Matrix of a linear operator from a window into a target window.
-
-    Column j holds the target coordinates of ``op`` applied to the j-th
-    domain monomial, filled sparsely from the image's terms (see
-    :func:`span_matrix`).
-    """
-    return span_matrix(target, [op(domain.monomial(j)) for j in range(domain.size)])
-
-
-def _add_terms(sums: FormSums, form: Form, negate: bool = False) -> None:
-    """Add ``form`` (or ``-form``) into a term map per index tuple, in place."""
+def _add_terms(sums: FormSums, form: Form) -> None:
+    """Add ``form`` into a term map per index tuple, in place."""
     for indices, poly in form.terms.items():
         acc = sums.setdefault(indices, {})
         for exps, c in poly.terms.items():
-            if negate:
-                c = -c
             old = acc.get(exps)
             acc[exps] = c if old is None else old + c
 
 
-def _moved(g: AffineMap, form: Form) -> Form:
-    """``act_pullback(g, form) - form``, summed into one term map."""
-    sums: FormSums = {}
-    _add_terms(sums, act_pullback(g, form))
-    _add_terms(sums, form, negate=True)
-    return Form._from_sums(form.dim, form.grade, sums)
+def _add_into(
+    rows: list[dict[int, Scalar]],
+    index: dict[tuple[Exponents, Indices], int],
+    col: int,
+    indices: Indices,
+    terms: Mapping[Exponents, Scalar],
+    shift: Exponents | None = None,
+) -> None:
+    """Add ``x^shift * terms dx_indices`` into column ``col`` of sparse rows."""
+    for exps, c in terms.items():
+        if shift is not None:
+            exps = tuple(map(add, exps, shift))
+        row = rows[index[exps, indices]]
+        old = row.get(col)
+        row[col] = c if old is None else old + c
+
+
+def _affine_block(g: AffineMap, domain: Window) -> Matrix:
+    """Rows of g^* - id: x^e o g once per exponent, g^*(dx_I) once per index tuple."""
+    mapping = g.as_poly_map()
+    covectors = [mapping._pulled_covector(I).terms for I in domain.index_tuples]
+    rows: list[dict[int, Scalar]] = [{} for _ in range(domain.size)]
+    minus_one, col = -ONE, 0
+    for e in domain.exponents:
+        composed = mapping._powers.compose(Polynomial._from_sums(domain.dim, {e: ONE})).terms
+        for I, covector in zip(domain.index_tuples, covectors):
+            for J, factor in covector.items():
+                product: dict[Exponents, Scalar] = {}
+                add_product(product, composed, factor.terms)
+                _add_into(rows, domain._index, col, J, product)
+            _add_into(rows, domain._index, col, I, {e: minus_one})
+            col += 1
+    return Matrix(domain.size, [{j: c for j, c in row.items() if not c.is_zero} for row in rows])
+
+
+def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> Matrix:
+    """Rows of L_xi (``lie``) or of i_xi, from the window into the target window.
+
+    i_xi(dx_I) or L_xi(dx_I) is built once per index tuple, and
+    xi(x^e) = sum_j e_j x^(e - 1_j) xi_j once per exponent.
+    """
+    unit = {(0,) * domain.dim: ONE}
+    op = lie_derivative if lie else interior
+    pieces = [
+        op(xi, Form._from_sums(domain.dim, domain.grade, {I: unit})).terms
+        for I in domain.index_tuples
+    ]
+    rows: list[dict[int, Scalar]] = [{} for _ in range(target.size)]
+    col = 0
+    for e in domain.exponents:
+        flow: dict[Exponents, Scalar] = {}  # xi(x^e); i_xi has no such term
+        for j, ej in enumerate(e if lie else ()):
+            if ej:
+                lowered = e[:j] + (ej - 1,) + e[j + 1 :]
+                for h, c in xi.component(j).terms.items():
+                    f = tuple(map(add, lowered, h))
+                    flow[f] = flow[f] + c * ej if f in flow else c * ej
+        for I, piece in zip(domain.index_tuples, pieces):
+            _add_into(rows, target._index, col, I, flow)
+            for J, coeff in piece.items():
+                _add_into(rows, target._index, col, J, coeff.terms, e)
+            col += 1
+    return Matrix(domain.size, [{j: c for j, c in row.items() if not c.is_zero} for row in rows])
 
 
 def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
@@ -160,17 +205,11 @@ def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     coordinate vector is in the kernel.  A discrete generator keeps the
     window, so its block maps the domain into the domain itself.
     """
-    blocks: list[Matrix] = [
-        operator_block(domain, domain, lambda f, g=g: _moved(g, f))
-        for g in action.discrete
-    ]
+    blocks = [_affine_block(g, domain) for g in action.discrete]
     for xi in action.infinitesimal:
-        delta = xi.max_degree()
-        target_degree = max(domain.max_degree + delta - 1, 0)
+        target_degree = max(domain.max_degree + xi.max_degree() - 1, 0)
         target = Window(action.dim, domain.grade, target_degree)
-        blocks.append(
-            operator_block(domain, target, lambda f, xi=xi: lie_derivative(xi, f))
-        )
+        blocks.append(_field_block(xi, domain, target, lie=True))
     if not blocks:
         return Matrix.zero(0, domain.size)
     return stack(blocks)
@@ -186,11 +225,8 @@ def horizontality_constraints(action: ActionSpec, domain: Window) -> Matrix:
         return Matrix.zero(0, domain.size)
     blocks = []
     for xi in action.infinitesimal:
-        delta = xi.max_degree()
-        target = Window(action.dim, domain.grade - 1, domain.max_degree + delta)
-        blocks.append(
-            operator_block(domain, target, lambda f, xi=xi: interior(xi, f))
-        )
+        target = Window(action.dim, domain.grade - 1, domain.max_degree + xi.max_degree())
+        blocks.append(_field_block(xi, domain, target, lie=False))
     return stack(blocks)
 
 

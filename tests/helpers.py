@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from basicforms.actions import ActionSpec, AffineMap, act_pullback
-from basicforms.forms import Form, PolyMap, VectorField
-from basicforms.linalg import column_span_equal
+from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
+from basicforms.linalg import Matrix, column_span_equal
 from basicforms.orbifolds import OrbifoldChart
 from basicforms.plots import Plot
 from basicforms.polynomials import Polynomial
@@ -281,7 +281,46 @@ def affine_inverse(mapping: AffineMap) -> AffineMap:
 
 def window_monomials(window: Window) -> list[Form]:
     """Every monomial form of the window, in window order."""
-    return [window.monomial(i) for i in range(window.size)]
+    return [
+        Form.monomial(window.dim, indices, Polynomial(window.dim, {exps: 1}))
+        for exps, indices in window.pairs
+    ]
+
+
+def operator_block(domain: Window, target: Window, op: Callable[[Form], Form]) -> Matrix:
+    """Matrix of a linear operator between windows, one monomial at a time.
+
+    Column j holds the target coordinates of ``op`` applied to the j-th
+    domain monomial, built as a whole form and read off by ``span_matrix``.
+    """
+    return span_matrix(target, [op(f) for f in window_monomials(domain)])
+
+
+def invariance_blocks(action: ActionSpec, domain: Window) -> list[Matrix]:
+    """The invariance blocks by the per-monomial route: g^* f - f, then L_xi f."""
+    blocks = [
+        operator_block(domain, domain, lambda f, g=g: act_pullback(g, f) - f)
+        for g in action.discrete
+    ]
+    for xi in action.infinitesimal:
+        target_degree = max(domain.max_degree + xi.max_degree() - 1, 0)
+        target = Window(action.dim, domain.grade, target_degree)
+        blocks.append(operator_block(domain, target, lambda f, xi=xi: lie_derivative(xi, f)))
+    return blocks
+
+
+def horizontality_blocks(action: ActionSpec, domain: Window) -> list[Matrix]:
+    """The horizontality blocks by the per-monomial route: i_xi f."""
+    if domain.grade == 0:
+        return []
+    return [
+        operator_block(
+            domain,
+            Window(action.dim, domain.grade - 1, domain.max_degree + xi.max_degree()),
+            lambda f, xi=xi: interior(xi, f),
+        )
+        for xi in action.infinitesimal
+    ]
 
 
 def dense_coordinates(window: Window, form: Form) -> list[Scalar]:

@@ -55,6 +55,7 @@ from helpers import (
     rand_scalar,
     rand_vector_field,
     spans_equal,
+    window_monomials,
 )
 from test_forms import lie_by_transport, same_form
 
@@ -135,7 +136,7 @@ def test_criterion_04_sign_flip_reynolds():
     chart = OrbifoldChart(1, action.discrete)
     window = Window(1, 1, 3)
     _expect(failures, window.size == 4, "monomial window is not 4-dimensional")
-    averaged = [reynolds_average(chart, window.monomial(j)) for j in range(window.size)]
+    averaged = [reynolds_average(chart, f) for f in window_monomials(window)]
     averaged = [f for f in averaged if not f.is_zero]
     _expect(
         failures,
@@ -214,8 +215,7 @@ def test_criterion_08_quarter_turn_chart():
         "constant invariant 1-forms are not zero",
     )
     for grade in (0, 1, 2):
-        for j in range(Window(2, grade, 2).size):
-            f = Window(2, grade, 2).monomial(j)
+        for j, f in enumerate(window_monomials(Window(2, grade, 2))):
             once = reynolds_average(chart, f)
             _expect(
                 failures,

@@ -169,6 +169,32 @@ def test_closure_cap_is_tight():
         group_closure([r], cap=3)
 
 
+def test_closure_hashes_each_product_once(monkeypatch):
+    def signed_permutation(perm, signs):
+        rows = [[0] * 3 for _ in range(3)]
+        for i, (j, sign) in enumerate(zip(perm, signs)):
+            rows[i][j] = sign
+        return AffineMap.from_rows(rows, [0, 0, 0])
+
+    generators = [
+        signed_permutation((1, 2, 0), (1, 1, -1)),
+        signed_permutation((1, 0, 2), (-1, 1, 1)),
+    ]
+    hashes = 0
+    original = AffineMap.__hash__
+
+    def counting(self):
+        nonlocal hashes
+        hashes += 1
+        return original(self)
+
+    monkeypatch.setattr(AffineMap, "__hash__", counting)
+    group = group_closure(generators, cap=48)
+    assert len(group) == 48  # all signed permutations of R^3
+    # the identity, then one hash per product word * generator
+    assert hashes <= 1 + len(group) * len(generators)
+
+
 def test_action_spec_validation_and_binding():
     with pytest.raises(ValueError):
         ActionSpec(2, discrete=[AffineMap.identity(1)])

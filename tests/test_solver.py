@@ -5,7 +5,9 @@ Basis results are cross-checked two independent ways: every returned form
 is verified directly against the defining conditions (pullback fixed,
 Lie derivative zero, contraction zero), and for the worked models the
 expected spans are known in closed form.  The Reynolds operator is
-compared against a literal four-term sum for the quarter-turn group.
+compared against a literal four-term sum for the quarter-turn group, and
+every constraint block against the per-monomial route of
+``helpers.operator_block`` (one whole image form per window monomial).
 """
 
 import math
@@ -22,10 +24,11 @@ from basicforms.examples import (
     solenoid_plane,
     z2_line,
 )
-from basicforms.forms import Form, interior, lie_derivative
-from basicforms.linalg import stack
+from basicforms import solver
+from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
+from basicforms.linalg import Matrix, stack
 from basicforms.orbifolds import OrbifoldChart
-from basicforms.polynomials import Polynomial
+from basicforms.polynomials import Polynomial, PowerTable
 from basicforms.scalars import Scalar
 from basicforms.solver import (
     TruncationSpec,
@@ -39,7 +42,11 @@ from basicforms.solver import (
 )
 from helpers import (
     dense_coordinates,
+    horizontality_blocks,
+    invariance_blocks,
+    rand_affine,
     rand_form,
+    rand_vector_field,
     spans_equal,
     trivial_action,
     window_monomials,
@@ -304,3 +311,85 @@ def test_span_matrix_shape():
     forms = [Form.covector(2, 0), Form.covector(2, 1)]
     m = span_matrix(w, forms)
     assert (m.rows, m.cols) == (w.size, 2)
+
+
+def _assert_blocks_match_the_per_monomial_route(action: ActionSpec, domain: Window) -> None:
+    """The assembly equals the oracle under ``==``, block for block.
+
+    Every block's row count is its target window's size, so equal stacks
+    are equal blocks.
+    """
+    for assembled, blocks in (
+        (invariance_constraints(action, domain), invariance_blocks(action, domain)),
+        (horizontality_constraints(action, domain), horizontality_blocks(action, domain)),
+    ):
+        assert assembled == (stack(blocks) if blocks else Matrix.zero(0, domain.size))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_block_assembly_matches_the_per_monomial_route(dim):
+    rng = random.Random(1200 + dim)
+    dense = rand_affine(rng, dim, with_param=True)
+    fields = [rand_vector_field(rng, dim, max_degree=delta, with_param=True) for delta in range(3)]
+    # plus a*x_i^2 on each component, so that no d(xi_i) is constant
+    squares = [
+        Polynomial(dim, {tuple(2 * (t == i) for t in range(dim)): Scalar.parameter()})
+        for i in range(dim)
+    ]
+    fields.append(VectorField([c + sq for c, sq in zip(fields[2].components, squares)]))
+    assert dense.linear != Matrix.identity(dim) and dense.uses_parameter
+    assert any(xi.max_degree() >= 1 and xi.uses_parameter for xi in fields)
+    # a shear plus a translation: sparse and rational, cheap at every degree
+    shear = AffineMap.from_rows(
+        [[1 if j == i else (2 if j == i + 1 else 0) for j in range(dim)] for i in range(dim)],
+        [Fraction(1, 2)] * dim,
+    )
+    for grade in range(dim + 1):
+        for degree in range(4):
+            # a dense 4x4 map over Q(a) costs seconds per degree-3 window on
+            # both routes, all of it in rational-function arithmetic
+            discrete = [shear] if dim == 4 and degree == 3 else [dense, shear]
+            action = ActionSpec(dim, discrete, fields)
+            _assert_blocks_match_the_per_monomial_route(action, Window(dim, grade, degree))
+
+
+def test_block_assembly_matches_the_per_monomial_route_on_the_examples():
+    x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
+    r4_rotation = ActionSpec(4, infinitesimal=[VectorField([-y, x, -w, z])])
+    for action in (solenoid_plane(), irrational_torus_line(), so2_plane(), z2_line(), r4_rotation):
+        for grade in range(action.dim + 1):
+            for degree in range(4 if action.dim < 4 else 3):
+                domain = Window(action.dim, grade, degree)
+                _assert_blocks_match_the_per_monomial_route(action, domain)
+
+
+def test_assembly_work_grows_with_exponents_plus_index_tuples(monkeypatch):
+    """Each factor is computed once per exponent or once per index tuple, not per column."""
+    rng = random.Random(1210)
+    x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
+    g = rand_affine(rng, 4)
+    xi = VectorField([-y * y, x, -w, z * x])
+    domain = Window(4, 2, 2)
+    calls: dict[str, list] = {"compose": [], "covector": [], "lie": [], "interior": []}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name].append(args[-1])
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(PowerTable, "compose", counted("compose", PowerTable.compose))
+    monkeypatch.setattr(PolyMap, "_pulled_covector", counted("covector", PolyMap._pulled_covector))
+    monkeypatch.setattr(solver, "lie_derivative", counted("lie", solver.lie_derivative))
+    monkeypatch.setattr(solver, "interior", counted("interior", solver.interior))
+    action = ActionSpec(4, [g], [xi])
+    invariance_constraints(action, domain)
+    horizontality_constraints(action, domain)
+
+    assert len(domain.exponents) == 15 and domain.size == 90
+    assert [tuple(p.terms) for p in calls["compose"]] == [(e,) for e in domain.exponents]
+    # the map's covector cache recurses into shorter tuples; each pair is asked for once
+    assert [I for I in calls["covector"] if len(I) == 2] == domain.index_tuples
+    for name in ("lie", "interior"):
+        assert [next(iter(f.terms)) for f in calls[name]] == domain.index_tuples
