@@ -31,7 +31,13 @@ arithmetic of the float path at that sample, and powers are repeated
 products (``x^3 = (x*x)*x``), not numpy's ``**``: numpy's power is not
 odd-symmetric and differs from Python's float power on some inputs, while a
 product flips sign exactly with its factor, so an odd form pulls back to
-exactly opposite values at opposite points.
+exactly opposite values at opposite points.  The registry plots follow the
+same rule for the same reason: the flat bump takes one ``exp`` and its
+derivative is 2 e^(-1/t^2) / ((t*t)*t), so on a grid symmetric about 0
+``z2_p1`` is exactly odd with an exactly even Jacobian and ``z2_p2`` has
+an exactly odd Jacobian.  Where the exponential underflows to 0, the bump
+and its derivative are exactly 0, so a tiny grid around the glue point
+gives zero Jacobians, not 0/0.
 
 Each check is one public function that streams: it takes the grid and a
 ``sample`` function that builds the plots (or the plot and the gauge) on
@@ -159,19 +165,21 @@ class DeviationReport:
     deviations: np.ndarray = field(repr=False, compare=False)
 
 
-def _flat_bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    nz = t != 0.0
-    out[nz] = np.exp(-1.0 / t[nz] ** 2)
-    return out
+def _flat_bump(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^(-1/t^2) and its derivative 2 e^(-1/t^2) / t^3, both exactly 0
+    wherever the exponential underflows to 0, t = 0 included.
 
-
-def _flat_bump_prime(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    nz = t != 0.0
-    tn = t[nz]
-    out[nz] = 2.0 * np.exp(-1.0 / tn ** 2) / tn ** 3
-    return out
+    Where e^(-1/t^2) is not 0, |t| > 0.036 and t^3 is a normal float, so
+    the quotient is finite; where it is 0, t^3 may underflow as well and
+    the quotient would be 0/0.  For huge |t| the powers overflow to inf,
+    which gives the right limits, e = 1 and derivative 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tt = t * t
+        bump = np.exp(-1.0 / tt)
+        prime = 2.0 * bump / (tt * t)
+    prime[bump == 0.0] = 0.0
+    return bump, prime
 
 
 def default_line_grid(start: float = -1.5, stop: float = 1.5, count: int = 2001) -> np.ndarray:
@@ -196,16 +204,18 @@ def _plot_z2_p1(grid: np.ndarray, bind_a: float | None) -> Plot:
     g = _as_param_column(grid)
     t = g[:, 0]
     sign = np.sign(t)
-    values = (sign * _flat_bump(t))[:, None]
-    jac = (sign * _flat_bump_prime(t))[:, None, None]
+    bump, prime = _flat_bump(t)
+    values = (sign * bump)[:, None]
+    jac = (sign * prime)[:, None, None]
     return Plot(g, values, jac)
 
 
 def _plot_z2_p2(grid: np.ndarray, bind_a: float | None) -> Plot:
     g = _as_param_column(grid)
     t = g[:, 0]
-    values = (-_flat_bump(t))[:, None]
-    jac = (-_flat_bump_prime(t))[:, None, None]
+    bump, prime = _flat_bump(t)
+    values = (-bump)[:, None]
+    jac = (-prime)[:, None, None]
     return Plot(g, values, jac)
 
 
@@ -243,8 +253,9 @@ def _plot_solenoid_line_flowed(grid: np.ndarray, bind_a: float | None) -> Plot:
 def _plot_so2_arc(grid: np.ndarray, bind_a: float | None) -> Plot:
     g = _as_param_column(grid)
     t = g[:, 0]
-    values = np.stack([np.cos(t), np.sin(t)], axis=1)
-    jac = np.stack([-np.sin(t), np.cos(t)], axis=1)[:, :, None]
+    c, s = np.cos(t), np.sin(t)
+    values = np.stack([c, s], axis=1)
+    jac = np.stack([-s, c], axis=1)[:, :, None]
     return Plot(g, values, jac)
 
 

@@ -408,6 +408,17 @@ def test_odd_form_on_the_glued_lines_agrees_exactly():
     assert report["results"]["check"]["max_abs_deviation"] == 0.0
 
 
+@pytest.mark.parametrize("span", [1e-110, 1e-200, 1e200])
+def test_z2_criterion_on_extreme_grids(span):
+    # the bump underflows to 0 on the tiny grids, where t^3 underflows too,
+    # and the powers of t overflow on the huge one: no 0/0, no warning
+    job = _builtin("z2_criterion")
+    job["grid"] = {"start": -span, "stop": span, "count": 5}
+    report, code = run_job(job)
+    assert code == EXIT_OK, report.get("error")
+    assert report["results"]["check"]["max_abs_deviation"] == 0.0
+
+
 @pytest.mark.parametrize("job", [_z2_job(100_001), _so2_gauge_job(30_001)],
                          ids=["criterion", "gauge"])
 def test_numeric_jobs_stream_in_bounded_memory(job):

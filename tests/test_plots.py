@@ -106,6 +106,19 @@ def test_z2_plot_hand_values():
     assert p2.jacobians[4, 0, 0] == pytest.approx(-2.0 * b1)
 
 
+def test_z2_plots_have_exact_parity():
+    # on a grid symmetric about 0: z2_p1 odd with an even Jacobian, and the
+    # Jacobian of z2_p2 odd, entry for entry under ==
+    t = np.linspace(0.01, 1.5, 50000)
+    grid = np.concatenate([-t[::-1], [0.0], t])
+    p1 = builtin_plot("z2_p1", grid)
+    p2 = builtin_plot("z2_p2", grid)
+    v1, j1, j2 = p1.values[:, 0], p1.jacobians[:, 0, 0], p2.jacobians[:, 0, 0]
+    assert np.array_equal(v1[::-1], -v1)
+    assert np.array_equal(j1[::-1], j1)
+    assert np.array_equal(j2[::-1], -j2)
+
+
 def test_z2_jacobian_matches_finite_differences():
     # away from the flat point the stored Jacobian must track the samples
     t = np.linspace(0.3, 1.5, 4001)
