@@ -2,7 +2,8 @@
 
 An action is specified by finitely many invertible affine maps (discrete
 generators) plus finitely many polynomial vector fields (infinitesimal
-generators for connected directions).  The pullback action on forms is a
+generators for connected directions).  An affine map keeps its linear part
+as its rows, tuples of exact Scalars.  The pullback action on forms is a
 right action: pulling back by g then by h equals pulling back by g . h.
 """
 
@@ -15,7 +16,9 @@ from . import linalg
 from .forms import Form, PolyMap, VectorField, pullback
 from .linalg import Matrix
 from .polynomials import Polynomial
-from .scalars import Scalar, ScalarLike
+from .scalars import ZERO, Scalar, ScalarLike
+
+Rows = tuple[tuple[Scalar, ...], ...]
 
 
 class GroupNotFiniteError(RuntimeError):
@@ -23,23 +26,30 @@ class GroupNotFiniteError(RuntimeError):
 
 
 class AffineMap:
-    """Invertible exact affine map x -> A x + b."""
+    """Invertible exact affine map x -> A x + b.
+
+    The linear part A is its rows, a tuple of row tuples of Scalars: n is
+    small, and every reader of A takes it entry by entry.
+    """
 
     __slots__ = ("_linear", "_translation", "_poly_map")
 
-    def __init__(self, linear: Matrix, translation: Sequence[ScalarLike]):
-        if linear.rows != linear.cols:
+    def __init__(
+        self, linear: Sequence[Sequence[ScalarLike]], translation: Sequence[ScalarLike]
+    ):
+        rows = tuple(tuple(Scalar.of(e) for e in row) for row in linear)
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("linear part must be square")
-        if len(translation) != linear.rows:
+        if len(translation) != len(rows):
             raise ValueError("translation length must match the dimension")
-        if linalg.determinant(linear).is_zero:
+        if linalg.determinant(Matrix.from_rows(rows)).is_zero:
             raise ValueError("affine map is not invertible")
-        self._linear = linear
+        self._linear = rows
         self._translation = tuple(Scalar.of(t) for t in translation)
         self._poly_map: PolyMap | None = None
 
     @classmethod
-    def _invertible(cls, linear: Matrix, translation: tuple[Scalar, ...]) -> "AffineMap":
+    def _invertible(cls, linear: Rows, translation: tuple[Scalar, ...]) -> "AffineMap":
         """Map from parts already known to be square and invertible.
 
         Only products of invertible maps come here, so the determinant that
@@ -55,22 +65,23 @@ class AffineMap:
     def from_rows(
         rows: Sequence[Sequence[ScalarLike]], translation: Sequence[ScalarLike]
     ) -> "AffineMap":
-        return AffineMap(Matrix.from_rows(rows), translation)
+        return AffineMap(rows, translation)
 
     @staticmethod
     def identity(dim: int) -> "AffineMap":
-        return AffineMap(Matrix.identity(dim), [0] * dim)
+        return AffineMap.translation_by([0] * dim)
 
     @staticmethod
     def translation_by(offsets: Sequence[ScalarLike]) -> "AffineMap":
-        return AffineMap(Matrix.identity(len(offsets)), offsets)
+        n = len(offsets)
+        return AffineMap([[int(i == j) for j in range(n)] for i in range(n)], offsets)
 
     @property
     def dim(self) -> int:
-        return self._linear.rows
+        return len(self._linear)
 
     @property
-    def linear(self) -> Matrix:
+    def linear(self) -> Rows:
         return self._linear
 
     @property
@@ -79,44 +90,41 @@ class AffineMap:
 
     @property
     def uses_parameter(self) -> bool:
-        entries = list(self._translation)
-        for i in range(self._linear.rows):
-            entries.extend(self._linear.row(i))
-        return any(e.uses_parameter for e in entries)
+        return any(e.uses_parameter for row in (self._translation, *self._linear) for e in row)
 
     def bind_param(self, value: Fraction) -> "AffineMap":
-        n = self.dim
-        rows = [[self._linear.entry(i, j).bind(value) for j in range(n)] for i in range(n)]
-        return AffineMap.from_rows(rows, [t.bind(value) for t in self._translation])
+        return AffineMap(
+            [[e.bind(value) for e in row] for row in self._linear],
+            [t.bind(value) for t in self._translation],
+        )
 
     def as_poly_map(self) -> PolyMap:
         """The map as polynomial components; built once, then reused."""
         if self._poly_map is None:
             n = self.dim
-            comps = []
-            for i in range(n):
-                terms = {(0,) * n: self._translation[i]}
-                p = Polynomial(n, terms)
-                for j in range(n):
-                    p = p + Polynomial.variable(n, j).scale(self._linear.entry(i, j))
-                comps.append(p)
-            self._poly_map = PolyMap(n, comps)
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            self._poly_map = PolyMap(
+                n,
+                [
+                    Polynomial._from_sums(n, {(0,) * n: t, **dict(zip(units, row))})
+                    for row, t in zip(self._linear, self._translation)
+                ],
+            )
         return self._poly_map
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self . other)(x) = self(other(x))."""
         if self.dim != other.dim:
             raise ValueError("composition of maps on different spaces")
-        n = self.dim
-        # column j of the product is self's linear part applied to column j
-        # of other's, which multiplies only self's nonzero entries
-        columns = [
-            self._linear.apply([other._linear.entry(t, j) for t in range(n)])
-            for j in range(n)
-        ]
-        shift = self._linear.apply(other._translation)
-        translation = tuple(shift[i] + self._translation[i] for i in range(n))
-        return AffineMap._invertible(Matrix.from_columns(columns), translation)
+        columns = range(self.dim)
+        linear, translation = [], []
+        for row, t in zip(self._linear, self._translation):
+            nonzero = [k for k, e in enumerate(row) if not e.is_zero]
+            linear.append(
+                tuple(sum((row[k] * other._linear[k][j] for k in nonzero), ZERO) for j in columns)
+            )
+            translation.append(sum((row[k] * other._translation[k] for k in nonzero), t))
+        return AffineMap._invertible(tuple(linear), tuple(translation))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineMap):
@@ -124,13 +132,10 @@ class AffineMap:
         return self._linear == other._linear and self._translation == other._translation
 
     def __hash__(self) -> int:
-        return hash((tuple(self._linear.row(i) for i in range(self.dim)), self._translation))
+        return hash((self._linear, self._translation))
 
     def __repr__(self) -> str:
-        rows = "; ".join(
-            " ".join(str(self._linear.entry(i, j)) for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        rows = "; ".join(" ".join(str(e) for e in row) for row in self._linear)
         tr = ", ".join(str(t) for t in self._translation)
         return f"AffineMap([{rows}] + ({tr}))"
 

@@ -74,6 +74,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read job: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: job is not UTF-8: {exc.reason} at byte {exc.start}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     try:
         job = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -81,6 +84,12 @@ def run(argv: Sequence[str] | None = None) -> int:
             f"error: malformed job JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return EXIT_PARSE_ERROR
+    except RecursionError:
+        print("error: malformed job JSON: nested too deeply", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        print(f"error: malformed job JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
     report, code = run_job(job, command=args.command, bind_a=args.bind_a, tol=args.tol)

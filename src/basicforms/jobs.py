@@ -64,17 +64,6 @@ MAX_GRID_SAMPLES = 1_000_001
 # cap ends within a second, and B5, of order 3840, still fits.
 MAX_CLOSURE_CAP = 4096
 
-COMMANDS = (
-    "basis",
-    "cohomology",
-    "stages",
-    "criterion",
-    "gauge",
-    "orbifold",
-    "symplectic",
-)
-
-
 class JobValidationError(ValueError):
     """Well-formed JSON that does not describe a runnable job."""
 
@@ -213,7 +202,6 @@ class _Binding:
     """Resolved parameter policy for one run."""
 
     def __init__(self, raw: Any):
-        self.formal = True
         self.exact: Fraction | None = None
         if raw is None or raw == "formal":
             return
@@ -228,9 +216,12 @@ class _Binding:
                 raise JobValidationError(
                     f"parameter {raw!r} is not 'formal', a number, or a fraction string"
                 ) from None
-            self.formal = False
         else:
             raise JobValidationError("parameter must be 'formal', a number, or a fraction string")
+
+    @property
+    def formal(self) -> bool:
+        return self.exact is None
 
     @property
     def numeric(self) -> float | None:
@@ -547,6 +538,7 @@ _HANDLERS: dict[str, Callable[[Mapping[str, Any], _Binding, float | None], tuple
     "orbifold": _run_orbifold,
     "symplectic": _run_symplectic,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _provenance(binding: _Binding, properness: bool | None) -> dict:

@@ -1,13 +1,14 @@
 """Exact linear algebra over the scalar field.
 
-A matrix stores each row sparsely, as ``{column: nonzero Scalar}``; the
-constraint matrices the solver builds are mostly zeros.  One sparse
-Gauss-Jordan elimination serves every routine here: rows are taken in
-order, each is reduced against the rows already accepted, and a row that
-stays nonzero is accepted with its first nonzero column as pivot, scaled to
-a unit pivot and used to clear that column from the earlier rows.  Rank,
-kernels, span tests and the determinant are all read off its result, so
-every routine is deterministic.
+A :class:`Matrix` is the input to elimination.  It stores each row
+sparsely, as ``{column: nonzero Scalar}``; the constraint matrices the
+solver builds are mostly zeros.  One sparse Gauss-Jordan elimination
+serves every routine here: rows are taken in order, each is reduced
+against the rows already accepted, and a row that stays nonzero is
+accepted with its first nonzero column as pivot, scaled to a unit pivot
+and used to clear that column from the earlier rows.  Rank, kernels,
+span tests and the determinant are all read off its result, so every
+routine is deterministic.
 
 Kernel bases are canonical: they come from the reduced row echelon form
 (one basis vector per free column, in column order) and each vector is
@@ -54,23 +55,6 @@ class Matrix:
         return Matrix(ncols, [_sparse(r) for r in rows])
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence[ScalarLike]]) -> "Matrix":
-        nrows = len(cols[0]) if cols else 0
-        data: list[SparseRow] = [{} for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ValueError("ragged columns")
-            for i, e in enumerate(col):
-                s = Scalar.of(e)
-                if not s.is_zero:
-                    data[i][j] = s
-        return Matrix(len(cols), data)
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, [{i: ONE} for i in range(n)])
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         return Matrix(cols, [{} for _ in range(rows)])
 
@@ -81,9 +65,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self._cols
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self._data[i].get(j, ZERO)
 
     def row(self, i: int) -> Vector:
         data = self._data[i]
@@ -102,14 +83,6 @@ class Matrix:
                 {**mine, **{j + shift: e for j, e in theirs.items()}}
                 for mine, theirs in zip(self._data, other._data)
             ],
-        )
-
-    def apply(self, vector: Sequence[ScalarLike]) -> Vector:
-        if len(vector) != self._cols:
-            raise ValueError("vector length mismatch")
-        vec = [Scalar.of(v) for v in vector]
-        return tuple(
-            sum((e * vec[j] for j, e in row.items()), ZERO) for row in self._data
         )
 
     def __eq__(self, other: object) -> bool:
@@ -216,22 +189,15 @@ def kernel_basis(matrix: Matrix) -> list[Vector]:
     return basis
 
 
-def column_span_contains(container: Matrix, candidates: Matrix) -> bool:
-    """True when every column of ``candidates`` lies in the span of ``container``."""
-    if container.rows != candidates.rows:
-        raise ValueError("column spaces live in different dimensions")
-    return rank(container) == rank(container.stack_right(candidates))
+def column_span_ranks(first: Matrix, second: Matrix) -> tuple[int, int, int]:
+    """Ranks of ``first``, ``second`` and of the two side by side.
 
-
-def column_span_equal(first: Matrix, second: Matrix) -> bool:
-    """Exact equality of column spans via three rank computations."""
+    The columns of ``second`` lie in the span of ``first`` exactly when the
+    last rank equals the first; the spans are equal when all three agree.
+    """
     if first.rows != second.rows:
         raise ValueError("column spaces live in different dimensions")
-    r1 = rank(first)
-    r2 = rank(second)
-    if r1 != r2:
-        return False
-    return rank(first.stack_right(second)) == r1
+    return rank(first), rank(second), rank(first.stack_right(second))
 
 
 def determinant(matrix: Matrix) -> Scalar:

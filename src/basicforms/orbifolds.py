@@ -30,9 +30,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .actions import ActionSpec, AffineMap, act_pullback, group_closure
+from .actions import ActionSpec, AffineMap, Rows, act_pullback, group_closure
 from .forms import Form
-from .linalg import Matrix
 from .scalars import ONE, ZERO, Scalar
 from .solver import TruncationSpec, basic_form_basis, reynolds_average
 
@@ -111,7 +110,7 @@ def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list
     return basis
 
 
-def _det_coefficients(linear: Matrix) -> tuple[Scalar, ...]:
+def _det_coefficients(rows: Rows) -> tuple[Scalar, ...]:
     """Coefficients q_0, ..., q_n of det(I - t*A), low degree first.
 
     det(I - tA) is t^n times the characteristic polynomial of A at 1/t, so
@@ -120,8 +119,7 @@ def _det_coefficients(linear: Matrix) -> tuple[Scalar, ...]:
     q_k = (-1)^k tr Lambda^k(A), so one recurrence gives both factors of a
     Molien term.  The products skip the zero entries of A.
     """
-    n = linear.rows
-    rows = [linear.row(i) for i in range(n)]
+    n = len(rows)
     nonzero = [[(l, e) for l, e in enumerate(row) if not e.is_zero] for row in rows]
 
     def next_entry(power, q: Scalar, i: int, j: int) -> Scalar:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .actions import ActionSpec, act_pullback
 from .forms import Form, PolyMap, lie_derivative, pullback
-from .linalg import column_span_contains, column_span_equal
+from .linalg import column_span_ranks
 from .solver import TruncationSpec, Window, basic_form_basis, span_matrix
 
 
@@ -101,15 +101,12 @@ def stages_check(
         + [f.max_coefficient_degree() for f in pulled + direct if not f.is_zero]
     )
     window = Window(big.dim, spec.grade, widest)
-    pulled_matrix = span_matrix(window, pulled)
-    direct_matrix = span_matrix(window, direct)
-    contained = column_span_contains(direct_matrix, pulled_matrix)
-    span_equal: bool | None = None
-    if degree == 1:
-        span_equal = column_span_equal(pulled_matrix, direct_matrix)
+    direct_rank, pulled_rank, joined_rank = column_span_ranks(
+        span_matrix(window, direct), span_matrix(window, pulled)
+    )
     return StagesReport(
-        contained=contained,
-        span_equal=span_equal,
+        contained=joined_rank == direct_rank,
+        span_equal=direct_rank == pulled_rank == joined_rank if degree == 1 else None,
         map_degree=degree,
         induced_dim_downstairs=len(downstairs),
         dim_pulled_back=len(pulled),

@@ -19,7 +19,7 @@ import numpy as np
 
 from basicforms.actions import ActionSpec, AffineMap, act_pullback
 from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
-from basicforms.linalg import Matrix, column_span_equal
+from basicforms.linalg import Matrix, column_span_ranks
 from basicforms.orbifolds import OrbifoldChart
 from basicforms.plots import Plot
 from basicforms.polynomials import Polynomial
@@ -166,8 +166,6 @@ def rand_vector_field(
 
 def rand_affine(rng: random.Random, dim: int, with_param: bool = False) -> AffineMap:
     """Random invertible exact affine map; retries until the linear part is."""
-    from basicforms import linalg
-
     while True:
         rows = [
             [rand_scalar(rng, with_param and rng.random() < 0.3, span=3) for _ in range(dim)]
@@ -175,7 +173,7 @@ def rand_affine(rng: random.Random, dim: int, with_param: bool = False) -> Affin
         ]
         try:
             return AffineMap(
-                linalg.Matrix.from_rows(rows),
+                rows,
                 [rand_scalar(rng, with_param, span=3) for _ in range(dim)],
             )
         except ValueError:
@@ -238,13 +236,9 @@ def trivial_action(dim: int) -> ActionSpec:
 
 def apply_exact(mapping: AffineMap, point: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
     """Image A x + b of a point, summed entry by entry."""
-    n = mapping.dim
     return tuple(
-        sum(
-            (mapping.linear.entry(i, j) * Scalar.of(point[j]) for j in range(n)),
-            mapping.translation[i],
-        )
-        for i in range(n)
+        sum((e * Scalar.of(x) for e, x in zip(row, point)), t)
+        for row, t in zip(mapping.linear, mapping.translation)
     )
 
 
@@ -263,7 +257,7 @@ def _cofactor_det(rows: list[list[Scalar]]) -> Scalar:
 def affine_inverse(mapping: AffineMap) -> AffineMap:
     """x -> A^-1 (x - b), with A^-1 the adjugate over the determinant."""
     n = mapping.dim
-    rows = [[mapping.linear.entry(i, j) for j in range(n)] for i in range(n)]
+    rows = [list(row) for row in mapping.linear]
     det = _cofactor_det(rows)
 
     def cofactor(r: int, c: int) -> Scalar:
@@ -331,9 +325,18 @@ def dense_coordinates(window: Window, form: Form) -> list[Scalar]:
     return coords
 
 
+def matrix_apply(matrix: Matrix, vector: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
+    """Matrix times a column vector, summed entry by entry."""
+    return tuple(
+        sum((e * Scalar.of(v) for e, v in zip(matrix.row(i), vector)), Scalar.of(0))
+        for i in range(matrix.rows)
+    )
+
+
 def spans_equal(window: Window, first: Sequence[Form], second: Sequence[Form]) -> bool:
     """Whether two lists of forms span one subspace of the window."""
-    return column_span_equal(span_matrix(window, first), span_matrix(window, second))
+    ranks = column_span_ranks(span_matrix(window, first), span_matrix(window, second))
+    return len(set(ranks)) == 1
 
 
 def reynolds_span(chart: OrbifoldChart, window: Window) -> list[Form]:
@@ -405,11 +408,7 @@ def molien_counts(
 
 def linear_parts(chart: OrbifoldChart, a0: Fraction = Fraction(0)) -> list[list[list[Fraction]]]:
     """The linear part of every group element as rows of Fractions, ``a`` bound to a0."""
-    n = chart.dim
-    return [
-        [[eval_scalar_exact(g.linear.entry(i, j), a0) for j in range(n)] for i in range(n)]
-        for g in chart.group
-    ]
+    return [[[eval_scalar_exact(e, a0) for e in row] for row in g.linear] for g in chart.group]
 
 
 def compose_terms(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:

@@ -18,7 +18,6 @@ from basicforms.actions import (
     group_closure,
 )
 from basicforms.forms import Form
-from basicforms.linalg import Matrix
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
 from helpers import (
@@ -40,7 +39,7 @@ def test_constructor_rejects_singular():
     with pytest.raises(ValueError, match="not invertible"):
         AffineMap.from_rows([[1, 2], [2, 4]], [0, 0])
     with pytest.raises(ValueError):
-        AffineMap(Matrix.from_rows([[1, 0]]), [0])  # not square
+        AffineMap([[1, 0]], [0])  # not square
     # invertible over Q(a), singular at a = 0: binding checks again
     scaling = AffineMap.from_rows([[Scalar.parameter(), 0], [0, 1]], [0, 0])
     with pytest.raises(ValueError, match="not invertible"):
@@ -63,8 +62,10 @@ def test_compose_against_pointwise_application():
         point = [rand_fraction(rng, 4) for _ in range(dim)]
         product = g.compose(h)
         assert apply_exact(product, point) == apply_exact(g, apply_exact(h, point))
-        # compose skips the determinant; the checked constructor agrees
+        # compose skips the determinant; the checked constructor agrees,
+        # down to the hash that group_closure deduplicates by
         assert AffineMap(product.linear, product.translation) == product
+        assert hash(AffineMap.from_rows(product.linear, product.translation)) == hash(product)
 
 
 def test_as_poly_map_agrees_with_apply_exact():

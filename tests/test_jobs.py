@@ -339,6 +339,34 @@ def test_cli_malformed_json(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def _cli_parse_error(path, capsys) -> str:
+    """Run the CLI on a job file that must end in a one-line parse error."""
+    code = run(["basis", "--job", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_cli_job_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"command": "basis", "note": "café"}'.encode("latin-1"))
+    assert "not UTF-8" in _cli_parse_error(bad, capsys)
+
+
+def test_cli_job_nested_too_deeply(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert "nested too deeply" in _cli_parse_error(deep, capsys)
+
+
+def test_cli_job_with_an_overlong_integer(tmp_path, capsys):
+    # past Python's 4300-digit limit on converting a decimal string to int
+    long = tmp_path / "digits.json"
+    long.write_text('{"command": "basis", "parameter": ' + "7" * 5000 + "}", encoding="utf-8")
+    assert "malformed job JSON" in _cli_parse_error(long, capsys)
+
+
 def test_cli_tolerance_below_grid_resolution_is_refused(capsys):
     # a tolerance the grid cannot certify must refuse (exit 2), not pass or fail
     code = run(["gauge", "--job", "builtin:so2_gauge", "--tol", "1e-16"])
