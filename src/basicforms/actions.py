@@ -12,9 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .forms import Form, PolyMap, VectorField, pullback
-from .linalg import Matrix
+from .linalg import Matrix, _gauss_jordan
 from .polynomials import Polynomial
 from .scalars import ZERO, Scalar, ScalarLike
 
@@ -42,7 +41,7 @@ class AffineMap:
             raise ValueError("linear part must be square")
         if len(translation) != len(rows):
             raise ValueError("translation length must match the dimension")
-        if linalg.determinant(Matrix.from_rows(rows)).is_zero:
+        if len(_gauss_jordan(Matrix.from_rows(rows))) < len(rows):
             raise ValueError("affine map is not invertible")
         self._linear = rows
         self._translation = tuple(Scalar.of(t) for t in translation)
@@ -52,8 +51,8 @@ class AffineMap:
     def _invertible(cls, linear: Rows, translation: tuple[Scalar, ...]) -> "AffineMap":
         """Map from parts already known to be square and invertible.
 
-        Only products of invertible maps come here, so the determinant that
-        ``__init__`` runs would be nonzero by construction.
+        Only products of invertible maps come here, so the full-rank check
+        that ``__init__`` runs would pass by construction.
         """
         out = cls.__new__(cls)
         out._linear = linear

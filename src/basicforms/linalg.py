@@ -6,9 +6,10 @@ solver builds are mostly zeros.  One sparse Gauss-Jordan elimination
 serves every routine here: rows are taken in order, each is reduced
 against the rows already accepted, and a row that stays nonzero is
 accepted with its first nonzero column as pivot, scaled to a unit pivot
-and used to clear that column from the earlier rows.  Rank, kernels,
-span tests and the determinant are all read off its result, so every
-routine is deterministic.
+and used to clear that column from the earlier rows.  Rank, kernels and
+span tests are all read off its result, so every routine is
+deterministic.  A square matrix is invertible exactly when its rank is
+full; no routine here computes a determinant.
 
 Kernel bases are canonical: they come from the reduced row echelon form
 (one basis vector per free column, in column order) and each vector is
@@ -120,17 +121,13 @@ def _subtract(target: SparseRow, f: Scalar, source: SparseRow, pivot: int) -> No
             target[j] = new
 
 
-def _gauss_jordan(matrix: Matrix) -> tuple[dict[int, SparseRow], list[int], list[Scalar]]:
+def _gauss_jordan(matrix: Matrix) -> dict[int, SparseRow]:
     """Sparse Gauss-Jordan elimination.
 
-    Returns the RREF rows keyed by pivot column (unit pivot, zero in every
-    other pivot column), the pivot columns and the pivot scalars, both in the
-    order the rows were accepted.  A pivot scalar is the accepted row's first
-    nonzero entry after reduction, before it is scaled to one.
+    Returns the RREF rows keyed by pivot column: each has a unit pivot and
+    is zero in every other pivot column.
     """
     reduced: dict[int, SparseRow] = {}
-    pivots: list[int] = []
-    scalars: list[Scalar] = []
     for source in matrix._data:
         row = dict(source)
         # An accepted row is zero in every other pivot column, so clearing
@@ -148,13 +145,11 @@ def _gauss_jordan(matrix: Matrix) -> tuple[dict[int, SparseRow], list[int], list
             if f is not None:
                 _subtract(other, f, row, pivot)
         reduced[pivot] = row
-        pivots.append(pivot)
-        scalars.append(p)
-    return reduced, pivots, scalars
+    return reduced
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_gauss_jordan(matrix)[1])
+    return len(_gauss_jordan(matrix))
 
 
 def _sign_normalize(vector: list[Scalar]) -> Vector:
@@ -174,7 +169,7 @@ def kernel_basis(matrix: Matrix) -> list[Vector]:
     always ``cols - rank``.  Each vector is sign-normalized so its first
     nonzero coordinate is positive (leading numerator coefficient).
     """
-    reduced, _, _ = _gauss_jordan(matrix)
+    reduced = _gauss_jordan(matrix)
     basis: list[Vector] = []
     for free in range(matrix.cols):
         if free in reduced:
@@ -199,21 +194,3 @@ def column_span_ranks(first: Matrix, second: Matrix) -> tuple[int, int, int]:
         raise ValueError("column spaces live in different dimensions")
     return rank(first), rank(second), rank(first.stack_right(second))
 
-
-def determinant(matrix: Matrix) -> Scalar:
-    """Exact determinant: the product of the pivot scalars, signed.
-
-    Reducing a row against earlier rows leaves the determinant unchanged, so
-    it is the product of the pivot scalars times the determinant of the
-    unit-pivot rows, a permutation matrix taking row i to pivot column i.
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, scalars = _gauss_jordan(matrix)
-    if len(pivots) < matrix.rows:
-        return ZERO
-    det = ONE
-    for p in scalars:
-        det = det * p
-    inversions = sum(c > d for i, c in enumerate(pivots) for d in pivots[i + 1 :])
-    return -det if inversions % 2 else det

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .forms import Form, eval_form
+from .forms import Form, _det_float, eval_form
 
 DEFAULT_SYMBOLIC_TOL = 1e-9
 DEFAULT_FD_TOL = 1e-6
@@ -120,7 +120,12 @@ class Plot:
 
 @dataclass(frozen=True)
 class GroupPath:
-    """Sampled path of invertible affine maps over a 1-parameter grid."""
+    """Sampled path of invertible affine maps over a 1-parameter grid.
+
+    A sample counts as singular when its determinant, taken by the same
+    float cofactor expansion :func:`eval_form` uses, is below 1e-12 in
+    absolute value.
+    """
 
     grid: np.ndarray
     linears: np.ndarray  # (S, n, n)
@@ -141,7 +146,7 @@ class GroupPath:
         for name, arr in (("grid", grid), ("linear parts", linears), ("translations", translations)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"gauge {name} contain non-finite entries")
-        dets = np.linalg.det(linears)
+        dets = _det_float([[linears[:, i, j] for j in range(n)] for i in range(n)])
         if np.any(np.abs(dets) < 1e-12):
             raise ValueError("gauge contains a numerically singular map")
         object.__setattr__(self, "grid", grid)

@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import Form, VectorField, ext_d, eval_form, interior, lie_derivative
-from .linalg import Matrix, determinant
+from .forms import Form, VectorField, ext_d, eval_form, interior, lie_derivative, wedge
 from .plots import DeviationReport, _report
 from .polynomials import Polynomial
 
@@ -65,12 +64,11 @@ class HamiltonianModel:
             raise ValueError("models must not involve the formal parameter")
         if field.dim != dim or potential.num_vars != dim:
             raise ValueError("field or potential has the wrong dimension")
-        pairing = [[0] * dim for _ in range(dim)]
-        for (i, j), coeff in omega.terms.items():
-            c = coeff.constant_coefficient()
-            pairing[i][j] = c
-            pairing[j][i] = -c
-        if determinant(Matrix.from_rows(pairing)).is_zero:
+        # omega is nondegenerate exactly when omega^(dim/2) is nonzero
+        top = omega
+        for _ in range(dim // 2 - 1):
+            top = wedge(top, omega)
+        if top.is_zero:
             raise ValueError("omega is degenerate")
 
         gradient = [potential.partial(i) for i in range(dim)]

@@ -242,14 +242,14 @@ def apply_exact(mapping: AffineMap, point: Sequence[ScalarLike]) -> tuple[Scalar
     )
 
 
-def _cofactor_det(rows: list[list[Scalar]]) -> Scalar:
+def cofactor_det(rows: list[list[Scalar]]) -> Scalar:
     """Determinant by cofactor expansion along the first row."""
     if not rows:
         return Scalar.of(1)
     total = Scalar.of(0)
     for j, entry in enumerate(rows[0]):
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * _cofactor_det(minor)
+        term = entry * cofactor_det(minor)
         total = total - term if j % 2 else total + term
     return total
 
@@ -258,11 +258,11 @@ def affine_inverse(mapping: AffineMap) -> AffineMap:
     """x -> A^-1 (x - b), with A^-1 the adjugate over the determinant."""
     n = mapping.dim
     rows = [list(row) for row in mapping.linear]
-    det = _cofactor_det(rows)
+    det = cofactor_det(rows)
 
     def cofactor(r: int, c: int) -> Scalar:
         minor = [row[:c] + row[c + 1 :] for k, row in enumerate(rows) if k != r]
-        value = _cofactor_det(minor)
+        value = cofactor_det(minor)
         return -value if (r + c) % 2 else value
 
     inverse = [[cofactor(j, i) / det for j in range(n)] for i in range(n)]

@@ -23,10 +23,12 @@ from basicforms.scalars import Scalar
 from helpers import (
     affine_inverse,
     apply_exact,
+    cofactor_det,
     eval_scalar_exact,
     rand_affine,
     rand_form,
     rand_fraction,
+    rand_scalar,
     safe_a0,
 )
 
@@ -46,6 +48,46 @@ def test_constructor_rejects_singular():
         scaling.bind_param(Fraction(0))
 
 
+def _rand_square(rng: random.Random, n: int, with_param: bool) -> list[list[Scalar]]:
+    """A random n x n matrix; about half are made rank deficient on purpose.
+
+    The deficient ones get one row replaced by a combination of two others
+    (by a multiple of another when n = 2, by zeros when n = 1), with
+    weights that may involve the parameter.
+    """
+    rows = [[rand_scalar(rng, with_param, span=3) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        target = rng.randrange(n)
+        others = [i for i in range(n) if i != target]
+        rng.shuffle(others)
+        combo = [Scalar.of(0)] * n
+        for i in others[:2]:
+            weight = rand_scalar(rng, with_param, span=3)
+            combo = [c + weight * e for c, e in zip(combo, rows[i])]
+        rows[target] = combo
+    return rows
+
+
+def test_constructor_refuses_exactly_the_singular_matrices():
+    # the oracle is the cofactor determinant; the constructor tests full rank
+    rng = random.Random(311)
+    refused = accepted = 0
+    for trial in range(240):
+        n = trial % 4 + 1
+        rows = _rand_square(rng, n, with_param=trial % 8 >= 4)
+        singular = cofactor_det(rows).is_zero
+        try:
+            AffineMap(rows, [0] * n)
+        except ValueError as exc:
+            assert "not invertible" in str(exc)
+            assert singular, rows
+            refused += 1
+        else:
+            assert not singular, rows
+            accepted += 1
+    assert refused > 60 and accepted > 60
+
+
 def test_identity_and_translation():
     ident = AffineMap.identity(3)
     assert apply_exact(ident, [1, 2, 3]) == (Scalar.of(1), Scalar.of(2), Scalar.of(3))
@@ -62,7 +104,7 @@ def test_compose_against_pointwise_application():
         point = [rand_fraction(rng, 4) for _ in range(dim)]
         product = g.compose(h)
         assert apply_exact(product, point) == apply_exact(g, apply_exact(h, point))
-        # compose skips the determinant; the checked constructor agrees,
+        # compose skips the rank check; the checked constructor agrees,
         # down to the hash that group_closure deduplicates by
         assert AffineMap(product.linear, product.translation) == product
         assert hash(AffineMap.from_rows(product.linear, product.translation)) == hash(product)

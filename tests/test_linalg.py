@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, RREF, kernels, determinants.
+"""Exact linear algebra: rank, RREF, kernels and span comparison.
 
 Oracle: a deliberately naive dense Fraction-only Gauss-Jordan elimination
 recomputes rank, RREF and the canonical kernel for random rational
@@ -8,7 +8,6 @@ binding at several rational values of a and comparing against the oracle
 on the bound matrix.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ import pytest
 from basicforms.linalg import (
     Matrix,
     column_span_ranks,
-    determinant,
     kernel_basis,
     rank,
     stack,
@@ -169,48 +167,6 @@ def test_parameter_matrices_specialize():
             assert naive_rank(frows) <= generic
 
 
-def test_determinant_against_permutation_expansion():
-    rng = random.Random(106)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        rows = [[rand_fraction(rng, 4) for _ in range(n)] for _ in range(n)]
-        expect = Fraction(0)
-        for perm in itertools.permutations(range(n)):
-            sign = _perm_sign(perm)
-            prod = Fraction(1)
-            for i, j in enumerate(perm):
-                prod *= rows[i][j]
-            expect += sign * prod
-        assert determinant(_as_matrix(rows)).as_fraction() == expect
-
-
-def test_determinant_multiplicative_with_parameter():
-    rng = random.Random(107)
-    a0 = Fraction(3, 7)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        m1 = Matrix.from_rows(
-            [[rand_scalar(rng, span=2) for _ in range(n)] for _ in range(n)]
-        )
-        m2 = Matrix.from_rows(
-            [[rand_scalar(rng, span=2) for _ in range(n)] for _ in range(n)]
-        )
-        prod = Matrix.from_rows(
-            [
-                [
-                    sum((m1.row(i)[k] * m2.row(k)[j] for k in range(n)), Scalar.of(0))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        lhs, rhs = determinant(prod), determinant(m1) * determinant(m2)
-        try:
-            assert lhs.bind(a0) == rhs.bind(a0)
-        except ZeroDivisionError:
-            assert lhs == rhs
-
-
 def test_column_span_relations():
     rng = random.Random(109)
     for _ in range(60):
@@ -245,11 +201,3 @@ def test_stack_shapes():
     with pytest.raises(ValueError):
         a.stack_right(Matrix.zero(1, 2))
 
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign

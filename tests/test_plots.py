@@ -256,6 +256,23 @@ def test_plot_shape_validation():
         GroupPath(np.zeros(3), eye, np.full((3, 2), np.inf))
 
 
+def test_gauge_refuses_a_3x3_path_singular_at_one_sample():
+    grid = np.linspace(0.0, 1.0, 5)
+    linears = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
+    linears[:, 0, 1] = grid  # shears: determinant 1 everywhere
+    translations = np.zeros((5, 3))
+    assert GroupPath(grid, linears, translations).dim == 3
+    singular = linears.copy()
+    singular[3] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
+    with pytest.raises(ValueError, match="numerically singular"):
+        GroupPath(grid, singular, translations)
+    # no zero entry and no zero row: the determinant 1e-13 alone refuses it
+    tiny = linears.copy()
+    tiny[2] = np.diag([1e-5, 1e-5, 1e-3]) + 1e-9
+    with pytest.raises(ValueError, match="numerically singular"):
+        GroupPath(grid, tiny, translations)
+
+
 def test_report_fields():
     grid = default_line_grid(count=101)
     report = criterion_check(grid, _pair("torus_line", "torus_line_shifted"), X_DX, tol=0.5)

@@ -16,6 +16,7 @@ import pytest
 
 from basicforms.forms import Form, VectorField, eval_form, ext_d, interior, lie_derivative
 from basicforms.polynomials import Polynomial
+from basicforms.scalars import Scalar
 from basicforms.symplectic import (
     HamiltonianModel,
     LevelSample,
@@ -24,7 +25,7 @@ from basicforms.symplectic import (
     model_names,
     momentum_residual,
 )
-from helpers import rand_form
+from helpers import cofactor_det, rand_form
 
 
 def _vars(dim):
@@ -127,6 +128,56 @@ def test_model_validation_rejects_bad_omega():
         HamiltonianModel(
             Form(4, 2, {(0, 1): Polynomial.constant(4, 1)}), field, potential
         )
+
+
+def _constant_2form(dim, pairs):
+    one = Polynomial.constant(dim, 1)
+    return Form(dim, 2, {pair: one for pair in pairs})
+
+
+def _zero_data(dim):
+    return VectorField([Polynomial.zero(dim)] * dim), Polynomial.zero(dim)
+
+
+def test_degenerate_omega_is_refused_by_its_top_wedge_power():
+    field, potential = _zero_data(4)
+    # nonzero, but dx0^dx1 + dx0^dx2 squares to zero: rank 2 on R^4
+    with pytest.raises(ValueError, match="degenerate"):
+        HamiltonianModel(_constant_2form(4, [(0, 1), (0, 2)]), field, potential)
+    model = HamiltonianModel(_constant_2form(4, [(0, 2), (1, 3)]), field, potential)
+    assert model.dim == 4
+    field, potential = _zero_data(6)
+    # on R^6 one missing pair leaves omega^2 nonzero but omega^3 zero
+    with pytest.raises(ValueError, match="degenerate"):
+        HamiltonianModel(_constant_2form(6, [(0, 1), (2, 3)]), field, potential)
+    model = HamiltonianModel(_constant_2form(6, [(0, 1), (2, 3), (4, 5)]), field, potential)
+    assert model.dim == 6
+
+
+def test_nondegeneracy_agrees_with_the_pairing_determinant():
+    # omega^(n/2) is (n/2)! Pf(omega) dx0^...^dxn-1, and Pf^2 = det
+    rng = random.Random(411)
+    refused = accepted = 0
+    for trial in range(60):
+        dim = 4 if trial % 2 else 6
+        terms = {}
+        pairing = [[Scalar.of(0)] * dim for _ in range(dim)]
+        for i, j in combinations(range(dim), 2):
+            if rng.random() < 0.4:
+                c = rng.randint(-2, 2)
+                terms[(i, j)] = Polynomial.constant(dim, c)
+                pairing[i][j], pairing[j][i] = Scalar.of(c), Scalar.of(-c)
+        field, potential = _zero_data(dim)
+        try:
+            HamiltonianModel(Form(dim, 2, terms), field, potential)
+        except ValueError as exc:
+            assert "degenerate" in str(exc)
+            assert cofactor_det(pairing).is_zero
+            refused += 1
+        else:
+            assert not cofactor_det(pairing).is_zero
+            accepted += 1
+    assert refused > 10 and accepted > 10
 
 
 def test_model_validation_rejects_off_level_samples():
