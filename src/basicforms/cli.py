@@ -92,10 +92,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: malformed job JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
+    try:  # opened first, so a report that cannot be written costs no run
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION_ERROR
     report, code = run_job(job, command=args.command, bind_a=args.bind_a, tol=args.tol)
     rendered = format_report(report)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+    if out is not None:
+        with out:
+            out.write(rendered)
         print(f"{args.command}: {report.get('status', 'error')} -> {args.out}")
     else:
         sys.stdout.write(rendered)

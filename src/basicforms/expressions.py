@@ -19,6 +19,8 @@ sum is no higher than its terms).  The degree in ``a`` of a product, a
 quotient or a power (the larger of its numerator and denominator degree)
 is predicted before it is computed and bounded the same way, so
 ``(a*a*a)^100`` and ``(1+a)*(1+a)*...`` with 300 factors are refused too.
+Numbers are ASCII digits, at most ``MAX_DIGITS`` of them; the digits of a
+product, a quotient or a power are predicted and bounded the same way.
 Parentheses and unary minus signs nest fewer than ``MAX_NESTING`` deep.  A hostile expression is thus a parse
 error rather than a blown interpreter stack, or a power or a product that
 exhausts memory or time.
@@ -29,6 +31,7 @@ so job files can point at the offending column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -69,6 +72,11 @@ MAX_NESTING = 100
 # of a second.
 MAX_EXPONENT = 256
 
+# Most digits of a literal, and of any numerator or denominator a product,
+# quotient or power is predicted to have: Python prints no longer int.
+MAX_DIGITS = 4300
+_DIGITS = "0123456789"
+
 
 def _param_degree(poly: Polynomial) -> int:
     """The highest degree in ``a`` of a coefficient's numerator or denominator."""
@@ -84,6 +92,17 @@ def _check_degree(what: str, degree: int, position: int, in_a: bool = False) -> 
         )
 
 
+def _check_digits(what: str, position: int, *factors: Polynomial, power: int = 1) -> None:
+    digits = power * sum(
+        math.log10(max((c.height for c in f.terms.values()), default=1)) for f in factors
+    )
+    if digits >= MAX_DIGITS:
+        raise ParseError(
+            f"{what} with about {int(digits) + 1} digits is past the limit of {MAX_DIGITS}",
+            position,
+        )
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
@@ -93,15 +112,17 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             # decimal literals stay exact: Fraction("0.5") == 1/2
-            if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
+            if i + 1 < n and text[i] == "." and text[i + 1] in _DIGITS:
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
+            if i - start - ("." in text[start:i]) > MAX_DIGITS:
+                raise ParseError(f"number with more than {MAX_DIGITS} digits", start)
             tokens.append(_Token("number", text[start:i], start))
             continue
         if ch.isalpha() or ch == "_":
@@ -155,15 +176,15 @@ class _Parser:
         return value
 
     def _expr(self) -> Polynomial:
-        value = self._term()
+        sums = dict(self._term().terms)  # one term map for the whole sum
         while True:
             tok = self._peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self._advance()
-                rhs = self._term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+            if not (tok.kind == "op" and tok.text in "+-"):
+                return Polynomial._from_sums(self._num_vars, sums)
+            self._advance()
+            rhs = self._term()
+            for exps, c in (rhs if tok.text == "+" else -rhs).terms.items():
+                sums[exps] = sums[exps] + c if exps in sums else c
 
     def _term(self) -> Polynomial:
         value = self._factor()
@@ -177,6 +198,7 @@ class _Parser:
                     _check_degree("product", degree, tok.position)
                     degree = _param_degree(value) + _param_degree(rhs)
                     _check_degree("product", degree, tok.position, in_a=True)
+                    _check_digits("product", tok.position, value, rhs)
                     value = value * rhs
                 else:
                     value = self._divide(value, rhs, tok.position)
@@ -190,6 +212,7 @@ class _Parser:
         if c.is_zero:
             raise ParseError("division by zero", position)
         _check_degree("quotient", _param_degree(num) + c.param_degree, position, in_a=True)
+        _check_digits("quotient", position, num, den)
         return num.scale(Scalar.of(1) / c)
 
     def _factor(self) -> Polynomial:
@@ -237,6 +260,7 @@ class _Parser:
             degree = max(base.total_degree(), 0) * exponent
             _check_degree("power", degree, exp_tok.position)
             _check_degree("power", _param_degree(base) * exponent, exp_tok.position, in_a=True)
+            _check_digits("power", exp_tok.position, base, power=exponent)
             self._advance()
             base = base ** exponent
         self._power_weight = max(outer, weight)

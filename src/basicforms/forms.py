@@ -85,15 +85,7 @@ class Form:
                 raise ValueError(f"index tuple {indices} is not strictly increasing")
             if coeff.num_vars != dim:
                 raise ValueError("coefficient lives in the wrong variable count")
-            if coeff.is_zero:
-                continue
-            if indices in clean:
-                merged = clean[indices] + coeff
-                if merged.is_zero:
-                    del clean[indices]
-                else:
-                    clean[indices] = merged
-            else:
+            if not coeff.is_zero:
                 clean[indices] = coeff
         self._dim = dim
         self._grade = grade

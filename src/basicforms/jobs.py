@@ -39,8 +39,8 @@ from typing import Any, Callable, Mapping, Sequence
 from . import __version__
 from .actions import ActionSpec, AffineMap, GroupNotFiniteError
 from .examples import solenoid_stages
-from .expressions import ParseError, parse_poly_expr, parse_scalar_expr
-from .forms import Form, PolyMap, VectorField, render_form
+from .expressions import MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_expr
+from .forms import Form, FormSums, PolyMap, VectorField, render_form
 from .orbifolds import OrbifoldChart, orbifold_invariant_forms
 from .polynomials import default_var_names, render_poly
 from .solver import TruncationSpec, basic_form_basis, truncated_basic_cohomology
@@ -165,7 +165,7 @@ def _parse_form(spec: Mapping[str, Any], dim: int, path: str) -> Form:
     _require(0 <= grade <= dim, f"{path}.grade out of range for dimension {dim}")
     names = default_var_names(dim)
     entries = _get(spec, "terms", list, path, required=True)
-    form = Form.zero(dim, grade)
+    sums: FormSums = {}
     for i, term in enumerate(entries):
         _require(isinstance(term, dict), f"{path}.terms[{i}] must be an object")
         indices = _get(term, "indices", list, f"{path}.terms[{i}]", required=True)
@@ -178,10 +178,13 @@ def _parse_form(spec: Mapping[str, Any], dim: int, path: str) -> Form:
             lambda: parse_poly_expr(coeff_text, names), f"{path}.terms[{i}].coefficient"
         )
         try:
-            form = form + Form.monomial(dim, tuple(indices), coeff)
+            Form(dim, grade, {tuple(indices): coeff})  # the checks on one term
         except ValueError as exc:
             raise JobValidationError(f"{path}.terms[{i}]: {exc}") from None
-    return form
+        into = sums.setdefault(tuple(indices), {})
+        for exps, c in coeff.terms.items():
+            into[exps] = into[exps] + c if exps in into else c
+    return Form._from_sums(dim, grade, sums)
 
 
 def _parse_grid(spec: Mapping[str, Any] | None, path: str) -> dict[str, Any]:
@@ -205,19 +208,24 @@ class _Binding:
         self.exact: Fraction | None = None
         if raw is None or raw == "formal":
             return
-        if isinstance(raw, bool):
-            raise JobValidationError("parameter must be 'formal', a number, or a fraction string")
-        if isinstance(raw, (int, float)):
-            raw = str(raw)  # NaN and infinities then fail like bad strings
-        if isinstance(raw, str):
-            try:
-                self.exact = Fraction(raw)
-            except (ValueError, ZeroDivisionError):
-                raise JobValidationError(
-                    f"parameter {raw!r} is not 'formal', a number, or a fraction string"
-                ) from None
-        else:
-            raise JobValidationError("parameter must be 'formal', a number, or a fraction string")
+        _require(isinstance(raw, (int, float, str)) and not isinstance(raw, bool),
+                 "parameter must be 'formal', a number, or a fraction string")
+        too_long = f"parameter has more than {MAX_DIGITS} digits"
+        _require(not isinstance(raw, int) or abs(raw) < 10**MAX_DIGITS, too_long)
+        raw = str(raw)  # NaN and infinities then fail like bad strings
+        # digits on either side of a '/', plus the exponent Fraction multiplies out
+        mantissa, _, exponent = raw.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        digits = max(sum(ch.isdecimal() for ch in part) for part in mantissa.split("/"))
+        if exponent.isdecimal():  # else no exponent, or one Fraction refuses
+            digits += int(exponent) if len(exponent) < 10 else MAX_DIGITS + 1
+        _require(digits <= MAX_DIGITS, too_long)
+        try:
+            self.exact = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise JobValidationError(
+                f"parameter {raw!r} is not 'formal', a number, or a fraction string"
+            ) from None
 
     @property
     def formal(self) -> bool:

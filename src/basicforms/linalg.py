@@ -7,9 +7,7 @@ serves every routine here: rows are taken in order, each is reduced
 against the rows already accepted, and a row that stays nonzero is
 accepted with its first nonzero column as pivot, scaled to a unit pivot
 and used to clear that column from the earlier rows.  Rank, kernels and
-span tests are all read off its result, so every routine is
-deterministic.  A square matrix is invertible exactly when its rank is
-full; no routine here computes a determinant.
+span tests are all read off its result, so every routine is deterministic.
 
 Kernel bases are canonical: they come from the reduced row echelon form
 (one basis vector per free column, in column order) and each vector is

@@ -120,12 +120,8 @@ class Plot:
 
 @dataclass(frozen=True)
 class GroupPath:
-    """Sampled path of invertible affine maps over a 1-parameter grid.
-
-    A sample counts as singular when its determinant, taken by the same
-    float cofactor expansion :func:`eval_form` uses, is below 1e-12 in
-    absolute value.
-    """
+    """Sampled path of invertible affine maps over a 1-parameter grid; each
+    determinant, by the cofactor expansion of :func:`eval_form`, is >= 1e-12."""
 
     grid: np.ndarray
     linears: np.ndarray  # (S, n, n)

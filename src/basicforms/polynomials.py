@@ -49,14 +49,8 @@ class Polynomial:
             if len(exps) != num_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {num_vars} variables")
             c = Scalar.of(coeff)
-            if c.is_zero:
-                continue
-            if exps in clean:
-                c = clean[exps] + c
-                if c.is_zero:
-                    del clean[exps]
-                    continue
-            clean[exps] = c
+            if not c.is_zero:
+                clean[exps] = c
         self._num_vars = num_vars
         self._terms = clean
 

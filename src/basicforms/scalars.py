@@ -238,6 +238,11 @@ class Scalar:
         """The larger degree in ``a`` of the numerator and the denominator."""
         return max(len(self._num), len(self._den)) - 1
 
+    @property
+    def height(self) -> int:
+        """The largest numerator or denominator of its rational coefficients."""
+        return max(max(abs(c.numerator), c.denominator) for c in self._num + self._den)
+
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = other if isinstance(other, Scalar) else Scalar.of(other)
         sn, on = self._num, o._num

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -58,17 +59,12 @@ class HamiltonianModel:
             raise ValueError("omega must be a 2-form")
         if any(not p.is_constant() for p in omega.terms.values()):
             raise ValueError("omega must have constant coefficients")
-        if not ext_d(omega).is_zero:
-            raise ValueError("omega must be closed")
         if omega.uses_parameter or field.uses_parameter or potential.uses_parameter:
             raise ValueError("models must not involve the formal parameter")
         if field.dim != dim or potential.num_vars != dim:
             raise ValueError("field or potential has the wrong dimension")
-        # omega is nondegenerate exactly when omega^(dim/2) is nonzero
-        top = omega
-        for _ in range(dim // 2 - 1):
-            top = wedge(top, omega)
-        if top.is_zero:
+        # constant, so closed; nondegenerate exactly when omega^(dim/2) != 0
+        if reduce(wedge, [omega] * (dim // 2)).is_zero:
             raise ValueError("omega is degenerate")
 
         gradient = [potential.partial(i) for i in range(dim)]

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from basicforms.expressions import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     ParseError,
     parse_poly_expr,
@@ -133,6 +134,46 @@ def test_degree_in_a_is_bounded():
         ("(x + 1/(a + 1)^200)*(1/(a - 1)^57)", 19, "product of degree 257"),
     ]:
         with pytest.raises(ParseError, match=f"{what} in a is past the limit") as info:
+            _p(text)
+        assert info.value.position == position, text
+
+
+def test_numbers_are_ascii_digits():
+    # other scripts' digits were read by Fraction and int(); now they are text
+    for text, position in [("\u00b2", 0), ("x^\u00b2", 2), ("1\u0663", 1), ("x + \u0663", 4)]:
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            _p(text)
+        assert info.value.position == position, text
+
+
+def test_number_literals_have_at_most_max_digits():
+    top = "9" * MAX_DIGITS
+    assert _p(top) == Polynomial.constant(2, int(top))
+    assert _p("0." + "0" * (MAX_DIGITS - 2) + "1") == Polynomial.constant(
+        2, Fraction(1, 10 ** (MAX_DIGITS - 1))
+    )
+    for text, position in [
+        ("x + " + "1" * (MAX_DIGITS + 1), 4),
+        ("0." + "0" * (MAX_DIGITS - 1) + "1", 0),  # denominator 10^4300
+        ("x^" + "0" * MAX_DIGITS + "1", 2),
+    ]:
+        with pytest.raises(ParseError, match=f"number with more than {MAX_DIGITS} digits") as info:
+            _p(text)
+        assert info.value.position == position
+
+
+def test_digits_of_products_quotients_and_powers_are_predicted():
+    # 99^256 has 511 digits: eight factors fit, the ninth is refused at its '*'
+    eight = "*".join(["99^256"] * 8)
+    assert _p(eight) == Polynomial.constant(2, 99 ** (256 * 8))
+    for text, position, what in [
+        ("*".join(["99^256"] * 20), 55, "product"),
+        ("x*(" + eight + ")*(99^256*x)", len(eight) + 4, "product"),
+        ("x/" + "/".join(["(10^256)"] * 17), 145, "quotient"),
+        ("(" + "7" * 40 + ")^120", 43, "power"),
+        ("(1/" + "3" * 100 + " + x)^44", 109, "power"),
+    ]:
+        with pytest.raises(ParseError, match=f"{what} with about .* past the limit of {MAX_DIGITS}") as info:
             _p(text)
         assert info.value.position == position, text
 

@@ -6,6 +6,7 @@ ran and failed its tolerance, 4 unexpected computation error.
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -13,8 +14,9 @@ import tracemalloc
 
 import pytest
 
+from basicforms import cli
 from basicforms.cli import builtin_job_names, run
-from basicforms.expressions import MAX_EXPONENT
+from basicforms.expressions import MAX_DIGITS, MAX_EXPONENT, parse_poly_expr
 from basicforms.jobs import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -22,6 +24,7 @@ from basicforms.jobs import (
     EXIT_VALIDATION_ERROR,
     MAX_CLOSURE_CAP,
     MAX_GRID_SAMPLES,
+    _parse_form,
     format_report,
     run_job,
 )
@@ -195,6 +198,120 @@ def test_degree_in_a_is_bounded_in_a_basis_translation(text, position, degree):
     assert report["error"]["position"] == position
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\u00b2", "unexpected character"),
+        ("x^\u00b2", "unexpected character"),
+        ("7" * (MAX_DIGITS + 701), f"number with more than {MAX_DIGITS} digits"),
+        ("*".join(["99^256"] * 20), f"product with about 4598 digits is past the limit"),
+    ],
+    ids=["superscript", "superscript-exponent", "5001-digits", "99^256-x20"],
+)
+def test_numbers_python_cannot_print_are_parse_errors(text, message):
+    # each of these ended in exit 4: Fraction or int() refused the digit, or
+    # the report could not render a 10 000-digit slope
+    job = _builtin("solenoid_basis")
+    job["action"]["infinitesimal"] = [["1", text]]
+    began = time.perf_counter()
+    report, code = run_job(job)
+    assert time.perf_counter() - began < 5.0
+    assert code == EXIT_PARSE_ERROR, report.get("error")
+    assert report["error"]["message"].startswith("job.action.infinitesimal[0]: ")
+    assert message in report["error"]["message"]
+    format_report(report)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e100000000", "1e5000", "-3.5E+4300", "1e1_0000_0000", "1e\u0661\u0660\u0660\u0660\u0660\u0660",
+     "1/" + "3" * 4301, 10**5000],
+    ids=["1e100000000", "1e5000", "exponent-4300", "underscores", "arabic-indic-exponent",
+         "denominator", "json-integer"],
+)
+def test_parameter_past_the_digit_limit_is_refused_fast(value):
+    # "1e100000000" ran for minutes in Fraction, and the others ended in
+    # exit 4 when the report printed them
+    for bind in (False, True):
+        job = _builtin("solenoid_basis")
+        began = time.perf_counter()
+        if bind:
+            report, code = run_job(job, bind_a=value)
+        else:
+            job["parameter"] = value
+            report, code = run_job(job)
+        assert time.perf_counter() - began < 5.0
+        assert code == EXIT_VALIDATION_ERROR, report.get("error")
+        assert report["error"]["message"] == f"parameter has more than {MAX_DIGITS} digits"
+        format_report(report)
+
+
+def test_parameter_within_the_digit_limit_still_binds():
+    for value in ("1e4000", "-1/" + "3" * 4300, 7 * 10**4000):
+        report, code = run_job(_builtin("solenoid_basis"), bind_a=value)
+        assert code == EXIT_OK, report.get("error")
+        assert report["provenance"]["scalar_field"] == "Q"
+
+
+def _best_time(fn, repeats=2):
+    """The shortest of ``repeats`` timed calls, and the last result."""
+    best = float("inf")
+    for _ in range(repeats):
+        began = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - began)
+    return best, result
+
+
+def _monomials(count: int) -> list[str]:
+    """``count`` distinct monomials in x and y, in a fixed shuffled order,
+    so that every prefix costs about the same per term."""
+    exps = [(i, j) for i in range(90) for j in range(90)]
+    random.Random(5).shuffle(exps)
+    return [f"x^{i}*y^{j}" for i, j in exps[:count]]
+
+
+def test_a_long_coefficient_sum_is_built_once():
+    # each '+' copied and re-checked the whole sum: 8000 summands took 16
+    # times as long as 2000; added into one term map the ratio is about 4
+    times = {}
+    for n in (2000, 8000):
+        text = " + ".join(_monomials(n))
+        times[n], poly = _best_time(lambda: parse_poly_expr(text, ["x", "y"]))
+        assert len(poly.terms) == n
+    assert times[8000] / times[2000] < 8, times
+
+
+def test_a_long_form_is_built_once():
+    # each term copied and re-checked the whole form: 8000 terms took 16
+    # times as long as 2000
+    times = {}
+    for n in (2000, 8000):
+        terms = [{"indices": [k % 2], "coefficient": c} for k, c in enumerate(_monomials(n))]
+        spec = {"grade": 1, "terms": terms}
+        times[n], form = _best_time(lambda: _parse_form(spec, 2, "job.form"))
+        assert sum(len(p.terms) for p in form.terms.values()) == n
+    assert times[8000] / times[2000] < 8, times
+
+
+def test_form_terms_keep_their_own_checks_and_paths():
+    spec = {"grade": 1, "terms": [{"indices": [0], "coefficient": "x"}, {"indices": [0, 1], "coefficient": "1"}]}
+    with pytest.raises(ValueError, match=r"job.form.terms\[1\]: index tuple \(0, 1\) has wrong length"):
+        _parse_form(spec, 2, "job.form")
+    spec["terms"][1] = {"indices": [2], "coefficient": "1"}
+    with pytest.raises(ValueError, match=r"job.form.terms\[1\]: index tuple \(2,\) out of range"):
+        _parse_form(spec, 2, "job.form")
+    # terms on the same index tuple add up, and cancelling terms vanish
+    spec["terms"] = [
+        {"indices": [1], "coefficient": "x + y"},
+        {"indices": [0], "coefficient": "2"},
+        {"indices": [1], "coefficient": "-x"},
+        {"indices": [0], "coefficient": "-2"},
+    ]
+    form = _parse_form(spec, 2, "job.form")
+    assert form.terms == {(1,): parse_poly_expr("y", ["x", "y"])}
+
+
 @pytest.mark.parametrize("name", ["z2_criterion", "so2_gauge", "symplectic_r4"])
 def test_coefficient_beyond_float_range_is_a_validation_error(name):
     job = _builtin(name)
@@ -317,6 +434,21 @@ def test_cli_writes_report_file(tmp_path, capsys):
     report = json.loads(out_path.read_text(encoding="utf-8"))
     assert report["status"] == "ok"
     assert "-> " in capsys.readouterr().out
+
+
+def test_cli_unwritable_out_is_refused_before_the_job_runs(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the job ran although its report could not be written")
+
+    monkeypatch.setattr(cli, "run_job", never)
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        code = run(["basis", "--job", "builtin:solenoid_basis", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION_ERROR
+        assert captured.err.startswith("error: cannot write report: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_missing_file(capsys):
