@@ -19,8 +19,8 @@ sum is no higher than its terms).  The degree in ``a`` of a product, a
 quotient or a power (the larger of its numerator and denominator degree)
 is predicted before it is computed and bounded the same way, so
 ``(a*a*a)^100`` and ``(1+a)*(1+a)*...`` with 300 factors are refused too.
-Numbers are ASCII digits, at most ``MAX_DIGITS`` of them; the digits of a
-product, a quotient or a power are predicted and bounded the same way.
+Numbers are ASCII digits, at most ``MAX_DIGITS`` of them, as are those of a
+coefficient; those of a product, a quotient or a power are predicted first.
 Parentheses and unary minus signs nest fewer than ``MAX_NESTING`` deep.  A hostile expression is thus a parse
 error rather than a blown interpreter stack, or a power or a product that
 exhausts memory or time.
@@ -75,6 +75,7 @@ MAX_EXPONENT = 256
 # Most digits of a literal, and of any numerator or denominator a product,
 # quotient or power is predicted to have: Python prints no longer int.
 MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
 _DIGITS = "0123456789"
 
 
@@ -173,6 +174,8 @@ class _Parser:
                 f"unexpected {tok.text!r}; expected '+', '-', '*', '/', '^' or end of input",
                 tok.position,
             )
+        if any(c.height >= _TOO_LONG for c in value.terms.values()):  # a sum is not predicted
+            raise ParseError(f"a coefficient has more than {MAX_DIGITS} digits", 0)
         return value
 
     def _expr(self) -> Polynomial:

@@ -336,6 +336,15 @@ def _negated(terms: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
     return {e: -c for e, c in terms.items()}
 
 
+def add_terms(sums: FormSums, form: Form) -> None:
+    """Add ``form`` into a term map per index tuple, in place."""
+    for indices, poly in form.terms.items():
+        acc = sums.setdefault(indices, {})
+        for exps, c in poly.terms.items():
+            old = acc.get(exps)
+            acc[exps] = c if old is None else old + c
+
+
 def _add_ext_d(sums: FormSums, form: Form) -> None:
     """Add ``d form`` into ``sums``; the form must be below top grade."""
     for indices, coeff in form.terms.items():

@@ -40,7 +40,7 @@ from . import __version__
 from .actions import ActionSpec, AffineMap, GroupNotFiniteError
 from .examples import solenoid_stages
 from .expressions import MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_expr
-from .forms import Form, FormSums, PolyMap, VectorField, render_form
+from .forms import Form, FormSums, PolyMap, VectorField, add_terms, render_form
 from .orbifolds import OrbifoldChart, orbifold_invariant_forms
 from .polynomials import default_var_names, render_poly
 from .solver import TruncationSpec, basic_form_basis, truncated_basic_cohomology
@@ -178,12 +178,10 @@ def _parse_form(spec: Mapping[str, Any], dim: int, path: str) -> Form:
             lambda: parse_poly_expr(coeff_text, names), f"{path}.terms[{i}].coefficient"
         )
         try:
-            Form(dim, grade, {tuple(indices): coeff})  # the checks on one term
+            term_form = Form(dim, grade, {tuple(indices): coeff})
         except ValueError as exc:
             raise JobValidationError(f"{path}.terms[{i}]: {exc}") from None
-        into = sums.setdefault(tuple(indices), {})
-        for exps, c in coeff.terms.items():
-            into[exps] = into[exps] + c if exps in into else c
+        add_terms(sums, term_form)
     return Form._from_sums(dim, grade, sums)
 
 

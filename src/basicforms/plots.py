@@ -121,7 +121,7 @@ class Plot:
 @dataclass(frozen=True)
 class GroupPath:
     """Sampled path of invertible affine maps over a 1-parameter grid; each
-    determinant, by the cofactor expansion of :func:`eval_form`, is >= 1e-12."""
+    sample's |det|, by the cofactor expansion of :func:`eval_form`, is >= 1e-12."""
 
     grid: np.ndarray
     linears: np.ndarray  # (S, n, n)

@@ -34,7 +34,7 @@ from operator import add
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
-from .forms import Form, FormSums, Indices, VectorField, ext_d, interior, lie_derivative
+from .forms import Form, FormSums, Indices, VectorField, add_terms, ext_d, interior, lie_derivative
 from .linalg import Matrix, kernel_basis, rank, stack
 from .polynomials import Exponents, Polynomial, add_product, grlex_key
 from .scalars import ONE, Scalar
@@ -121,15 +121,6 @@ class Window:
         for (exps, indices), c in zip(self.pairs, coords):
             sums.setdefault(indices, {})[exps] = c
         return Form._from_sums(self.dim, self.grade, sums)
-
-
-def _add_terms(sums: FormSums, form: Form) -> None:
-    """Add ``form`` into a term map per index tuple, in place."""
-    for indices, poly in form.terms.items():
-        acc = sums.setdefault(indices, {})
-        for exps, c in poly.terms.items():
-            old = acc.get(exps)
-            acc[exps] = c if old is None else old + c
 
 
 def _add_into(
@@ -255,7 +246,7 @@ def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
     group = chart.group
     sums: FormSums = {}
     for g in group:
-        _add_terms(sums, act_pullback(g, form))
+        add_terms(sums, act_pullback(g, form))
     return Form._from_sums(form.dim, form.grade, sums).scale(Scalar.of(1) / len(group))
 
 

@@ -178,6 +178,14 @@ def test_digits_of_products_quotients_and_powers_are_predicted():
         assert info.value.position == position, text
 
 
+def test_sums_too_long_to_print_are_refused():
+    # sums are not predicted: common denominators are checked at the end
+    primes = [str(10**1500 + k) for k in (1, 3, 7)]
+    assert _p(" + ".join(f"x/{p}" for p in primes[:2])).terms
+    with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+        _p(" + ".join(f"x/{p}" for p in primes))
+
+
 def test_unknown_identifier_lists_known_names():
     with pytest.raises(ParseError, match="x, y"):
         _p("x + z")
