@@ -64,6 +64,12 @@ MAX_GRID_SAMPLES = 1_000_001
 # cap ends within a second, and B5, of order 3840, still fits.
 MAX_CLOSURE_CAP = 4096
 
+# A result coefficient is printed into the report, and Python converts at
+# most MAX_DIGITS digits between int and text; a job whose result has a
+# longer numerator or denominator is refused (exit 2).
+_TOO_LONG = 10**MAX_DIGITS
+
+
 class JobValidationError(ValueError):
     """Well-formed JSON that does not describe a runnable job."""
 
@@ -297,6 +303,9 @@ def _tolerance(job: Mapping[str, Any], tol: float | None, default: float) -> flo
 
 
 def _form_json(form: Form) -> dict:
+    for poly in form.terms.values():
+        _require(all(c.height < _TOO_LONG for c in poly.terms.values()),
+                 f"a result coefficient has more than {MAX_DIGITS} digits")
     names = default_var_names(form.dim)
     return {
         "string": render_form(form, names),

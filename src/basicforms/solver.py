@@ -11,7 +11,14 @@ the stacked constraint matrix.
 Constraint equations are always imposed in a target window large enough to
 hold every image coefficient, so no condition is silently dropped:
 
-* affine invariance: target degree d;
+* invariance under a translation g(x) = x + t: rows of L_t, the Lie
+  derivative along the constant field t, target degree d - 1 (at least 0).
+  g^* = exp(L_t) and L_t is nilpotent on the window, so g^* - id =
+  L_t (1 + L_t/2! + L_t^2/3! + ...) whose second factor is invertible and
+  commutes with L_t.  Both have one kernel, over Q and over Q(a), so the
+  stacked system keeps its row space, its reduced echelon form and its
+  canonical kernel basis;
+* invariance under any other affine map g: rows of g^* - id, target degree d;
 * Lie invariance: target degree d + delta - 1 where delta is the largest
   generator component degree (transport adds delta - 1, Jacobian terms too);
 * horizontality: grade k - 1, target degree d + delta.
@@ -36,7 +43,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form, FormSums, Indices, VectorField, add_terms, ext_d, interior, lie_derivative
 from .linalg import Matrix, kernel_basis, rank, stack
-from .polynomials import Exponents, Polynomial, add_product, grlex_key
+from .polynomials import Exponents, Polynomial, add_product
 from .scalars import ONE, Scalar
 
 if TYPE_CHECKING:  # orbifolds imports this module
@@ -58,14 +65,18 @@ class TruncationSpec:
 
 
 def exponents_upto(num_vars: int, max_degree: int) -> list[Exponents]:
-    """All exponent tuples with total degree <= max_degree, graded-lex order."""
+    """All exponent tuples with total degree <= max_degree, graded-lex order.
+
+    Degree by degree, each in descending lex order: the order of ``grlex_key``.
+    """
     out: list[Exponents] = []
     for total in range(max_degree + 1):
         out.extend(_exponents_of_degree(num_vars, total))
-    return sorted(out, key=grlex_key)
+    return out
 
 
 def _exponents_of_degree(num_vars: int, total: int) -> list[Exponents]:
+    """Exponent tuples of total degree ``total``, in descending lex order."""
     if num_vars == 1:
         return [(total,)]
     out = []
@@ -188,19 +199,36 @@ def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> 
     return Matrix(domain.size, [{j: c for j, c in row.items() if not c.is_zero} for row in rows])
 
 
+def _lie_block(xi: VectorField, domain: Window) -> Matrix:
+    """Rows of L_xi into the window of degree d + delta - 1 (at least 0)."""
+    target_degree = max(domain.max_degree + xi.max_degree() - 1, 0)
+    return _field_block(xi, domain, Window(domain.dim, domain.grade, target_degree), lie=True)
+
+
+def _is_translation(g: AffineMap) -> bool:
+    """Whether the linear part of g is the identity."""
+    rows = enumerate(g.linear)
+    return all(e.is_one if i == j else e.is_zero for i, row in rows for j, e in enumerate(row))
+
+
 def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     """Stacked linear conditions on the window for invariance under every generator.
 
     Block order is fixed: discrete generators first (input order), then
     infinitesimal generators.  A form in the window is invariant iff its
-    coordinate vector is in the kernel.  A discrete generator keeps the
-    window, so its block maps the domain into the domain itself.
+    coordinate vector is in the kernel.  A translation x -> x + t gives the
+    rows of L_t (the constant field t), which have the kernel of g^* - id;
+    any other discrete generator keeps the window, so its block maps the
+    domain into the domain itself.
     """
-    blocks = [_affine_block(g, domain) for g in action.discrete]
-    for xi in action.infinitesimal:
-        target_degree = max(domain.max_degree + xi.max_degree() - 1, 0)
-        target = Window(action.dim, domain.grade, target_degree)
-        blocks.append(_field_block(xi, domain, target, lie=True))
+    blocks = []
+    for g in action.discrete:
+        if _is_translation(g):
+            t = VectorField([Polynomial.constant(domain.dim, c) for c in g.translation])
+            blocks.append(_lie_block(t, domain))
+        else:
+            blocks.append(_affine_block(g, domain))
+    blocks.extend(_lie_block(xi, domain) for xi in action.infinitesimal)
     if not blocks:
         return Matrix.zero(0, domain.size)
     return stack(blocks)

@@ -27,6 +27,11 @@ from basicforms.scalars import Scalar, ScalarLike
 from basicforms.solver import Window, span_matrix
 
 
+# Fewer than one draw in five of rand_affine is singular (about 17% on R^1,
+# under 1% on R^4), so this many refusals in a row means a faulty constructor.
+MAX_AFFINE_DRAWS = 1000
+
+
 def rand_fraction(rng: random.Random, span: int = 6) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
@@ -165,8 +170,12 @@ def rand_vector_field(
 
 
 def rand_affine(rng: random.Random, dim: int, with_param: bool = False) -> AffineMap:
-    """Random invertible exact affine map; retries until the linear part is."""
-    while True:
+    """Random invertible exact affine map; retries until the linear part is.
+
+    A constructor that refuses every map fails after ``MAX_AFFINE_DRAWS``
+    draws instead of looping forever.
+    """
+    for _ in range(MAX_AFFINE_DRAWS):
         rows = [
             [rand_scalar(rng, with_param and rng.random() < 0.3, span=3) for _ in range(dim)]
             for _ in range(dim)
@@ -178,6 +187,7 @@ def rand_affine(rng: random.Random, dim: int, with_param: bool = False) -> Affin
             )
         except ValueError:
             continue
+    raise RuntimeError(f"AffineMap refused {MAX_AFFINE_DRAWS} random maps on R^{dim}")
 
 
 def safe_a0(rng: random.Random, *polys: Polynomial, span: int = 4) -> Fraction:

@@ -20,6 +20,7 @@ from basicforms.actions import (
 from basicforms.forms import Form
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
+import helpers
 from helpers import (
     affine_inverse,
     apply_exact,
@@ -86,6 +87,17 @@ def test_constructor_refuses_exactly_the_singular_matrices():
             assert not singular, rows
             accepted += 1
     assert refused > 60 and accepted > 60
+
+
+def test_random_maps_give_up_on_a_constructor_that_refuses_them_all(monkeypatch):
+    # with no cap, a constructor fault hung every test that draws a map
+    def refuse(rows, translation):
+        raise ValueError("affine map is not invertible")
+
+    monkeypatch.setattr(helpers, "AffineMap", refuse)
+    expected = f"refused {helpers.MAX_AFFINE_DRAWS} random maps on R\\^3"
+    with pytest.raises(RuntimeError, match=expected):
+        rand_affine(random.Random(312), 3)
 
 
 def test_identity_and_translation():

@@ -222,6 +222,25 @@ def test_numbers_python_cannot_print_are_parse_errors(text, message):
     format_report(report)
 
 
+@pytest.mark.parametrize("digits, code", [(2000, EXIT_OK), (2200, EXIT_VALIDATION_ERROR)])
+def test_result_coefficients_python_cannot_print_are_refused(digits, code):
+    # a 2200-digit slope (under the input limit) gives the degree-1 basis a
+    # coefficient of about 4400 digits, which ended in exit 4 when printed
+    job = {
+        "command": "basis",
+        "action": {"dimension": 2, "infinitesimal": [["1", "3" * digits]]},
+        "truncation": {"grade": 1, "max_degree": 1},
+    }
+    began = time.perf_counter()
+    report, exit_code = run_job(job)
+    assert time.perf_counter() - began < 5.0
+    assert exit_code == code, report.get("error")
+    if code == EXIT_VALIDATION_ERROR:
+        message = f"a result coefficient has more than {MAX_DIGITS} digits"
+        assert report["error"] == {"kind": "validation", "message": message}
+    format_report(report)
+
+
 @pytest.mark.parametrize(
     "value",
     ["1e100000000", "1e5000", "-3.5E+4300", "1e1_0000_0000", "1e\u0661\u0660\u0660\u0660\u0660\u0660",

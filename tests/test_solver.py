@@ -7,9 +7,12 @@ Lie derivative zero, contraction zero), and for the worked models the
 expected spans are known in closed form.  The Reynolds operator is
 compared against a literal four-term sum for the quarter-turn group, and
 every constraint block against the per-monomial route of
-``helpers.operator_block`` (one whole image form per window monomial).
+``helpers.operator_block`` (one whole image form per window monomial); a
+translation's L_t block also by reduced row echelon form against the
+oracle's g^* - id.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,9 +29,9 @@ from basicforms.examples import (
 )
 from basicforms import solver
 from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
-from basicforms.linalg import Matrix, stack
+from basicforms.linalg import Matrix, _gauss_jordan, stack
 from basicforms.orbifolds import OrbifoldChart
-from basicforms.polynomials import Polynomial, PowerTable
+from basicforms.polynomials import Polynomial, PowerTable, grlex_key
 from basicforms.scalars import Scalar
 from basicforms.solver import (
     TruncationSpec,
@@ -45,8 +48,12 @@ from helpers import (
     horizontality_blocks,
     invariance_blocks,
     matrix_apply,
+    operator_block,
     rand_affine,
     rand_form,
+    rand_fraction,
+    rand_nonzero_fraction,
+    rand_scalar,
     rand_vector_field,
     spans_equal,
     trivial_action,
@@ -314,14 +321,40 @@ def test_span_matrix_shape():
     assert (m.rows, m.cols) == (w.size, 2)
 
 
-def _assert_blocks_match_the_per_monomial_route(action: ActionSpec, domain: Window) -> None:
-    """The assembly equals the oracle under ``==``, block for block.
+def _translation_field(g: AffineMap) -> VectorField | None:
+    """The constant field t when g is x -> x + t, else None."""
+    if g.linear != AffineMap.identity(g.dim).linear:
+        return None
+    return VectorField([Polynomial.constant(g.dim, t) for t in g.translation])
 
-    Every block's row count is its target window's size, so equal stacks
-    are equal blocks.
+
+def _lie_target(domain: Window) -> Window:
+    return Window(domain.dim, domain.grade, max(domain.max_degree - 1, 0))
+
+
+def _assert_blocks_match_the_per_monomial_route(action: ActionSpec, domain: Window) -> None:
+    """The assembly against the oracle, block for block.
+
+    ``_affine_block`` equals the oracle's g^* - id under ``==`` for every
+    discrete generator.  A translation by t is assembled as L_t instead:
+    that block equals the oracle's L_t, and its reduced row echelon form
+    equals that of the oracle's g^* - id, so the two have one row space.
+    Every other block equals the oracle's.  Every block's row count is its
+    target window's size, so equal stacks are equal blocks.
     """
+    oracle = invariance_blocks(action, domain)
+    expected = []
+    for g, block in zip(action.discrete, oracle):
+        assert solver._affine_block(g, domain) == block
+        t = _translation_field(g)
+        if t is not None:
+            lie = operator_block(domain, _lie_target(domain), lambda f: lie_derivative(t, f))
+            assert _gauss_jordan(lie) == _gauss_jordan(block)
+            block = lie
+        expected.append(block)
+    expected += oracle[len(action.discrete) :]
     for assembled, blocks in (
-        (invariance_constraints(action, domain), invariance_blocks(action, domain)),
+        (invariance_constraints(action, domain), expected),
         (horizontality_constraints(action, domain), horizontality_blocks(action, domain)),
     ):
         assert assembled == (stack(blocks) if blocks else Matrix.zero(0, domain.size))
@@ -341,15 +374,20 @@ def test_block_assembly_matches_the_per_monomial_route(dim):
     assert dense.linear != AffineMap.identity(dim).linear and dense.uses_parameter
     assert any(xi.max_degree() >= 1 and xi.uses_parameter for xi in fields)
     # a shear plus a translation: sparse and rational, cheap at every degree
+    # (on R^1 it is a translation)
     shear = AffineMap.from_rows(
         [[1 if j == i else (2 if j == i + 1 else 0) for j in range(dim)] for i in range(dim)],
         [Fraction(1, 2)] * dim,
+    )
+    # a translation over Q(a), assembled as L_t
+    lattice = AffineMap.translation_by(
+        [Scalar.parameter() - rand_fraction(rng, 3)] + [rand_scalar(rng) for _ in range(dim - 1)]
     )
     for grade in range(dim + 1):
         for degree in range(4):
             # a dense 4x4 map over Q(a) costs seconds per degree-3 window on
             # both routes, all of it in rational-function arithmetic
-            discrete = [shear] if dim == 4 and degree == 3 else [dense, shear]
+            discrete = [shear, lattice] if dim == 4 and degree == 3 else [dense, shear, lattice]
             action = ActionSpec(dim, discrete, fields)
             _assert_blocks_match_the_per_monomial_route(action, Window(dim, grade, degree))
 
@@ -362,6 +400,65 @@ def test_block_assembly_matches_the_per_monomial_route_on_the_examples():
             for degree in range(4 if action.dim < 4 else 3):
                 domain = Window(action.dim, grade, degree)
                 _assert_blocks_match_the_per_monomial_route(action, domain)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_translation_block_has_the_kernel_of_g_star_minus_id(dim):
+    """For g(x) = x + t the invariance rows are L_t, with the row space of g^* - id.
+
+    g^* = exp(L_t), and L_t is nilpotent on a window, so g^* - id = L_t S
+    with S = 1 + L_t/2! + L_t^2/3! + ... invertible and commuting with
+    L_t.  Checked against the oracle's g^* - id by reduced row echelon
+    form, and by a count made without elimination: for t != 0 the
+    invariant k-forms of degree <= d are the dx_I times the polynomials in
+    the n - 1 coordinates transverse to t.
+    """
+    rng = random.Random(1220 + dim)
+    rationals = [rand_nonzero_fraction(rng) for _ in range(dim)]
+    zero_at = rng.randrange(dim)
+    # one entry in a: elimination over Q(a) costs seconds per entry on R^4
+    translations = [
+        rationals,
+        [Scalar.parameter() - rand_fraction(rng)] + rationals[1:],
+        [0 if i == zero_at else q for i, q in enumerate(rationals)],
+        [0] * dim,
+    ]
+    for offsets in translations:
+        g = AffineMap.translation_by(offsets)
+        action = ActionSpec(dim, [g])
+        moves = any(not t.is_zero for t in g.translation)
+        for grade in range(dim + 1):
+            for degree in range(5):
+                domain = Window(dim, grade, degree)
+                system = invariance_constraints(action, domain)
+                assert system.rows == _lie_target(domain).size
+                (oracle,) = invariance_blocks(action, domain)
+                reduced = _gauss_jordan(system)
+                assert reduced == _gauss_jordan(oracle)
+                invariant = math.comb(dim, grade) * math.comb(dim - moves + degree, degree)
+                assert domain.size - len(reduced) == invariant
+
+
+def test_translations_compose_no_powers(monkeypatch):
+    """A translation-only action never expands x^e o g."""
+    calls = []
+    compose = PowerTable.compose
+    monkeypatch.setattr(PowerTable, "compose", lambda *args: calls.append(args) or compose(*args))
+    bases = []
+    for action in (solenoid_plane(), irrational_torus_line()):
+        assert all(_translation_field(g) is not None for g in action.discrete)
+        for grade in range(action.dim + 1):
+            bases.append((action, basic_form_basis(action, TruncationSpec(grade, 3))))
+    assert calls == []
+    monkeypatch.undo()
+    assert all(_is_basic(action, f) for action, basis in bases for f in basis)
+
+
+def test_exponents_upto_is_every_exponent_in_graded_lex_order():
+    for n in range(1, 6):
+        for d in range(8):
+            every = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d]
+            assert solver.exponents_upto(n, d) == sorted(every, key=grlex_key)
 
 
 def test_assembly_work_grows_with_exponents_plus_index_tuples(monkeypatch):
