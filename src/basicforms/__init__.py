@@ -42,7 +42,7 @@ from .solver import (
 )
 from .expressions import ParseError, parse_poly_expr, parse_scalar_expr
 from .stages import IntertwiningError, StagesReport, stages_check
-from .orbifolds import OrbifoldChart, chart_compatibility_check, orbifold_invariant_forms
+from .orbifolds import OrbifoldChart, orbifold_invariant_forms
 from .jobs import JobValidationError, run_job
 
 # The verification layer imports numpy, which costs more than the rest of
@@ -132,7 +132,6 @@ __all__ = [
     "StagesReport",
     "stages_check",
     "OrbifoldChart",
-    "chart_compatibility_check",
     "orbifold_invariant_forms",
     "HamiltonianModel",
     "LevelSample",

@@ -20,9 +20,6 @@ constraint assembly then prove that answer:
 
 The kernel basis comes from a reduced row echelon form, so it is linearly
 independent; with both checks passing it spans the invariants.
-
-Chart compatibility on overlaps is a structural pullback equality, checked
-exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .actions import ActionSpec, AffineMap, Rows, act_pullback, group_closure
+from .actions import ActionSpec, AffineMap, Rows, group_closure
 from .forms import Form
 from .scalars import ONE, ZERO, Scalar
 from .solver import TruncationSpec, basic_form_basis, reynolds_average
@@ -169,15 +166,3 @@ def _molien_dimension(chart: OrbifoldChart, spec: TruncationSpec) -> int:
         raise RuntimeError(f"Molien's formula gives a non-integer count {total}")
     return int(total.as_fraction())
 
-
-def chart_compatibility_check(
-    transition: AffineMap, alpha_source: Form, alpha_target: Form
-) -> bool:
-    """Exact overlap compatibility: pullback of the target form equals the source.
-
-    ``transition`` maps the source chart into the target chart; the check is
-    the structural equality transition^*(alpha_target) == alpha_source.
-    """
-    if transition.dim != alpha_source.dim or transition.dim != alpha_target.dim:
-        raise ValueError("transition and forms live on different spaces")
-    return act_pullback(transition, alpha_target) == alpha_source

@@ -3,26 +3,34 @@
 The coefficient field for everything symbolic in this package is Q(a), the
 field of rational functions in a single formal parameter ``a`` with rational
 coefficients.  Plain rationals embed as constant functions, so code that never
-mentions ``a`` pays only a small bookkeeping cost over raw ``Fraction``.
+mentions ``a`` pays only a small bookkeeping cost over raw ``int`` and
+``Fraction``.
 
 A :class:`Scalar` is stored as a pair of univariate polynomials (numerator,
-denominator) over ``Fraction``, kept coprime with a monic denominator, so
-structural equality is field equality.  No floats ever enter a ``Scalar``,
-and ``a`` is never floated: :meth:`Scalar.evaluate` gives the float of a
-plain rational only, so a scalar that mentions ``a`` is bound exactly with
+denominator) over Q, kept coprime with a monic denominator, so structural
+equality is field equality.  No floats ever enter a ``Scalar``, and ``a`` is
+never floated: :meth:`Scalar.evaluate` gives the float of a plain rational
+only, so a scalar that mentions ``a`` is bound exactly with
 :meth:`Scalar.bind` first, and raises :class:`UnboundParameterError`
 otherwise.
 
-Rational fast path.  Every scalar whose denominator is 1 holds the one
-module-level tuple ``_UNIT`` as its denominator, so "is a plain rational"
-is an identity test on the denominator plus a numerator of length at most
-one.  When both operands of ``+``, ``-``, ``*`` or ``/`` are rational, the
-operator combines their two ``Fraction`` values directly (after the
-shortcuts for a 0 or 1 operand) and builds the result unchecked; only
-scalars that involve ``a`` go through the univariate polynomial arithmetic
-and the normalising constructor.  Both routes give the same canonical
-form, so which one built a scalar never shows in equality, hashing or
-rendering.  Only ``Fraction``'s public operators are used.
+Rational fast path.  A rational coefficient is a Python ``int`` when it is
+integral and a ``Fraction`` only when its denominator is not 1; ``_q`` keeps
+that form for every stored coefficient, and every coefficient quotient goes
+through ``_div``, which divides two ints exactly (an ``int`` when the
+division is exact, a ``Fraction`` otherwise) so no float can arise.  Every
+scalar whose denominator is 1 holds the one module-level tuple ``_UNIT`` as
+its denominator, so "is a plain rational" is an identity test on the
+denominator plus a numerator of length at most one.  When both operands of
+``+``, ``-``, ``*`` or ``/`` are rational, the operator combines their two
+coefficients directly (after the shortcuts for a 0 or 1 operand) and builds
+the result unchecked; only scalars that involve ``a`` go through the
+univariate polynomial arithmetic and the normalising constructor.  An
+``int`` and a ``Fraction`` of equal value compare and hash equal, so neither
+the coefficient type nor the route that built a scalar shows in equality,
+hashing or rendering, and :meth:`Scalar.as_fraction` still returns a
+``Fraction``.  Only the public operators of ``int`` and ``Fraction`` are
+used.
 """
 
 from __future__ import annotations
@@ -34,26 +42,43 @@ PARAM_NAME = "a"
 
 ScalarLike = Union["Scalar", int, Fraction]
 
-# Univariate polynomials over Fraction: tuple of coefficients, low degree
-# first, no trailing zeros.  () is the zero polynomial.
-Coeffs = tuple[Fraction, ...]
+# A rational coefficient: an int, or a Fraction whose denominator is not 1.
+Rational = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# Univariate polynomials over Q: tuple of coefficients, low degree first, no
+# trailing zeros.  () is the zero polynomial.
+Coeffs = tuple[Rational, ...]
+
 # The denominator of every scalar that does not involve a (see the module
 # docstring): shared, so that the rational test is ``den is _UNIT``.
-_UNIT: Coeffs = (_ONE,)
+_UNIT: Coeffs = (1,)
 
 
 class UnboundParameterError(ValueError):
     """Raised when a numeric evaluation needs a value for the parameter."""
 
 
-def _trim(coeffs: Sequence[Fraction]) -> Coeffs:
+def _q(value: Rational) -> Rational:
+    """The stored form of a rational coefficient: an integral Fraction as its int."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _div(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b; two ints give an int when b divides a."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return a / b
+
+
+def _trim(coeffs: Sequence[Rational]) -> Coeffs:
+    """Drop trailing zeros and put every coefficient in its stored form."""
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
+    return tuple(map(_q, coeffs[:n]))
 
 
 def _uadd(p: Coeffs, q: Coeffs) -> Coeffs:
@@ -71,11 +96,11 @@ def _uneg(p: Coeffs) -> Coeffs:
 def _umul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ()
-    if p == (_ONE,):
+    if p == _UNIT:
         return q
-    if q == (_ONE,):
+    if q == _UNIT:
         return p
-    out = [_ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -84,10 +109,10 @@ def _umul(p: Coeffs, q: Coeffs) -> Coeffs:
     return _trim(out)
 
 
-def _uscale(p: Coeffs, c: Fraction) -> Coeffs:
+def _uscale(p: Coeffs, c: Rational) -> Coeffs:
     if c == 0:
         return ()
-    return tuple(a * c for a in p)
+    return tuple([_q(a * c) for a in p])
 
 
 def _udivmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -97,12 +122,12 @@ def _udivmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
     rem = list(p)
     dq = len(q) - 1
     lead = q[-1]
-    quo = [_ZERO] * max(len(p) - dq, 0)
+    quo = [0] * max(len(p) - dq, 0)
     for i in range(len(rem) - 1, dq - 1, -1):
         c = rem[i]
         if c == 0:
             continue
-        f = c / lead
+        f = _div(c, lead)
         quo[i - dq] = f
         for j in range(dq + 1):
             rem[i - dq + j] -= f * q[j]
@@ -115,11 +140,11 @@ def _ugcd(p: Coeffs, q: Coeffs) -> Coeffs:
         p, q = q, _udivmod(p, q)[1]
     if not p:
         return ()
-    return _uscale(p, 1 / p[-1])
+    return _uscale(p, _div(1, p[-1]))
 
 
 def _ueval_fraction(p: Coeffs, value: Fraction) -> Fraction:
-    acc = _ZERO
+    acc = Fraction(0)
     for c in reversed(p):
         acc = acc * value + c
     return acc
@@ -171,18 +196,19 @@ class Scalar:
                 den = _udivmod(den, g)[0]
             lead = den[-1]
             if lead != 1:
-                num = _uscale(num, 1 / lead)
-                den = _uscale(den, 1 / lead)
+                inv = _div(1, lead)
+                num = _uscale(num, inv)
+                den = _uscale(den, inv)
         if len(den) == 1:
             den = _UNIT
         self._num = num
         self._den = den
 
     @staticmethod
-    def _rational(value: Fraction) -> "Scalar":
-        """The scalar of one ``Fraction``, built without the checks of ``__init__``."""
+    def _rational(value: Rational) -> "Scalar":
+        """The scalar of one rational coefficient, built without the checks of ``__init__``."""
         out = object.__new__(Scalar)
-        out._num = (value,) if value else ()
+        out._num = (_q(value),) if value else ()
         out._den = _UNIT
         return out
 
@@ -190,15 +216,16 @@ class Scalar:
     def of(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if type(value) is Fraction:
+        if type(value) is int or type(value) is Fraction:
             return Scalar._rational(value)
+        # bool and other subclasses are stored as a plain int or Fraction
         if isinstance(value, (int, Fraction)):
             return Scalar._rational(Fraction(value))
         raise TypeError(f"cannot coerce {type(value).__name__} to Scalar")
 
     @staticmethod
     def parameter() -> "Scalar":
-        return Scalar((_ZERO, _ONE))
+        return Scalar((0, 1))
 
     def __reduce__(self):
         # rebuilt through __init__, which restores the shared _UNIT
@@ -225,7 +252,8 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise UnboundParameterError(f"scalar {self} depends on the parameter")
-        return self._num[0] if self._num else _ZERO
+        value = self._num[0] if self._num else 0
+        return value if type(value) is Fraction else Fraction(value)
 
     def sign(self) -> int:
         """Sign of the leading numerator coefficient (denominator is monic)."""
@@ -312,7 +340,7 @@ class Scalar:
             if b == 1:
                 return self
             if self._den is _UNIT and len(sn) == 1:
-                return Scalar._rational(sn[0] / b)
+                return Scalar._rational(_div(sn[0], b))
         return Scalar(_umul(sn, o._den), _umul(self._den, on))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
@@ -334,9 +362,11 @@ class Scalar:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash(self.as_fraction())
-        return hash((self._num, self._den))
+        # an int hashes like the Fraction of equal value
+        num = self._num
+        if self._den is _UNIT and len(num) <= 1:
+            return hash(num[0]) if num else 0
+        return hash((num, self._den))
 
     def bind(self, value: Fraction) -> "Scalar":
         """Substitute an exact rational for the parameter.
@@ -349,7 +379,7 @@ class Scalar:
             raise ZeroDivisionError(
                 f"denominator of {self} vanishes at {PARAM_NAME} = {value}"
             )
-        return Scalar.of(_ueval_fraction(self._num, value) / den)
+        return Scalar._rational(_ueval_fraction(self._num, value) / den)
 
     def evaluate(self) -> float:
         """Float value; a scalar that mentions ``a`` needs :meth:`bind` first."""

@@ -173,12 +173,14 @@ def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> 
     """Rows of L_xi (``lie``) or of i_xi, from the window into the target window.
 
     i_xi(dx_I) or L_xi(dx_I) is built once per index tuple, and
-    xi(x^e) = sum_j e_j x^(e - 1_j) xi_j once per exponent.
+    xi(x^e) = sum_j e_j x^(e - 1_j) xi_j once per exponent.  A constant
+    field t has L_t(dx_I) = 0, since L_t(dx_i) = d(t_i) = 0.
     """
     unit = {(0,) * domain.dim: ONE}
     op = lie_derivative if lie else interior
+    constant = lie and xi.max_degree() == 0
     pieces = [
-        op(xi, Form._from_sums(domain.dim, domain.grade, {I: unit})).terms
+        {} if constant else op(xi, Form._from_sums(domain.dim, domain.grade, {I: unit})).terms
         for I in domain.index_tuples
     ]
     rows: list[dict[int, Scalar]] = [{} for _ in range(target.size)]
@@ -186,11 +188,13 @@ def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> 
     for e in domain.exponents:
         flow: dict[Exponents, Scalar] = {}  # xi(x^e); i_xi has no such term
         for j, ej in enumerate(e if lie else ()):
-            if ej:
+            terms = xi.component(j).terms
+            if ej and terms:
                 lowered = e[:j] + (ej - 1,) + e[j + 1 :]
-                for h, c in xi.component(j).terms.items():
+                weight = Scalar.of(ej)
+                for h, c in terms.items():
                     f = tuple(map(add, lowered, h))
-                    flow[f] = flow[f] + c * ej if f in flow else c * ej
+                    flow[f] = flow[f] + c * weight if f in flow else c * weight
         for I, piece in zip(domain.index_tuples, pieces):
             _add_into(rows, target._index, col, I, flow)
             for J, coeff in piece.items():

@@ -1,4 +1,4 @@
-"""Finite-group charts: invariant-form bases and overlap compatibility."""
+"""Finite-group charts: invariant-form bases, and pullbacks under a chart transition."""
 
 import random
 from fractions import Fraction
@@ -9,11 +9,7 @@ from basicforms import orbifolds, solver
 from basicforms.actions import ActionSpec, AffineMap, GroupNotFiniteError, act_pullback
 from basicforms.examples import c4_square_chart
 from basicforms.forms import Form
-from basicforms.orbifolds import (
-    OrbifoldChart,
-    chart_compatibility_check,
-    orbifold_invariant_forms,
-)
+from basicforms.orbifolds import OrbifoldChart, orbifold_invariant_forms
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
 from basicforms.solver import TruncationSpec, Window, basic_form_basis
@@ -22,7 +18,6 @@ from helpers import (
     linear_parts,
     molien_counts,
     naive_group,
-    rand_form,
     rand_fraction,
     rand_nonzero_fraction,
     reynolds_span,
@@ -253,34 +248,15 @@ def test_pullbacks_grow_with_the_basis_not_with_the_group_times_the_window(monke
     chart = OrbifoldChart(3, _B3)
     spec = TruncationSpec(1, 4)
     monkeypatch.setattr(solver, "act_pullback", counted)
-    monkeypatch.setattr(orbifolds, "act_pullback", counted)
     basis = orbifold_invariant_forms(chart, spec)
     window = Window(3, 1, 4)
     budget = len(chart.generators) * window.size + len(chart.group) * len(basis)
     assert 0 < len(calls) <= budget < len(chart.group) * window.size
 
 
-def test_compatibility_with_rotation_transition():
-    # the quarter turn preserves the area form but not dx
+def test_quarter_turn_pulls_back_area_but_not_dx():
     r = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
     area = Form.monomial(2, (0, 1), Polynomial.constant(2, 1))
     dx = Form.covector(2, 0)
-    assert chart_compatibility_check(r, area, area)
-    assert not chart_compatibility_check(r, dx, dx)
-    # and dx is compatible when the source side is the rotated covector
-    assert chart_compatibility_check(r, act_pullback(r, dx), dx)
-
-
-def test_compatibility_is_exact_pullback_equality():
-    rng = random.Random(507)
-    r = AffineMap.from_rows([[0, -1], [1, 0]], [1, -2])
-    for _ in range(50):
-        grade = rng.randint(0, 2)
-        target = rand_form(rng, 2, grade, max_degree=2)
-        assert chart_compatibility_check(r, act_pullback(r, target), target)
-
-
-def test_compatibility_dimension_check():
-    r = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
-    with pytest.raises(ValueError, match="different spaces"):
-        chart_compatibility_check(r, Form.covector(1, 0), Form.covector(1, 0))
+    assert act_pullback(r, area) == area
+    assert act_pullback(r, dx) != dx

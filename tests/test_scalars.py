@@ -189,6 +189,56 @@ def test_pickled_scalars_keep_their_canonical_form():
         _assert_same(back * 2 - s, s)
 
 
+def _assert_canonical(s: Scalar) -> None:
+    """Each stored coefficient is an int, or a Fraction whose denominator is not 1."""
+    for c in s._num + s._den:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    if s.is_rational:
+        assert type(s.as_fraction()) is Fraction
+        assert hash(s) == hash(s.as_fraction())
+
+
+def test_coefficients_are_ints_unless_their_denominator_is_not_one():
+    third, two = Scalar.of(1) / 3, Scalar.of(6) / 3
+    assert third._num == (Fraction(1, 3),) and type(two._num[0]) is int
+    assert type(Scalar.of(Fraction(4, 2))._num[0]) is int
+    assert type(Scalar.of(True)._num[0]) is int and Scalar.of(False)._num == ()
+    assert ((A * A - 1) / (A - 1))._num == (1, 1)
+    half_sum = (2 * A + 2) / (4 * A)
+    assert half_sum._num == (Fraction(1, 2), Fraction(1, 2)) and half_sum._den == (0, 1)
+    t = (A * A + 1) / (A - 2)
+    explicit = [
+        third, two, Scalar.of(Fraction(4, 2)), Scalar.of(True), half_sum,
+        (A * A - 1) / (A - 1), t.bind(Fraction(3)), t.bind(Fraction(1, 2)),
+        Scalar.of(2) ** -2, (A + 1) ** -2, half_sum ** -1,
+        pickle.loads(pickle.dumps(half_sum)), pickle.loads(pickle.dumps(two)),
+    ]
+    for s in explicit:
+        _assert_canonical(s)
+
+    rng = random.Random(20261019)
+    for _ in range(600):
+        left, left_raw = rand_operand(rng)
+        right, right_raw = rand_operand(rng)
+        if not isinstance(left, Scalar) and not isinstance(right, Scalar):
+            left = Scalar.of(left)
+        for op, fn in BINARY.items():
+            if op == "/" and not any(right_raw[0]):
+                continue
+            got = fn(left, right)
+            _assert_canonical(got)
+            assert str(got) == str(scalar_oracle(op, left_raw, right_raw))
+        _assert_canonical(-Scalar.of(left))
+        s = rand_scalar(rng)
+        for k in (0, 1, 3) if s.is_zero else (-2, -1, 0, 1, 3):
+            _assert_canonical(s ** k)
+        for a0 in (Fraction(rng.randint(-6, 6)), _safe_point(rng, s)):
+            try:
+                _assert_canonical(s.bind(a0))
+            except ZeroDivisionError:
+                pass
+
+
 def _b(s: Scalar, a0: Fraction) -> Fraction:
     return s.bind(a0).as_fraction()
 
