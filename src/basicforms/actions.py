@@ -112,17 +112,27 @@ class AffineMap:
         return self._poly_map
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: (self . other)(x) = self(other(x))."""
+        """self after other: (self . other)(x) = self(other(x)).
+
+        Only products of two nonzero entries are formed, each added into its
+        output entry: chart generators are mostly zeros.
+        """
         if self.dim != other.dim:
             raise ValueError("composition of maps on different spaces")
-        columns = range(self.dim)
         linear, translation = [], []
         for row, t in zip(self._linear, self._translation):
-            nonzero = [k for k, e in enumerate(row) if not e.is_zero]
-            linear.append(
-                tuple(sum((row[k] * other._linear[k][j] for k in nonzero), ZERO) for j in columns)
-            )
-            translation.append(sum((row[k] * other._translation[k] for k in nonzero), t))
+            out: list[Scalar] = [ZERO] * self.dim
+            for k, e in enumerate(row):
+                if e.is_zero:
+                    continue
+                for j, f in enumerate(other._linear[k]):
+                    if not f.is_zero:
+                        out[j] = out[j] + e * f
+                s = other._translation[k]
+                if not s.is_zero:
+                    t = t + e * s
+            linear.append(tuple(out))
+            translation.append(t)
         return AffineMap._invertible(tuple(linear), tuple(translation))
 
     def __eq__(self, other: object) -> bool:

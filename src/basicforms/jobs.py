@@ -43,7 +43,7 @@ from .expressions import MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_e
 from .forms import Form, FormSums, PolyMap, VectorField, add_terms, render_form
 from .orbifolds import OrbifoldChart, orbifold_invariant_forms
 from .polynomials import default_var_names, render_poly
-from .solver import TruncationSpec, basic_form_basis, truncated_basic_cohomology
+from .solver import TruncationSpec, _basic_cohomology, basic_form_basis
 from .stages import IntertwiningError, stages_check
 
 EXIT_OK = 0
@@ -351,8 +351,7 @@ def _run_cohomology(job, binding: _Binding, tol) -> tuple[dict, bool]:
     _require(max_degree >= 0, "job.max_degree must be nonnegative")
     action = binding.bind(action, "job.action")
     windows = []
-    for d in (max_degree, max_degree + 2):
-        records = truncated_basic_cohomology(action, d)
+    for d, records in _basic_cohomology(action, (max_degree, max_degree + 2)).items():
         windows.append(
             {
                 "max_degree": d,

@@ -31,14 +31,32 @@ i_xi(x^e dx_I) = x^e i_xi(dx_I).  A block builds each polynomial factor
 once per exponent (x^e o g through the map's power table), each covector
 factor once per index tuple, and adds every product straight into its
 sparse rows; the product with x^e is an exponent shift.
+
+Nested windows of one grade come from one elimination.  For d <= D the
+degree-d basis is read off the reduced degree-D system, exactly:
+
+* exponents are graded-lex and one exponent's index tuples are adjacent,
+  so W(k, d) is a column prefix of W(k, D);
+* every block's target window grows with d: degree max(d - 1, 0) for L_t,
+  max(d + delta - 1, 0) for a Lie block, d for g^* - id, and grade k - 1,
+  degree d + delta for horizontality.  So the prefix columns' images lie
+  in the smaller target, and the degree-d system is the degree-D system
+  cut to the prefix, up to zero rows;
+* RREF commutes with taking a column prefix: E M[:, :c] = (E M)[:, :c];
+* the kernel vector of free column f is zero beyond f.  So the degree-d
+  basis is exactly the degree-D vectors whose last nonzero coordinate is
+  below |W(k, d)|, cut to that length;
+* sign normalization reads only the first nonzero coordinate, so the
+  signs agree too, and the bases are equal under ``==``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import add
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form, FormSums, Indices, VectorField, add_terms, ext_d, interior, lie_derivative
@@ -173,8 +191,9 @@ def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> 
     """Rows of L_xi (``lie``) or of i_xi, from the window into the target window.
 
     i_xi(dx_I) or L_xi(dx_I) is built once per index tuple, and
-    xi(x^e) = sum_j e_j x^(e - 1_j) xi_j once per exponent.  A constant
-    field t has L_t(dx_I) = 0, since L_t(dx_i) = d(t_i) = 0.
+    xi(x^e) = sum_j e_j x^(e - 1_j) xi_j once per exponent, from the
+    products e_j xi_j built once for each j and each value 1 <= e_j <= d.
+    A constant field t has L_t(dx_I) = 0, since L_t(dx_i) = d(t_i) = 0.
     """
     unit = {(0,) * domain.dim: ONE}
     op = lie_derivative if lie else interior
@@ -183,18 +202,22 @@ def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> 
         {} if constant else op(xi, Form._from_sums(domain.dim, domain.grade, {I: unit})).terms
         for I in domain.index_tuples
     ]
+    # scaled[j][v - 1] is v * xi_j; i_xi has no xi(x^e) term
+    weights = [Scalar.of(v) for v in range(1, domain.max_degree + 1)] if lie else []
+    scaled = [
+        [{h: c * w for h, c in xi.component(j).terms.items()} for w in weights]
+        for j in range(domain.dim)
+    ]
     rows: list[dict[int, Scalar]] = [{} for _ in range(target.size)]
     col = 0
     for e in domain.exponents:
-        flow: dict[Exponents, Scalar] = {}  # xi(x^e); i_xi has no such term
+        flow: dict[Exponents, Scalar] = {}  # xi(x^e)
         for j, ej in enumerate(e if lie else ()):
-            terms = xi.component(j).terms
-            if ej and terms:
+            if ej:
                 lowered = e[:j] + (ej - 1,) + e[j + 1 :]
-                weight = Scalar.of(ej)
-                for h, c in terms.items():
+                for h, c in scaled[j][ej - 1].items():
                     f = tuple(map(add, lowered, h))
-                    flow[f] = flow[f] + c * weight if f in flow else c * weight
+                    flow[f] = flow[f] + c if f in flow else c
         for I, piece in zip(domain.index_tuples, pieces):
             _add_into(rows, target._index, col, I, flow)
             for J, coeff in piece.items():
@@ -259,11 +282,32 @@ def basic_form_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
     The kernel of the stacked invariance + horizontality matrix, mapped back
     to forms through the monomial window.  Deterministic for a fixed input.
     """
-    domain = Window(action.dim, spec.grade, spec.max_degree)
+    return _basic_form_bases(action, spec.grade, [spec.max_degree])[spec.max_degree]
+
+
+def _basic_form_bases(
+    action: ActionSpec, grade: int, degrees: Iterable[int]
+) -> dict[int, list[Form]]:
+    """The canonical basis of W(grade, d) for every d in ``degrees``, from one elimination.
+
+    Only the system of the largest degree D is assembled and eliminated;
+    see the module docstring for why the basis of each smaller window is
+    the kernel vectors that vanish beyond |W(grade, d)|, exactly.  Each
+    vector becomes a form once, through W(grade, D): the coordinates past
+    the prefix are zero, and zeros are dropped.
+    """
+    wanted = sorted(set(degrees))
+    domain = Window(action.dim, grade, wanted[-1])
     system = stack(
         [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
     )
-    return [domain.combine(vec) for vec in kernel_basis(system)]
+    vectors = kernel_basis(system)
+    forms = [domain.combine(vec) for vec in vectors]
+    bases = {}
+    for d in wanted:
+        size = math.comb(action.dim, grade) * math.comb(action.dim + d, d)
+        bases[d] = [f for f, vec in zip(forms, vectors) if all(c.is_zero for c in vec[size:])]
+    return bases
 
 
 def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
@@ -303,42 +347,56 @@ def truncated_basic_cohomology(action: ActionSpec, max_degree: int) -> list[Coho
     potential in the degree ``max_degree + 1`` window).  These are
     truncation dimensions, not a limit statement.
     """
+    return _basic_cohomology(action, [max_degree])[max_degree]
+
+
+def _basic_cohomology(
+    action: ActionSpec, window_degrees: Sequence[int]
+) -> dict[int, list[CohomologyRecord]]:
+    """The records of :func:`truncated_basic_cohomology` for every window degree.
+
+    Grade k needs the bases of every window degree d, and below the top
+    grade those of every d + 1 for the potentials; all of them come from
+    one elimination per grade, at the largest degree it needs.
+    """
     n = action.dim
-    basics: dict[tuple[int, int], list[Form]] = {}
-    for k in range(n + 1):
-        basics[(k, max_degree)] = basic_form_basis(action, TruncationSpec(k, max_degree))
-        if k < n:  # potentials for grade k + 1 exact forms
-            basics[(k, max_degree + 1)] = basic_form_basis(
-                action, TruncationSpec(k, max_degree + 1)
-            )
-    records = []
-    for k in range(n + 1):
-        basis = basics[(k, max_degree)]
-        dim_basic = len(basis)
-        # rank of d restricted to the basic subspace
-        if k < n:
-            image_window = Window(n, k + 1, max(max_degree - 1, 0))
-            d_matrix = span_matrix(image_window, [ext_d(b) for b in basis])
-            dim_closed = dim_basic - rank(d_matrix)
-        else:
-            dim_closed = dim_basic
-        if k == 0:
-            dim_exact = 0
-        else:
-            potentials = basics[(k - 1, max_degree + 1)]
-            image = span_matrix(Window(n, k, max_degree), [ext_d(b) for b in potentials])
-            dim_exact = rank(image)
-        records.append(
-            CohomologyRecord(
-                grade=k,
-                window_degree=max_degree,
-                dim_basic=dim_basic,
-                dim_closed=dim_closed,
-                dim_exact=dim_exact,
-                dim_cohomology=dim_closed - dim_exact,
-            )
+    bases = [
+        _basic_form_bases(
+            action, k, [*window_degrees, *(d + 1 for d in window_degrees if k < n)]
         )
-    return records
+        for k in range(n + 1)
+    ]
+    out = {}
+    for max_degree in window_degrees:
+        records = []
+        for k in range(n + 1):
+            basis = bases[k][max_degree]
+            dim_basic = len(basis)
+            # rank of d restricted to the basic subspace
+            if k < n:
+                image_window = Window(n, k + 1, max(max_degree - 1, 0))
+                d_matrix = span_matrix(image_window, [ext_d(b) for b in basis])
+                dim_closed = dim_basic - rank(d_matrix)
+            else:
+                dim_closed = dim_basic
+            if k == 0:
+                dim_exact = 0
+            else:
+                potentials = bases[k - 1][max_degree + 1]
+                image = span_matrix(Window(n, k, max_degree), [ext_d(b) for b in potentials])
+                dim_exact = rank(image)
+            records.append(
+                CohomologyRecord(
+                    grade=k,
+                    window_degree=max_degree,
+                    dim_basic=dim_basic,
+                    dim_closed=dim_closed,
+                    dim_exact=dim_exact,
+                    dim_cohomology=dim_closed - dim_exact,
+                )
+            )
+        out[max_degree] = records
+    return out
 
 
 def span_matrix(window: Window, forms: Sequence[Form]) -> Matrix:

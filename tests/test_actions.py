@@ -122,6 +122,49 @@ def test_compose_against_pointwise_application():
         assert hash(AffineMap.from_rows(product.linear, product.translation)) == hash(product)
 
 
+def _dense_product(g: AffineMap, h: AffineMap) -> AffineMap:
+    """g after h, every entry a full row-by-column sum."""
+    n = g.dim
+    rows, shift = g.linear, g.translation
+    return AffineMap.from_rows(
+        [[sum((rows[i][k] * h.linear[k][j] for k in range(n)), Scalar.of(0)) for j in range(n)]
+         for i in range(n)],
+        [sum((rows[i][k] * h.translation[k] for k in range(n)), shift[i]) for i in range(n)],
+    )
+
+
+def _signed_permutation(perm, signs, translation=None) -> AffineMap:
+    rows = [[0] * len(perm) for _ in perm]
+    for i, (j, sign) in enumerate(zip(perm, signs)):
+        rows[i][j] = sign
+    return AffineMap.from_rows(rows, translation or [0] * len(perm))
+
+
+def test_compose_equals_the_dense_product(monkeypatch):
+    rng = random.Random(307)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        g = rand_affine(rng, dim, with_param=dim < 4)
+        h = rand_affine(rng, dim, with_param=dim < 4)
+        assert g.compose(h) == _dense_product(g, h)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        g, h = (
+            _signed_permutation(
+                rng.sample(range(dim), dim),
+                [rng.choice((1, -1)) for _ in range(dim)],
+                [rng.choice((0, 0, rand_fraction(rng, 3), rand_scalar(rng))) for _ in range(dim)],
+            )
+            for _ in range(2)
+        )
+        assert g.compose(h) == _dense_product(g, h)
+    # a B3 chart's closure walks its elements in the same order either way
+    b3 = [_signed_permutation((1, 2, 0), (1, 1, -1)), _signed_permutation((1, 0, 2), (-1, 1, 1))]
+    group = group_closure(b3, cap=48)
+    monkeypatch.setattr(AffineMap, "compose", _dense_product)
+    assert group_closure(b3, cap=48) == group
+
+
 def test_as_poly_map_agrees_with_apply_exact():
     rng = random.Random(303)
     a0 = Fraction(2, 5)
@@ -225,15 +268,9 @@ def test_closure_cap_is_tight():
 
 
 def test_closure_hashes_each_product_once(monkeypatch):
-    def signed_permutation(perm, signs):
-        rows = [[0] * 3 for _ in range(3)]
-        for i, (j, sign) in enumerate(zip(perm, signs)):
-            rows[i][j] = sign
-        return AffineMap.from_rows(rows, [0, 0, 0])
-
     generators = [
-        signed_permutation((1, 2, 0), (1, 1, -1)),
-        signed_permutation((1, 0, 2), (-1, 1, 1)),
+        _signed_permutation((1, 2, 0), (1, 1, -1)),
+        _signed_permutation((1, 0, 2), (-1, 1, 1)),
     ]
     hashes = 0
     original = AffineMap.__hash__

@@ -13,6 +13,7 @@ oracle's g^* - id.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from basicforms.examples import (
 )
 from basicforms import solver
 from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
-from basicforms.linalg import Matrix, _gauss_jordan, stack
+from basicforms.linalg import Matrix, _gauss_jordan, kernel_basis, stack
 from basicforms.orbifolds import OrbifoldChart
 from basicforms.polynomials import Polynomial, PowerTable, grlex_key
 from basicforms.scalars import Scalar
@@ -491,3 +492,105 @@ def test_assembly_work_grows_with_exponents_plus_index_tuples(monkeypatch):
     assert [I for I in calls["covector"] if len(I) == 2] == domain.index_tuples
     for name in ("lie", "interior"):
         assert [next(iter(f.terms)) for f in calls[name]] == domain.index_tuples
+
+
+def _nested_window_actions() -> list[ActionSpec]:
+    """Seeded actions over Q and Q(a): affine maps, fields, translations, examples.
+
+    Dense maps and fields over Q(a) cost minutes at degree 4 on R^2, all
+    of it in rational-function arithmetic, so those over Q(a) are sparse.
+    """
+    rng = random.Random(1230)
+    a = Scalar.parameter()
+    p, q = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    quarter_turn = AffineMap.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]], [0, 0, 0])
+    return [
+        solenoid_plane(),
+        irrational_torus_line(),
+        so2_plane(),
+        ActionSpec(1, [rand_affine(rng, 1, with_param=True)]),
+        ActionSpec(2, [rand_affine(rng, 2)]),
+        ActionSpec(2, [AffineMap.from_rows([[0, -1], [1, 0]], [a, 1])]),
+        ActionSpec(2, [AffineMap.from_rows([[1, a], [0, 1]], [0, 0])]),
+        ActionSpec(2, infinitesimal=[rand_vector_field(rng, 2, max_degree=2)]),
+        ActionSpec(2, infinitesimal=[VectorField([-q, p.scale(a)])]),
+        ActionSpec(3, [AffineMap.translation_by([a - 1, 0, Fraction(2, 3)])]),
+        ActionSpec(3, [quarter_turn], [VectorField([Polynomial.zero(3)] * 2 + [x * x + y * y])]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_nested_window_actions())))
+def test_nested_windows_equal_their_direct_eliminations(case):
+    """Each window of a grade read off the largest one equals its own elimination."""
+    action = _nested_window_actions()[case]
+    n = action.dim
+    for grade in range(n + 1):
+        direct = []
+        for d in range(5):
+            domain = Window(n, grade, d)
+            system = stack(
+                [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
+            )
+            direct.append([domain.combine(vec) for vec in kernel_basis(system)])
+        assert any(direct) or grade > 0  # the constants are invariant
+        for top in range(5):
+            bases = solver._basic_form_bases(action, grade, range(top + 1))
+            assert list(bases) == list(range(top + 1))
+            for d in range(top + 1):
+                assert bases[d] == direct[d]
+
+
+def _count_calls(monkeypatch, module, *names) -> dict[str, int]:
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "job, eliminations", [("solenoid_cohomology", 3), ("solenoid_basis", 1)]
+)
+def test_one_assembly_and_one_elimination_per_grade(monkeypatch, job, eliminations):
+    """The cohomology job's windows d and d + 2 of one grade share one system."""
+    from importlib import resources
+
+    from basicforms.jobs import run_job
+
+    path = resources.files("basicforms") / "jobs_data" / f"{job}.json"
+    counts = _count_calls(monkeypatch, solver, "invariance_constraints", "kernel_basis")
+    _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
+    assert code == 0
+    assert counts == {"invariance_constraints": eliminations, "kernel_basis": eliminations}
+
+
+def test_lie_block_scales_each_component_once_per_exponent_value(monkeypatch):
+    """xi(x^e) takes its products e_j xi_j from one table per component and value."""
+    x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
+    half = Scalar.of(Fraction(1, 2))
+    xi = VectorField([-y + z.scale(half), x - w, w + w - x, z + y.scale(half)])
+    terms = sum(len(c.terms) for c in xi.components)
+    products = 0
+    multiply = Scalar.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    solver._lie_block(xi, Window(4, 2, 0))  # the same dx_I pieces, no xi(x^e) terms
+    pieces = products
+    products = 0
+    block = solver._lie_block(xi, Window(4, 2, 4))
+    monkeypatch.undo()
+    assert 0 < products - pieces <= 4 * 4 * terms
+    domain = Window(4, 2, 4)
+    oracle = operator_block(domain, domain, lambda f: lie_derivative(xi, f))
+    assert block == oracle
