@@ -9,7 +9,8 @@ compared against a literal four-term sum for the quarter-turn group, and
 every constraint block against the per-monomial route of
 ``helpers.operator_block`` (one whole image form per window monomial); a
 translation's L_t block also by reduced row echelon form against the
-oracle's g^* - id.
+oracle's g^* - id.  Every window read off a larger window of its grade
+equals the canonical kernel of its own system.
 """
 
 import itertools
