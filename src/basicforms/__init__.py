@@ -116,30 +116,12 @@ __all__ = [
     "ParseError",
     "parse_poly_expr",
     "parse_scalar_expr",
-    "DeviationReport",
-    "GridTooCoarseError",
-    "GroupPath",
-    "Plot",
-    "builtin_gauge",
-    "builtin_plot",
-    "criterion_check",
-    "default_line_grid",
-    "gauge_names",
-    "plot_names",
-    "pullback_along_plot",
-    "smooth_gauge_check",
     "IntertwiningError",
     "StagesReport",
     "stages_check",
     "OrbifoldChart",
     "orbifold_invariant_forms",
-    "HamiltonianModel",
-    "LevelSample",
-    "RestrictionReport",
-    "builtin_model",
-    "level_restriction_check",
-    "model_names",
-    "momentum_residual",
     "JobValidationError",
     "run_job",
+    *_NUMERIC_NAMES,
 ]

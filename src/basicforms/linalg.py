@@ -6,8 +6,9 @@ solver builds are mostly zeros.  One sparse Gauss-Jordan elimination
 serves every routine here: rows are taken in order, each is reduced
 against the rows already accepted, and a row that stays nonzero is
 accepted with its first nonzero column as pivot, scaled to a unit pivot
-and used to clear that column from the earlier rows.  Rank, kernels and
-span tests are all read off its result, so every routine is deterministic.
+and used to clear that column from the earlier rows.  Ranks, the ranks
+of column prefixes and kernels are all read off its result, so every
+routine is deterministic.
 
 Kernel bases are canonical: they come from the reduced row echelon form
 (one basis vector per free column, in column order) and each vector is
@@ -16,7 +17,8 @@ scaled so its first nonzero coordinate has positive leading coefficient.
 
 from __future__ import annotations
 
-from typing import Sequence
+from bisect import bisect_left
+from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar, ScalarLike
 
@@ -71,18 +73,6 @@ class Matrix:
 
     def row_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self._rows)]
-
-    def stack_right(self, other: "Matrix") -> "Matrix":
-        if self._rows != other._rows:
-            raise ValueError("row count mismatch in horizontal stack")
-        shift = self._cols
-        return Matrix(
-            self._cols + other._cols,
-            [
-                {**mine, **{j + shift: e for j, e in theirs.items()}}
-                for mine, theirs in zip(self._data, other._data)
-            ],
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -182,13 +172,14 @@ def kernel_basis(matrix: Matrix) -> list[Vector]:
     return basis
 
 
-def column_span_ranks(first: Matrix, second: Matrix) -> tuple[int, int, int]:
-    """Ranks of ``first``, ``second`` and of the two side by side.
+def prefix_ranks(matrix: Matrix, widths: Iterable[int]) -> list[int]:
+    """Rank of each column prefix ``matrix[:, :w]``, all from one elimination.
 
-    The columns of ``second`` lie in the span of ``first`` exactly when the
-    last rank equals the first; the spans are equal when all three agree.
+    Row operations commute with taking a column prefix, and a prefix of a
+    reduced row echelon form is reduced, so the rank of a prefix is the
+    number of pivot columns below its width.  The columns past ``w`` lie in
+    the span of the first ``w`` exactly when the rank at ``w`` equals the
+    rank of the whole.
     """
-    if first.rows != second.rows:
-        raise ValueError("column spaces live in different dimensions")
-    return rank(first), rank(second), rank(first.stack_right(second))
-
+    pivots = sorted(_gauss_jordan(matrix))
+    return [bisect_left(pivots, w) for w in widths]

@@ -48,6 +48,12 @@ degree-d basis is read off the reduced degree-D system, exactly:
   below |W(k, d)|, cut to that length;
 * sign normalization reads only the first nonzero coordinate, so the
   signs agree too, and the bases are equal under ``==``.
+
+The kernel vectors are in free-column order, so the degree-d basis is a
+prefix of the degree-D basis.  So the rank of a linear map, such as d in
+truncated cohomology, on every smaller basis is the rank of a column
+prefix of its matrix on the degree-D basis: the number of its pivot
+columns below that basis's size, all read off one elimination.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form, FormSums, Indices, VectorField, add_terms, ext_d, interior, lie_derivative
-from .linalg import Matrix, kernel_basis, rank, stack
+from .linalg import Matrix, kernel_basis, prefix_ranks, stack
 from .polynomials import Exponents, Polynomial, add_product
 from .scalars import ONE, Scalar
 
@@ -357,34 +363,30 @@ def _basic_cohomology(
 
     Grade k needs the bases of every window degree d, and below the top
     grade those of every d + 1 for the potentials; all of them come from
-    one elimination per grade, at the largest degree it needs.
+    one elimination per grade, at the largest degree D it needs.  Each
+    basis is a prefix of the degree-D one, so the rank of d on every one
+    of them comes from one more elimination, of d on the degree-D basis.
     """
     n = action.dim
-    bases = [
-        _basic_form_bases(
+    sizes, ranks = [], []  # by grade, then by degree: |basis| and the rank of d on it
+    for k in range(n + 1):
+        bases = _basic_form_bases(
             action, k, [*window_degrees, *(d + 1 for d in window_degrees if k < n)]
         )
-        for k in range(n + 1)
-    ]
+        sizes.append({d: len(basis) for d, basis in bases.items()})
+        if k == n:  # d vanishes on n-forms
+            ranks.append(dict.fromkeys(bases, 0))
+            continue
+        top = max(bases)
+        image = span_matrix(Window(n, k + 1, max(top - 1, 0)), [ext_d(b) for b in bases[top]])
+        ranks.append(dict(zip(bases, prefix_ranks(image, sizes[k].values()))))
     out = {}
     for max_degree in window_degrees:
         records = []
         for k in range(n + 1):
-            basis = bases[k][max_degree]
-            dim_basic = len(basis)
-            # rank of d restricted to the basic subspace
-            if k < n:
-                image_window = Window(n, k + 1, max(max_degree - 1, 0))
-                d_matrix = span_matrix(image_window, [ext_d(b) for b in basis])
-                dim_closed = dim_basic - rank(d_matrix)
-            else:
-                dim_closed = dim_basic
-            if k == 0:
-                dim_exact = 0
-            else:
-                potentials = bases[k - 1][max_degree + 1]
-                image = span_matrix(Window(n, k, max_degree), [ext_d(b) for b in potentials])
-                dim_exact = rank(image)
+            dim_basic = sizes[k][max_degree]
+            dim_closed = dim_basic - ranks[k][max_degree]
+            dim_exact = ranks[k - 1][max_degree + 1] if k > 0 else 0
             records.append(
                 CohomologyRecord(
                     grade=k,
@@ -400,7 +402,7 @@ def _basic_cohomology(
 
 
 def span_matrix(window: Window, forms: Sequence[Form]) -> Matrix:
-    """Forms as columns in window coordinates (for span comparisons).
+    """Forms as columns in window coordinates, for the ranks of their spans.
 
     The sparse rows are filled straight from each form's terms; no dense
     coordinate vector is built.

@@ -12,8 +12,10 @@ forms on R^n that should descend all the way down:
 
 Route one must land inside route two's span; for degree-1 projections the
 two spans must agree exactly.  Both routes are computed independently and
-compared by exact rank tests; nothing is collapsed into a single
-computation.
+compared by exact ranks.  With the direct forms as the first columns of
+one matrix and the pulled-back forms after them, route one lies in route
+two's span when the direct columns have the rank of the whole matrix;
+one elimination gives both ranks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .actions import ActionSpec, act_pullback
 from .forms import Form, PolyMap, lie_derivative, pullback
-from .linalg import column_span_ranks
+from .linalg import prefix_ranks, rank
 from .solver import TruncationSpec, Window, basic_form_basis, span_matrix
 
 
@@ -101,12 +103,15 @@ def stages_check(
         + [f.max_coefficient_degree() for f in pulled + direct if not f.is_zero]
     )
     window = Window(big.dim, spec.grade, widest)
-    direct_rank, pulled_rank, joined_rank = column_span_ranks(
-        span_matrix(window, direct), span_matrix(window, pulled)
+    direct_rank, joined_rank = prefix_ranks(
+        span_matrix(window, direct + pulled), [len(direct), len(direct) + len(pulled)]
     )
+    span_equal = None
+    if degree == 1:
+        span_equal = direct_rank == joined_rank == rank(span_matrix(window, pulled))
     return StagesReport(
         contained=joined_rank == direct_rank,
-        span_equal=direct_rank == pulled_rank == joined_rank if degree == 1 else None,
+        span_equal=span_equal,
         map_degree=degree,
         induced_dim_downstairs=len(downstairs),
         dim_pulled_back=len(pulled),

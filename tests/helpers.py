@@ -18,13 +18,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from basicforms.actions import ActionSpec, AffineMap, act_pullback
-from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
-from basicforms.linalg import Matrix, column_span_ranks
+from basicforms.forms import Form, PolyMap, VectorField, ext_d, interior, lie_derivative
+from basicforms.linalg import Matrix, rank
 from basicforms.orbifolds import OrbifoldChart
 from basicforms.plots import Plot
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar, ScalarLike
-from basicforms.solver import Window, span_matrix
+from basicforms.solver import (
+    CohomologyRecord,
+    TruncationSpec,
+    Window,
+    basic_form_basis,
+    span_matrix,
+)
 
 
 # Fewer than one draw in five of rand_affine is singular (about 17% on R^1,
@@ -344,9 +350,49 @@ def matrix_apply(matrix: Matrix, vector: Sequence[ScalarLike]) -> tuple[Scalar, 
 
 
 def spans_equal(window: Window, first: Sequence[Form], second: Sequence[Form]) -> bool:
-    """Whether two lists of forms span one subspace of the window."""
-    ranks = column_span_ranks(span_matrix(window, first), span_matrix(window, second))
-    return len(set(ranks)) == 1
+    """Whether two lists of forms span one subspace of the window.
+
+    They do when each list alone has the rank of the two together.
+    """
+    ranks = {rank(span_matrix(window, forms)) for forms in (first, second, [*first, *second])}
+    return len(ranks) == 1
+
+
+def cohomology_records(action: ActionSpec, max_degree: int) -> list[CohomologyRecord]:
+    """Truncated basic cohomology of one window, one basis and one rank at a time.
+
+    Each grade's basis of W(k, d) and potentials' basis of W(k - 1, d + 1)
+    come from their own eliminations, and the ranks of d on the two from two
+    more: the closed forms are the kernel of d on the first, the exact
+    forms its image on the second.
+    """
+    n = action.dim
+    records = []
+    for k in range(n + 1):
+        basis = basic_form_basis(action, TruncationSpec(k, max_degree))
+        dim_basic = len(basis)
+        if k < n:
+            image_window = Window(n, k + 1, max(max_degree - 1, 0))
+            dim_closed = dim_basic - rank(span_matrix(image_window, [ext_d(b) for b in basis]))
+        else:
+            dim_closed = dim_basic
+        if k == 0:
+            dim_exact = 0
+        else:
+            potentials = basic_form_basis(action, TruncationSpec(k - 1, max_degree + 1))
+            image = span_matrix(Window(n, k, max_degree), [ext_d(b) for b in potentials])
+            dim_exact = rank(image)
+        records.append(
+            CohomologyRecord(
+                grade=k,
+                window_degree=max_degree,
+                dim_basic=dim_basic,
+                dim_closed=dim_closed,
+                dim_exact=dim_exact,
+                dim_cohomology=dim_closed - dim_exact,
+            )
+        )
+    return records
 
 
 def reynolds_span(chart: OrbifoldChart, window: Window) -> list[Form]:

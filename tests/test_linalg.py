@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, RREF, kernels and span comparison.
+"""Exact linear algebra: rank, RREF, kernels and the ranks of column prefixes.
 
 Oracle: a deliberately naive dense Fraction-only Gauss-Jordan elimination
 recomputes rank, RREF and the canonical kernel for random rational
@@ -15,8 +15,8 @@ import pytest
 
 from basicforms.linalg import (
     Matrix,
-    column_span_ranks,
     kernel_basis,
+    prefix_ranks,
     rank,
     stack,
 )
@@ -83,12 +83,6 @@ def _from_columns(columns):
 
 def _identity(n):
     return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def _contains(container, candidates):
-    """Whether every column of ``candidates`` lies in the span of ``container``."""
-    first, _, joined = column_span_ranks(container, candidates)
-    return joined == first
 
 
 def _apply_exact(rows, vec):
@@ -167,29 +161,36 @@ def test_parameter_matrices_specialize():
             assert naive_rank(frows) <= generic
 
 
-def test_column_span_relations():
+def _rand_prefix_case(rng, entry, side):
+    """Columns of ``entry(rng)`` values, with zero columns and combinations of earlier ones put in."""
+    nrows = rng.randint(1, side)
+    columns = [[entry(rng) for _ in range(nrows)] for _ in range(rng.randint(1, side))]
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(columns))
+        weights = [entry(rng) for _ in range(at)] if rng.random() < 0.7 else [0] * at
+        columns.insert(at, [sum(w * c[i] for w, c in zip(weights, columns)) for i in range(nrows)])
+    return [list(row) for row in zip(*columns)]
+
+
+def test_prefix_ranks_against_naive_rank_of_every_prefix():
     rng = random.Random(109)
-    for _ in range(60):
-        nrows = rng.randint(2, 5)
-        cols = [[rand_fraction(rng, 4) for _ in range(nrows)] for _ in range(rng.randint(1, 3))]
-        base = _from_columns(cols)
-        # random rational combinations stay inside the span
-        weights = [rand_fraction(rng, 3) for _ in cols]
-        combo = [
-            sum((w * c[i] for w, c in zip(weights, cols)), Fraction(0))
-            for i in range(nrows)
-        ]
-        inside = _from_columns([combo])
-        assert _contains(base, inside)
-        assert len(set(column_span_ranks(base, base.stack_right(inside)))) == 1
+    for _ in range(200):
+        rows = _rand_prefix_case(rng, lambda rng: rand_fraction(rng, 4), side=5)
+        widths = range(len(rows[0]) + 1)
+        expect = [naive_rank([row[:w] for row in rows]) for w in widths]
+        assert prefix_ranks(_as_matrix(rows), widths) == expect
+    # the span of e1 holds e1 again but not e2
+    assert prefix_ranks(Matrix.from_rows([[1, 1, 0], [0, 0, 1]]), [0, 1, 2, 3]) == [0, 1, 1, 2]
 
 
-def test_column_span_strict_containment_detected():
-    e1 = _from_columns([[1, 0]])
-    full = _identity(2)
-    assert _contains(full, e1)
-    assert not _contains(e1, full)
-    assert column_span_ranks(e1, full) == (1, 2, 2)
+def test_prefix_ranks_over_the_parameter_field():
+    rng = random.Random(110)
+    for _ in range(30):
+        rows = _rand_prefix_case(rng, lambda rng: rand_scalar(rng, span=3), side=4)
+        widths = list(range(len(rows[0]) + 1))
+        rng.shuffle(widths)
+        expect = [naive_rank([row[:w] for row in rows]) for w in widths]
+        assert prefix_ranks(Matrix.from_rows(rows), widths) == expect
 
 
 def test_stack_shapes():
@@ -198,6 +199,4 @@ def test_stack_shapes():
     assert stack([a, b]).rows == 3 and stack([a, b]).cols == 3
     with pytest.raises(ValueError):
         stack([a, Matrix.zero(1, 2)])
-    with pytest.raises(ValueError):
-        a.stack_right(Matrix.zero(1, 2))
 

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from basicforms.examples import (
     solenoid_plane,
     z2_line,
 )
-from basicforms import solver
+from basicforms import linalg, solver
 from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
 from basicforms.linalg import Matrix, _gauss_jordan, kernel_basis, stack
 from basicforms.orbifolds import OrbifoldChart
@@ -46,6 +47,7 @@ from basicforms.solver import (
     truncated_basic_cohomology,
 )
 from helpers import (
+    cohomology_records,
     dense_coordinates,
     horizontality_blocks,
     invariance_blocks,
@@ -569,6 +571,91 @@ def test_one_assembly_and_one_elimination_per_grade(monkeypatch, job, eliminatio
     _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
     assert code == 0
     assert counts == {"invariance_constraints": eliminations, "kernel_basis": eliminations}
+
+
+def _count_linalg_calls(monkeypatch, *names) -> dict[str, int]:
+    """Calls of linalg functions, through every package module that binds them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("basicforms.")]
+    for name in names:
+        original = getattr(linalg, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "job, calls",
+    [
+        ("solenoid_cohomology", {"kernel_basis": 3, "prefix_ranks": 2, "rank": 0}),
+        ("stages_solenoid", {"kernel_basis": 2, "prefix_ranks": 1, "rank": 1}),
+    ],
+)
+def test_ranks_are_read_off_pivot_columns(monkeypatch, job, calls):
+    """Cohomology reads every rank of d on a grade off one elimination.
+
+    A stages check reads its direct and joined ranks off one elimination,
+    and the rank of the pulled-back forms off one more.
+    """
+    from importlib import resources
+
+    from basicforms.jobs import run_job
+
+    path = resources.files("basicforms") / "jobs_data" / f"{job}.json"
+    eliminations = _count_calls(monkeypatch, linalg, "_gauss_jordan")
+    counts = _count_linalg_calls(monkeypatch, *calls)
+    _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
+    assert code == 0
+    assert counts == calls
+    assert eliminations == {"_gauss_jordan": sum(calls.values())}
+
+
+def _cohomology_actions() -> list[ActionSpec]:
+    """Seeded actions on R^1 to R^3 over Q and Q(a).
+
+    Lattice translations, a sign flip, rotation fields, flows with slope a
+    and the trivial action.
+    """
+    rng = random.Random(1231)
+    a = Scalar.parameter()
+    x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    one, zero = Polynomial.constant(3, 1), Polynomial.zero(3)
+
+    def lattice(dim):
+        steps = [rand_nonzero_fraction(rng, 3) for _ in range(dim)]
+        return [
+            AffineMap.translation_by([t if i == j else 0 for j in range(dim)])
+            for i, t in enumerate(steps)
+        ]
+
+    return [
+        z2_line(),
+        ActionSpec(1, lattice(1)),
+        irrational_torus_line(),
+        trivial_action(1),
+        ActionSpec(2, lattice(2)),
+        so2_plane(),
+        solenoid_plane(),
+        trivial_action(2),
+        ActionSpec(3, lattice(3)[2:], [VectorField([-y, x, zero])]),
+        ActionSpec(3, lattice(3)[:2], [VectorField([one, one.scale(a), zero])]),
+        trivial_action(3),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_cohomology_actions())))
+def test_cohomology_ranks_equal_their_own_eliminations(case):
+    """Each record read off prefix ranks equals its window's own bases and ranks."""
+    action = _cohomology_actions()[case]
+    for d in range(4):
+        expect = {d: cohomology_records(action, d), d + 2: cohomology_records(action, d + 2)}
+        assert solver._basic_cohomology(action, (d, d + 2)) == expect
 
 
 def test_lie_block_scales_each_component_once_per_exponent_value(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from basicforms.actions import ActionSpec, AffineMap
 from basicforms.examples import solenoid_stages
 from basicforms.forms import PolyMap, pullback
+from basicforms.linalg import rank
 from basicforms.polynomials import Polynomial
-from basicforms.solver import TruncationSpec, Window, basic_form_basis
+from basicforms.solver import TruncationSpec, Window, basic_form_basis, span_matrix
 from basicforms.stages import IntertwiningError, StagesReport, stages_check
 from helpers import spans_equal, trivial_action
 
@@ -113,3 +114,46 @@ def test_stages_specialize_at_rational_slope():
         TruncationSpec(1, 0),
     )
     assert report.passed and report.span_equal is True
+
+
+def _three_rank_verdict(big, projection, induced, spec):
+    """(contained, span_equal) from separate ranks of the direct, pulled-back and joined forms."""
+    degree = max(projection.max_degree(), 1)
+    pulled = [pullback(projection, beta) for beta in basic_form_basis(induced, spec)]
+    direct = basic_form_basis(big, TruncationSpec(spec.grade, spec.max_degree * degree))
+    widest = max(
+        [spec.max_degree * degree]
+        + [f.max_coefficient_degree() for f in pulled + direct if not f.is_zero]
+    )
+    window = Window(big.dim, spec.grade, widest)
+    direct_rank, pulled_rank, joined_rank = (
+        rank(span_matrix(window, forms)) for forms in (direct, pulled, direct + pulled)
+    )
+    span_equal = direct_rank == pulled_rank == joined_rank if degree == 1 else None
+    return joined_rank == direct_rank, span_equal
+
+
+def _stages_cases():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    line = Polynomial.variable(1, 0)
+    flip = ActionSpec(1, discrete=[AffineMap.from_rows([[-1]], [0])])
+    return [
+        (*solenoid_stages(), TruncationSpec(grade, degree))
+        for grade in (0, 1)
+        for degree in (0, 1, 2)
+    ] + [
+        (trivial_action(1), PolyMap(1, [line]), trivial_action(1), TruncationSpec(1, 2)),
+        (trivial_action(2), PolyMap(2, [x]), trivial_action(1), TruncationSpec(1, 1)),
+        (trivial_action(2), PolyMap(2, [x + y]), trivial_action(1), TruncationSpec(0, 2)),
+        (flip, PolyMap(1, [line * line]), trivial_action(1), TruncationSpec(0, 1)),
+        (flip, PolyMap(1, [line * line]), trivial_action(1), TruncationSpec(1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_stages_cases())))
+def test_verdict_equals_the_three_rank_oracle(case):
+    big, projection, induced, spec = _stages_cases()[case]
+    report = stages_check(big, projection, induced, spec)
+    assert (report.contained, report.span_equal) == _three_rank_verdict(
+        big, projection, induced, spec
+    )
