@@ -85,6 +85,13 @@ def _identity(n):
     return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def _contains(container, candidates):
+    """Whether every column of ``candidates`` lies in the span of the columns of ``container``."""
+    joined = _from_columns(container + candidates)
+    first, whole = prefix_ranks(joined, [len(container), len(container) + len(candidates)])
+    return first == whole
+
+
 def _apply_exact(rows, vec):
     return [sum((v * f.as_fraction() for v, f in zip(row, vec)), Fraction(0)) for row in rows]
 
@@ -191,6 +198,29 @@ def test_prefix_ranks_over_the_parameter_field():
         rng.shuffle(widths)
         expect = [naive_rank([row[:w] for row in rows]) for w in widths]
         assert prefix_ranks(Matrix.from_rows(rows), widths) == expect
+
+
+def test_column_span_relations():
+    rng = random.Random(109)
+    for _ in range(60):
+        nrows = rng.randint(2, 5)
+        cols = [[rand_fraction(rng, 4) for _ in range(nrows)] for _ in range(rng.randint(1, 3))]
+        # random rational combinations stay inside the span
+        weights = [rand_fraction(rng, 3) for _ in cols]
+        combo = [
+            sum((w * c[i] for w, c in zip(weights, cols)), Fraction(0))
+            for i in range(nrows)
+        ]
+        assert _contains(cols, [combo])
+        assert _contains(cols + [combo], cols)
+
+
+def test_column_span_strict_containment_detected():
+    e1 = [[1, 0]]
+    full = [[1, 0], [0, 1]]
+    assert _contains(full, e1)
+    assert not _contains(e1, full)
+    assert prefix_ranks(_from_columns(e1 + full), [1, 3]) == [1, 2]
 
 
 def test_stack_shapes():
