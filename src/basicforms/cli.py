@@ -10,24 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 from .jobs import COMMANDS, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR, format_report, run_job
 
 _BUILTIN_PREFIX = "builtin:"
+# Bundled jobs are package data beside this module.  Reading them through
+# the path, not importlib.resources, keeps ``inspect`` unloaded on Python
+# 3.12 and later, where importlib.resources imports it.
+_JOBS_DATA = Path(__file__).with_name("jobs_data")
 
 
 def builtin_job_names() -> list[str]:
-    root = resources.files("basicforms") / "jobs_data"
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.stem for p in _JOBS_DATA.iterdir() if p.suffix == ".json")
 
 
 def _load_job_text(ref: str) -> str:
     if ref.startswith(_BUILTIN_PREFIX):
         name = ref[len(_BUILTIN_PREFIX):]
-        path = resources.files("basicforms") / "jobs_data" / f"{name}.json"
+        path = _JOBS_DATA / f"{name}.json"
         if not path.is_file():
             known = ", ".join(builtin_job_names())
             raise FileNotFoundError(f"no bundled job {name!r}; known: {known}")

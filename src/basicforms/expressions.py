@@ -32,9 +32,8 @@ so job files can point at the offending column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import Polynomial
 from .scalars import PARAM_NAME, Scalar
@@ -49,8 +48,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | ident | op | end
     text: str
     position: int

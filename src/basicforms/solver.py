@@ -60,9 +60,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form, FormSums, Indices, VectorField, add_terms, ext_d, interior, lie_derivative
@@ -74,18 +73,43 @@ if TYPE_CHECKING:  # orbifolds imports this module
     from .orbifolds import OrbifoldChart
 
 
-@dataclass(frozen=True)
 class TruncationSpec:
-    """Window parameters: form grade and maximum coefficient total degree."""
+    """Window parameters: form grade and maximum coefficient total degree.
 
+    Read-only, and equal to another spec with the same two fields.
+    """
+
+    __slots__ = ("grade", "max_degree")
     grade: int
     max_degree: int
 
-    def __post_init__(self) -> None:
-        if self.grade < 0:
+    def __init__(self, grade: int, max_degree: int):
+        if grade < 0:
             raise ValueError("grade must be nonnegative")
-        if self.max_degree < 0:
+        if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
+        object.__setattr__(self, "grade", grade)
+        object.__setattr__(self, "max_degree", max_degree)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grade, self.max_degree) == (other.grade, other.max_degree)
+
+    def __hash__(self) -> int:
+        return hash((self.grade, self.max_degree))
+
+    def __reduce__(self):
+        return TruncationSpec, (self.grade, self.max_degree)
+
+    def __repr__(self) -> str:
+        return f"TruncationSpec(grade={self.grade!r}, max_degree={self.max_degree!r})"
 
 
 def exponents_upto(num_vars: int, max_degree: int) -> list[Exponents]:
@@ -332,8 +356,7 @@ def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
     return Form._from_sums(form.dim, form.grade, sums).scale(Scalar.of(1) / len(group))
 
 
-@dataclass(frozen=True)
-class CohomologyRecord:
+class CohomologyRecord(NamedTuple):
     """Dimensions at one grade of the truncated basic de Rham complex."""
 
     grade: int

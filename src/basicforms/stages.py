@@ -7,8 +7,10 @@ forms on R^n that should descend all the way down:
 * route one: compute the invariant horizontal basis for the induced action
   downstairs and pull it back through pi;
 * route two: compute the invariant horizontal basis for the big action
-  directly, in the window scaled by deg(pi) (pullback multiplies
-  coefficient degrees by at most that factor).
+  directly, in the window of degree p*d + k*(p - 1) for k-forms of degree
+  d downstairs, where p = deg(pi): pullback raises a coefficient of degree
+  d to degree at most p*d, and each dx_i to a 1-form whose coefficients
+  have degree at most p - 1.
 
 Route one must land inside route two's span; for degree-1 projections the
 two spans must agree exactly.  Both routes are computed independently and
@@ -20,7 +22,7 @@ one elimination gives both ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .actions import ActionSpec, act_pullback
 from .forms import Form, PolyMap, lie_derivative, pullback
@@ -36,8 +38,7 @@ class IntertwiningError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class StagesReport:
+class StagesReport(NamedTuple):
     """Outcome of the two-route span comparison."""
 
     contained: bool
@@ -94,7 +95,9 @@ def stages_check(
                     beta,
                 )
 
-    direct_spec = TruncationSpec(spec.grade, spec.max_degree * degree)
+    direct_spec = TruncationSpec(
+        spec.grade, degree * spec.max_degree + spec.grade * (degree - 1)
+    )
     direct = basic_form_basis(big, direct_spec)
 
     # compare in a window wide enough for both routes

@@ -16,6 +16,7 @@ equals the canonical kernel of its own system.
 import itertools
 import json
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -84,6 +85,20 @@ def test_truncation_spec_validation():
     with pytest.raises(ValueError):
         TruncationSpec(1, -1)
     spec = TruncationSpec(1, 3)
+    assert (spec.grade, spec.max_degree) == (1, 3)
+
+
+def test_truncation_spec_is_a_read_only_value():
+    spec = TruncationSpec(grade=1, max_degree=3)
+    assert spec == TruncationSpec(1, 3) and hash(spec) == hash(TruncationSpec(1, 3))
+    assert spec != TruncationSpec(1, 4) and spec != (1, 3)
+    assert repr(spec) == "TruncationSpec(grade=1, max_degree=3)"
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    for name in ("grade", "max_degree", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
     assert (spec.grade, spec.max_degree) == (1, 3)
 
 

@@ -68,6 +68,21 @@ def test_quadratic_projection_claims_containment_only():
     assert report.passed
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_quadratic_projection_widens_the_direct_window_of_one_forms(degree):
+    # pi = x^2 sends t^j dt to 2 x^(2j+1) dx: degree 2d + 1, past the
+    # doubled window.  The direct 1-forms x^e dx invariant under the flip
+    # have e odd, so d + 1 of them reach degree 2d + 1, one per downstairs form
+    flip = ActionSpec(1, discrete=[AffineMap.from_rows([[-1]], [0])])
+    x = Polynomial.variable(1, 0)
+    report = stages_check(
+        flip, PolyMap(1, [x * x]), trivial_action(1), TruncationSpec(1, degree)
+    )
+    assert report.direct_truncation == TruncationSpec(1, 2 * degree + 1)
+    assert report.contained and report.passed
+    assert report.dim_direct == report.dim_pulled_back == degree + 1
+
+
 def test_non_intertwining_projection_raises_with_witness():
     # translation by 1 upstairs, trivial downstairs: pi(x) = x^2 does not
     # commute with the translation, so pulled-back forms fail invariance
@@ -120,9 +135,10 @@ def _three_rank_verdict(big, projection, induced, spec):
     """(contained, span_equal) from separate ranks of the direct, pulled-back and joined forms."""
     degree = max(projection.max_degree(), 1)
     pulled = [pullback(projection, beta) for beta in basic_form_basis(induced, spec)]
-    direct = basic_form_basis(big, TruncationSpec(spec.grade, spec.max_degree * degree))
+    direct_degree = degree * spec.max_degree + spec.grade * (degree - 1)
+    direct = basic_form_basis(big, TruncationSpec(spec.grade, direct_degree))
     widest = max(
-        [spec.max_degree * degree]
+        [direct_degree]
         + [f.max_coefficient_degree() for f in pulled + direct if not f.is_zero]
     )
     window = Window(big.dim, spec.grade, widest)
