@@ -30,9 +30,9 @@ exact commands never load it.
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import math
+import time
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
@@ -564,6 +564,14 @@ def _provenance(binding: _Binding, properness: bool | None) -> dict:
     }
 
 
+def _utc_stamp(t: float) -> str:
+    """``datetime.fromtimestamp(t, timezone.utc).isoformat()``, without importing datetime."""
+    frac, whole = math.modf(t)
+    carry, us = divmod(round(frac * 1e6), 1_000_000)  # half to even, as datetime rounds
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(int(whole) + carry))
+    return stamp + (f".{us:06d}" if us else "") + "+00:00"
+
+
 def run_job(
     job: Mapping[str, Any],
     command: str | None = None,
@@ -577,7 +585,7 @@ def run_job(
     ``parameter`` and ``tolerance`` fields.
     """
     report: dict[str, Any] = {
-        "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "generated_at": _utc_stamp(time.time()),
     }
     try:
         _require(isinstance(job, Mapping), "job must be a JSON object")

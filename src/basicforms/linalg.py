@@ -10,9 +10,11 @@ and used to clear that column from the earlier rows.  Ranks, the ranks
 of column prefixes and kernels are all read off its result, so every
 routine is deterministic.
 
-Kernel bases are canonical: they come from the reduced row echelon form
-(one basis vector per free column, in column order) and each vector is
-scaled so its first nonzero coordinate has positive leading coefficient.
+Kernel bases are canonical: they come from the reduced row echelon form,
+one basis vector per free column, in column order.  A kernel vector is a
+sparse row like the matrix rows: the vector of free column f is 1 at f,
+has no key past f and stores no zero, and it is scaled so its entry at
+its smallest key has positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -140,36 +142,26 @@ def rank(matrix: Matrix) -> int:
     return len(_gauss_jordan(matrix))
 
 
-def _sign_normalize(vector: list[Scalar]) -> Vector:
-    for e in vector:
-        s = e.sign()
-        if s < 0:
-            return tuple(-v for v in vector)
-        if s > 0:
-            break
-    return tuple(vector)
-
-
-def kernel_basis(matrix: Matrix) -> list[Vector]:
-    """Canonical basis of the right null space.
+def kernel_basis(matrix: Matrix) -> list[SparseRow]:
+    """Canonical basis of the right null space, built in one pass over the reduced rows.
 
     One vector per free column, in increasing column order; dimension is
-    always ``cols - rank``.  Each vector is sign-normalized so its first
-    nonzero coordinate is positive (leading numerator coefficient).
+    always ``cols - rank``.  A reduced row with pivot c and an entry v at
+    free column j puts -v at c in the vector of j.  Each vector is
+    sign-normalized so its entry at its smallest key is positive (leading
+    numerator coefficient).
     """
     reduced = _gauss_jordan(matrix)
-    basis: list[Vector] = []
-    for free in range(matrix.cols):
-        if free in reduced:
-            continue
-        vec = [ZERO] * matrix.cols
+    vectors: dict[int, SparseRow] = {f: {} for f in range(matrix.cols) if f not in reduced}
+    for c, row in reduced.items():
+        for j, v in row.items():
+            if j != c:
+                vectors[j][c] = -v
+    for free, vec in vectors.items():
         vec[free] = ONE
-        for c, row in reduced.items():
-            v = row.get(free)
-            if v is not None:
-                vec[c] = -v
-        basis.append(_sign_normalize(vec))
-    return basis
+        if vec[min(vec)].sign() < 0:
+            vectors[free] = {j: -v for j, v in vec.items()}
+    return list(vectors.values())
 
 
 def prefix_ranks(matrix: Matrix, widths: Iterable[int]) -> list[int]:

@@ -24,11 +24,6 @@ Exponents = tuple[int, ...]
 NEG_INF = float("-inf")
 
 
-def grlex_key(exponents: Exponents) -> tuple:
-    """Sort key for graded lexicographic order, ascending."""
-    return (sum(exponents), tuple(-e for e in exponents))
-
-
 def default_var_names(num_vars: int) -> tuple[str, ...]:
     if num_vars <= 4:
         return ("x", "y", "z", "w")[:num_vars]

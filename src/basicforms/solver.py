@@ -43,10 +43,10 @@ degree-d basis is read off the reduced degree-D system, exactly:
   in the smaller target, and the degree-d system is the degree-D system
   cut to the prefix, up to zero rows;
 * RREF commutes with taking a column prefix: E M[:, :c] = (E M)[:, :c];
-* the kernel vector of free column f is zero beyond f.  So the degree-d
-  basis is exactly the degree-D vectors whose last nonzero coordinate is
-  below |W(k, d)|, cut to that length;
-* sign normalization reads only the first nonzero coordinate, so the
+* the kernel vector of free column f has no key past f.  So the degree-d
+  basis is exactly the degree-D vectors whose largest key is below
+  |W(k, d)|;
+* sign normalization reads only the entry at the smallest key, so the
   signs agree too, and the bases are equal under ``==``.
 
 The kernel vectors are in free-column order, so the degree-d basis is a
@@ -115,7 +115,8 @@ class TruncationSpec:
 def exponents_upto(num_vars: int, max_degree: int) -> list[Exponents]:
     """All exponent tuples with total degree <= max_degree, graded-lex order.
 
-    Degree by degree, each in descending lex order: the order of ``grlex_key``.
+    Degree by degree, each in descending lex order: lower total degree
+    first, then earlier variables ranked higher.
     """
     out: list[Exponents] = []
     for total in range(max_degree + 1):
@@ -173,11 +174,13 @@ class Window:
                 out[pos] = coeff
         return out
 
-    def combine(self, coords: Sequence[Scalar]) -> Form:
-        if len(coords) != self.size:
-            raise ValueError("coordinate vector has the wrong length")
-        sums: dict[tuple[int, ...], dict[Exponents, Scalar]] = {}
-        for (exps, indices), c in zip(self.pairs, coords):
+    def combine(self, coords: Mapping[int, Scalar]) -> Form:
+        """The form with these window coordinates by position: the inverse of :meth:`entries`."""
+        sums: FormSums = {}
+        for pos, c in coords.items():
+            if not 0 <= pos < len(self.pairs):
+                raise ValueError(f"position {pos} is outside the window of size {self.size}")
+            exps, indices = self.pairs[pos]
             sums.setdefault(indices, {})[exps] = c
         return Form._from_sums(self.dim, self.grade, sums)
 
@@ -322,9 +325,9 @@ def _basic_form_bases(
 
     Only the system of the largest degree D is assembled and eliminated;
     see the module docstring for why the basis of each smaller window is
-    the kernel vectors that vanish beyond |W(grade, d)|, exactly.  Each
-    vector becomes a form once, through W(grade, D): the coordinates past
-    the prefix are zero, and zeros are dropped.
+    the kernel vectors with no key past |W(grade, d)|, exactly.  Each
+    vector becomes a form once, through W(grade, D), whose first
+    |W(grade, d)| positions are those of W(grade, d).
     """
     wanted = sorted(set(degrees))
     domain = Window(action.dim, grade, wanted[-1])
@@ -336,7 +339,7 @@ def _basic_form_bases(
     bases = {}
     for d in wanted:
         size = math.comb(action.dim, grade) * math.comb(action.dim + d, d)
-        bases[d] = [f for f, vec in zip(forms, vectors) if all(c.is_zero for c in vec[size:])]
+        bases[d] = [f for f, vec in zip(forms, vectors) if max(vec) < size]
     return bases
 
 

@@ -14,10 +14,11 @@ forms on R^n that should descend all the way down:
 
 Route one must land inside route two's span; for degree-1 projections the
 two spans must agree exactly.  Both routes are computed independently and
-compared by exact ranks.  With the direct forms as the first columns of
-one matrix and the pulled-back forms after them, route one lies in route
-two's span when the direct columns have the rank of the whole matrix;
-one elimination gives both ranks.
+compared by exact ranks.  The direct forms are a canonical kernel basis,
+so their rank is their number.  With the pulled-back forms as the first
+columns of one matrix and the direct forms after them, route one lies in
+route two's span when the whole matrix has that rank, and the spans agree
+when the pulled-back columns alone have it too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 from .actions import ActionSpec, act_pullback
 from .forms import Form, PolyMap, lie_derivative, pullback
-from .linalg import prefix_ranks, rank
+from .linalg import prefix_ranks
 from .solver import TruncationSpec, Window, basic_form_basis, span_matrix
 
 
@@ -106,14 +107,14 @@ def stages_check(
         + [f.max_coefficient_degree() for f in pulled + direct if not f.is_zero]
     )
     window = Window(big.dim, spec.grade, widest)
-    direct_rank, joined_rank = prefix_ranks(
-        span_matrix(window, direct + pulled), [len(direct), len(direct) + len(pulled)]
+    pulled_rank, joined_rank = prefix_ranks(
+        span_matrix(window, pulled + direct), [len(pulled), len(pulled) + len(direct)]
     )
     span_equal = None
     if degree == 1:
-        span_equal = direct_rank == joined_rank == rank(span_matrix(window, pulled))
+        span_equal = pulled_rank == joined_rank == len(direct)
     return StagesReport(
-        contained=joined_rank == direct_rank,
+        contained=joined_rank == len(direct),
         span_equal=span_equal,
         map_degree=degree,
         induced_dim_downstairs=len(downstairs),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from basicforms.forms import Form, PolyMap, VectorField, ext_d, interior, lie_de
 from basicforms.linalg import Matrix, rank
 from basicforms.orbifolds import OrbifoldChart
 from basicforms.plots import Plot
-from basicforms.polynomials import Polynomial
+from basicforms.polynomials import Exponents, Polynomial
 from basicforms.scalars import Scalar, ScalarLike
 from basicforms.solver import (
     CohomologyRecord,
@@ -36,6 +36,11 @@ from basicforms.solver import (
 # Fewer than one draw in five of rand_affine is singular (about 17% on R^1,
 # under 1% on R^4), so this many refusals in a row means a faulty constructor.
 MAX_AFFINE_DRAWS = 1000
+
+
+def grlex_key(exponents: Exponents) -> tuple:
+    """Sort key for graded lexicographic order, ascending: the oracle of ``exponents_upto``."""
+    return (sum(exponents), tuple(-e for e in exponents))
 
 
 def rand_fraction(rng: random.Random, span: int = 6) -> Fraction:
@@ -333,18 +338,10 @@ def horizontality_blocks(action: ActionSpec, domain: Window) -> list[Matrix]:
     ]
 
 
-def dense_coordinates(window: Window, form: Form) -> list[Scalar]:
-    """Every window coordinate of a form, zeros included, in window order."""
-    coords = [Scalar.of(0)] * window.size
-    for pos, coeff in window.entries(form).items():
-        coords[pos] = coeff
-    return coords
-
-
-def matrix_apply(matrix: Matrix, vector: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-    """Matrix times a column vector, summed entry by entry."""
+def matrix_apply(matrix: Matrix, vector: Mapping[int, ScalarLike]) -> tuple[Scalar, ...]:
+    """Matrix times a sparse column vector ``{column: value}``, summed entry by entry."""
     return tuple(
-        sum((e * Scalar.of(v) for e, v in zip(matrix.row(i), vector)), Scalar.of(0))
+        sum((matrix.row(i)[j] * Scalar.of(v) for j, v in vector.items()), Scalar.of(0))
         for i in range(matrix.rows)
     )
 

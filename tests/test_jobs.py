@@ -25,6 +25,7 @@ from basicforms.jobs import (
     MAX_CLOSURE_CAP,
     MAX_GRID_SAMPLES,
     _parse_form,
+    _utc_stamp,
     format_report,
     run_job,
 )
@@ -97,6 +98,36 @@ def test_report_is_deterministic_up_to_timestamp():
         r1.pop("generated_at")
         r2.pop("generated_at")
         assert format_report(r1) == format_report(r2), name
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        0.0,
+        1760000000.0,  # microsecond 0: no fraction
+        1760000000.25,
+        1760000000.0000005,  # 0.48 microseconds: no fraction
+        1760000000.9999996,  # rounds up into the next second
+        0.0000025,  # exactly 2.5 microseconds after the scaling: half to even, 2
+        0.0000035,  # and 4
+        951782400.123456,  # 29 February 2000
+        4102444799.999999,
+        -1.5,
+    ],
+)
+def test_generated_at_stamp_matches_datetime(t):
+    from datetime import datetime, timezone
+
+    assert _utc_stamp(t) == datetime.fromtimestamp(t, timezone.utc).isoformat()
+
+
+def test_generated_at_is_an_isoformat_utc_stamp():
+    from datetime import datetime
+
+    report, _ = run_job(_builtin("solenoid_basis"))
+    stamp = report["generated_at"]
+    assert stamp.endswith("+00:00")
+    assert datetime.fromisoformat(stamp).isoformat() == stamp
 
 
 def test_format_report_round_trips_through_json():

@@ -93,7 +93,19 @@ def _contains(container, candidates):
 
 
 def _apply_exact(rows, vec):
-    return [sum((v * f.as_fraction() for v, f in zip(row, vec)), Fraction(0)) for row in rows]
+    return [sum((row[j] * v.as_fraction() for j, v in vec.items()), Fraction(0)) for row in rows]
+
+
+def _sparse_vector(vec):
+    return {j: Scalar.of(v) for j, v in enumerate(vec) if v != 0}
+
+
+def _from_sparse_columns(columns, height):
+    rows = [{} for _ in range(height)]
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            rows[i][j] = v
+    return Matrix(len(columns), rows)
 
 
 def test_rank_against_naive_oracle():
@@ -110,14 +122,14 @@ def test_kernel_soundness_and_dimension():
         mat = _as_matrix(rows)
         basis = kernel_basis(mat)
         # the canonical kernel, not just some kernel, matches the naive oracle
-        assert basis == [tuple(Scalar.of(v) for v in vec) for vec in naive_kernel(rows)]
+        assert basis == [_sparse_vector(vec) for vec in naive_kernel(rows)]
         # rank-nullity against the naive oracle
         assert len(basis) == len(rows[0]) - naive_rank(rows)
         for vec in basis:
             assert all(v == 0 for v in _apply_exact(rows, vec))
         # exact linear independence of the returned vectors
         if basis:
-            assert rank(_from_columns(basis)) == len(basis)
+            assert rank(_from_sparse_columns(basis, len(rows[0]))) == len(basis)
 
 
 def test_kernel_sign_normalization():
@@ -126,8 +138,7 @@ def test_kernel_sign_normalization():
     for _ in range(100):
         rows = _rand_fraction_matrix(rng)
         for vec in kernel_basis(_as_matrix(rows)):
-            first = next(v for v in vec if not v.is_zero)
-            assert first.sign() == 1
+            assert vec[min(vec)].sign() == 1
             seen_nonzero += 1
     assert seen_nonzero > 50  # the loop actually exercised kernels
 
@@ -144,7 +155,39 @@ def test_parameter_kernel_golden():
     a = Scalar.parameter()
     mat = Matrix.from_rows([[Scalar.of(1), a]])
     (vec,) = kernel_basis(mat)
-    assert vec == (a, Scalar.of(-1))
+    assert vec == {0: a, 1: Scalar.of(-1)}
+
+
+def test_kernel_vectors_have_canonical_shape():
+    rng = random.Random(106)
+    seen = 0
+    for with_param in (False, True):
+        for _ in range(100):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+            mat = Matrix.from_rows(
+                [
+                    [rand_scalar(rng, with_param=with_param, span=3) if rng.random() < 0.5 else 0
+                     for _ in range(ncols)]
+                    for _ in range(nrows)
+                ]
+            )
+            ranks = prefix_ranks(mat, range(ncols + 1))
+            pivots = {c for c in range(ncols) if ranks[c + 1] > ranks[c]}
+            free = [c for c in range(ncols) if c not in pivots]
+            basis = kernel_basis(mat)
+            assert len(basis) == ncols - rank(mat) == len(free)
+            for f, vec in zip(free, basis):
+                assert not any(v.is_zero for v in vec.values())
+                assert vec[f] in (Scalar.of(1), Scalar.of(-1))
+                assert all(j in pivots and j < f for j in vec if j != f)
+                assert vec[min(vec)].sign() > 0
+                seen += len(vec) > 1
+    assert seen > 100  # the loop saw vectors with pivot entries
+
+
+def test_kernel_of_a_wide_zero_matrix_is_the_unit_vectors():
+    one = Scalar.of(1)
+    assert kernel_basis(Matrix.zero(1, 3000)) == [{f: one} for f in range(3000)]
 
 
 def test_parameter_matrices_specialize():

@@ -23,7 +23,7 @@ EXACT_JOBS = (
 )
 
 # Modules whose import cost the exact path must not pay.
-SLOW_MODULES = ("numpy", "dataclasses", "inspect")
+SLOW_MODULES = ("numpy", "dataclasses", "inspect", "datetime")
 
 # Prints, after each step, the step, its exit code and which of the slow
 # modules are loaded.  It reads the bundled jobs by path: on Python 3.12 and

@@ -17,11 +17,18 @@ from basicforms.polynomials import (
     Polynomial,
     PowerTable,
     default_var_names,
-    grlex_key,
     render_poly,
 )
 from basicforms.scalars import Scalar, UnboundParameterError
-from helpers import compose_terms, eval_poly_exact, rand_affine, rand_fraction, rand_poly, safe_a0
+from helpers import (
+    compose_terms,
+    eval_poly_exact,
+    grlex_key,
+    rand_affine,
+    rand_fraction,
+    rand_poly,
+    safe_a0,
+)
 
 
 def _point(rng, n):

@@ -35,7 +35,7 @@ from basicforms import linalg, solver
 from basicforms.forms import Form, PolyMap, VectorField, interior, lie_derivative
 from basicforms.linalg import Matrix, _gauss_jordan, kernel_basis, stack
 from basicforms.orbifolds import OrbifoldChart
-from basicforms.polynomials import Polynomial, PowerTable, grlex_key
+from basicforms.polynomials import Polynomial, PowerTable
 from basicforms.scalars import Scalar
 from basicforms.solver import (
     TruncationSpec,
@@ -49,7 +49,7 @@ from basicforms.solver import (
 )
 from helpers import (
     cohomology_records,
-    dense_coordinates,
+    grlex_key,
     horizontality_blocks,
     invariance_blocks,
     matrix_apply,
@@ -118,7 +118,14 @@ def test_window_round_trip():
         grade = rng.randint(0, dim)
         w = Window(dim, grade, 3)
         form = rand_form(rng, dim, grade, max_degree=3, with_param=True)
-        assert w.combine(dense_coordinates(w, form)) == form
+        assert w.combine(w.entries(form)) == form
+
+
+def test_window_combine_refuses_positions_outside():
+    w = Window(2, 1, 1)
+    for pos in (-1, w.size):
+        with pytest.raises(ValueError, match="outside"):
+            w.combine({pos: Scalar.of(1)})
 
 
 def test_window_rejects_out_of_window_terms():
@@ -153,7 +160,7 @@ def test_constraint_kernel_matches_direct_conditions():
         spec = TruncationSpec(grade, rng.randint(0, 2))
         w = Window(action.dim, grade, spec.max_degree)
         form = rand_form(rng, action.dim, grade, max_degree=spec.max_degree)
-        coords = dense_coordinates(w, form)
+        coords = w.entries(form)
         system = stack(
             [invariance_constraints(action, w), horizontality_constraints(action, w)]
         )
@@ -609,14 +616,15 @@ def _count_linalg_calls(monkeypatch, *names) -> dict[str, int]:
     "job, calls",
     [
         ("solenoid_cohomology", {"kernel_basis": 3, "prefix_ranks": 2, "rank": 0}),
-        ("stages_solenoid", {"kernel_basis": 2, "prefix_ranks": 1, "rank": 1}),
+        ("stages_solenoid", {"kernel_basis": 2, "prefix_ranks": 1, "rank": 0}),
     ],
 )
 def test_ranks_are_read_off_pivot_columns(monkeypatch, job, calls):
     """Cohomology reads every rank of d on a grade off one elimination.
 
-    A stages check reads its direct and joined ranks off one elimination,
-    and the rank of the pulled-back forms off one more.
+    A stages check reads its pulled-back and joined ranks off one
+    elimination; the direct forms are a canonical kernel basis, so their
+    rank is their number.
     """
     from importlib import resources
 
