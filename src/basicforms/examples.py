@@ -58,7 +58,7 @@ def so2_plane() -> ActionSpec:
 
 def c4_square_chart() -> OrbifoldChart:
     quarter_turn = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
-    return OrbifoldChart(2, [quarter_turn], label="c4", cap=8)
+    return OrbifoldChart(2, [quarter_turn], cap=8)
 
 
 def solenoid_stages() -> tuple[ActionSpec, PolyMap, ActionSpec]:

@@ -38,7 +38,6 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .actions import ActionSpec, AffineMap, GroupNotFiniteError
-from .examples import solenoid_stages
 from .expressions import MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_expr
 from .forms import Form, FormSums, PolyMap, VectorField, add_terms, render_form
 from .orbifolds import OrbifoldChart, orbifold_invariant_forms
@@ -99,9 +98,15 @@ def _get(mapping: Mapping[str, Any], key: str, kind, path: str, default=None, re
     return value
 
 
-def _wrap_expr(parse: Callable[[], Any], path: str):
+def _expr(value: Any, path: str, names: Sequence[str] | None = None):
+    """``value`` parsed as a scalar, or as a polynomial in ``names`` if given.
+
+    A parse error is re-raised with ``path`` in front of its message.
+    """
     try:
-        return parse()
+        if names is None:
+            return parse_scalar_expr(str(value))
+        return parse_poly_expr(str(value), names)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc.message}", exc.position) from None
 
@@ -115,23 +120,18 @@ def _parse_affine(spec: Mapping[str, Any], dim: int, path: str) -> AffineMap:
     for i, row in enumerate(matrix):
         _require(isinstance(row, list) and len(row) == dim,
                  f"{path}.matrix[{i}] must have {dim} entries")
-        rows.append([
-            _wrap_expr(lambda e=e: parse_scalar_expr(str(e)), f"{path}.matrix[{i}]")
-            for e in row
-        ])
+        rows.append([_expr(e, f"{path}.matrix[{i}]") for e in row])
     _require(len(translation) == dim, f"{path}.translation must have {dim} entries")
-    shift = [
-        _wrap_expr(lambda e=e: parse_scalar_expr(str(e)), f"{path}.translation")
-        for e in translation
-    ]
+    shift = [_expr(e, f"{path}.translation") for e in translation]
     try:
         return AffineMap.from_rows(rows, shift)
     except ValueError as exc:
         raise JobValidationError(f"{path}: {exc}") from None
 
 
-def _parse_action(spec: Mapping[str, Any], path: str) -> ActionSpec:
-    _require(isinstance(spec, dict), f"{path} must be an object")
+def _parse_action(job: Mapping[str, Any], key: str) -> ActionSpec:
+    spec = _get(job, key, dict, "job", required=True)
+    path = f"job.{key}"
     dim = _get(spec, "dimension", int, path, required=True)
     _require(dim >= 1, f"{path}.dimension must be positive")
     names = default_var_names(dim)
@@ -142,31 +142,25 @@ def _parse_action(spec: Mapping[str, Any], path: str) -> ActionSpec:
     for i, comps in enumerate(_get(spec, "infinitesimal", list, path, default=[])):
         _require(isinstance(comps, list) and len(comps) == dim,
                  f"{path}.infinitesimal[{i}] must list {dim} components")
-        polys = [
-            _wrap_expr(
-                lambda c=c: parse_poly_expr(str(c), names),
-                f"{path}.infinitesimal[{i}]",
-            )
-            for c in comps
-        ]
-        infinitesimal.append(VectorField(polys))
+        infinitesimal.append(
+            VectorField([_expr(c, f"{path}.infinitesimal[{i}]", names) for c in comps])
+        )
     _require(bool(discrete) or bool(infinitesimal),
              f"{path} must give at least one generator")
     return ActionSpec(dim, discrete=discrete, infinitesimal=infinitesimal)
 
 
-def _parse_truncation(spec: Mapping[str, Any], path: str) -> TruncationSpec:
-    _require(isinstance(spec, dict), f"{path} must be an object")
-    grade = _get(spec, "grade", int, path, required=True)
-    max_degree = _get(spec, "max_degree", int, path, required=True)
+def _parse_truncation(job: Mapping[str, Any]) -> TruncationSpec:
+    spec = _get(job, "truncation", dict, "job", required=True)
+    grade = _get(spec, "grade", int, "job.truncation", required=True)
+    max_degree = _get(spec, "max_degree", int, "job.truncation", required=True)
     try:
         return TruncationSpec(grade, max_degree)
     except ValueError as exc:
-        raise JobValidationError(f"{path}: {exc}") from None
+        raise JobValidationError(f"job.truncation: {exc}") from None
 
 
 def _parse_form(spec: Mapping[str, Any], dim: int, path: str) -> Form:
-    _require(isinstance(spec, dict), f"{path} must be an object")
     grade = _get(spec, "grade", int, path, required=True)
     _require(0 <= grade <= dim, f"{path}.grade out of range for dimension {dim}")
     names = default_var_names(dim)
@@ -180,9 +174,7 @@ def _parse_form(spec: Mapping[str, Any], dim: int, path: str) -> Form:
             f"{path}.terms[{i}].indices must be integers",
         )
         coeff_text = _get(term, "coefficient", str, f"{path}.terms[{i}]", required=True)
-        coeff = _wrap_expr(
-            lambda: parse_poly_expr(coeff_text, names), f"{path}.terms[{i}].coefficient"
-        )
+        coeff = _expr(coeff_text, f"{path}.terms[{i}].coefficient", names)
         try:
             term_form = Form(dim, grade, {tuple(indices): coeff})
         except ValueError as exc:
@@ -195,7 +187,6 @@ def _parse_grid(spec: Mapping[str, Any] | None, path: str) -> dict[str, Any]:
     """The arguments of ``plots.default_line_grid`` for job.grid (none if absent)."""
     if spec is None:
         return {}
-    _require(isinstance(spec, dict), f"{path} must be an object")
     start = _get(spec, "start", float, path, required=True)
     stop = _get(spec, "stop", float, path, required=True)
     count = _get(spec, "count", int, path, required=True)
@@ -332,8 +323,8 @@ def _deviation_json(report) -> dict:
 
 
 def _run_basis(job: Mapping[str, Any], binding: _Binding, tol: float | None) -> tuple[dict, bool]:
-    action = _parse_action(_get(job, "action", dict, "job", required=True), "job.action")
-    spec = _parse_truncation(_get(job, "truncation", dict, "job", required=True), "job.truncation")
+    action = _parse_action(job, "action")
+    spec = _parse_truncation(job)
     _require(spec.grade <= action.dim,
              "job.truncation.grade exceeds the action dimension")
     basis = basic_form_basis(binding.bind(action, "job.action"), spec)
@@ -346,7 +337,7 @@ def _run_basis(job: Mapping[str, Any], binding: _Binding, tol: float | None) -> 
 
 
 def _run_cohomology(job, binding: _Binding, tol) -> tuple[dict, bool]:
-    action = _parse_action(_get(job, "action", dict, "job", required=True), "job.action")
+    action = _parse_action(job, "action")
     max_degree = _get(job, "max_degree", int, "job", required=True)
     _require(max_degree >= 0, "job.max_degree must be nonnegative")
     action = binding.bind(action, "job.action")
@@ -371,27 +362,14 @@ def _run_cohomology(job, binding: _Binding, tol) -> tuple[dict, bool]:
 
 
 def _run_stages(job, binding: _Binding, tol) -> tuple[dict, bool]:
-    if "big" in job or "induced" in job or "projection" in job:
-        big = _parse_action(_get(job, "big", dict, "job", required=True), "job.big")
-        induced = _parse_action(
-            _get(job, "induced", dict, "job", required=True), "job.induced"
-        )
-        comps = _get(job, "projection", list, "job", required=True)
-        _require(len(comps) == induced.dim,
-                 "job.projection must have one component per induced dimension")
-        names = default_var_names(big.dim)
-        projection = PolyMap(
-            big.dim,
-            [
-                _wrap_expr(lambda c=c: parse_poly_expr(str(c), names), "job.projection")
-                for c in comps
-            ],
-        )
-    else:
-        example = _get(job, "example", str, "job", required=True)
-        _require(example == "solenoid", f"unknown stages example {example!r}")
-        big, projection, induced = solenoid_stages()
-    spec = _parse_truncation(_get(job, "truncation", dict, "job", required=True), "job.truncation")
+    big = _parse_action(job, "big")
+    induced = _parse_action(job, "induced")
+    comps = _get(job, "projection", list, "job", required=True)
+    _require(len(comps) == induced.dim,
+             "job.projection must have one component per induced dimension")
+    names = default_var_names(big.dim)
+    projection = PolyMap(big.dim, [_expr(c, "job.projection", names) for c in comps])
+    spec = _parse_truncation(job)
     big = binding.bind(big, "job.big")
     projection = binding.bind(projection, "job.projection")
     induced = binding.bind(induced, "job.induced")
@@ -492,12 +470,11 @@ def _run_orbifold(job, binding: _Binding, tol) -> tuple[dict, bool]:
     cap = _get(chart_spec, "closure_cap", int, "job.chart", default=64)
     _require(1 <= cap <= MAX_CLOSURE_CAP,
              f"job.chart.closure_cap must be between 1 and {MAX_CLOSURE_CAP}")
-    label = _get(chart_spec, "label", str, "job.chart", default="")
     try:
-        chart = OrbifoldChart(dim, generators, label=label, cap=cap)
+        chart = OrbifoldChart(dim, generators, cap=cap)
     except GroupNotFiniteError as exc:
         raise JobValidationError(f"job.chart: {exc}") from None
-    spec = _parse_truncation(_get(job, "truncation", dict, "job", required=True), "job.truncation")
+    spec = _parse_truncation(job)
     _require(spec.grade <= dim, "job.truncation.grade exceeds the chart dimension")
     basis = orbifold_invariant_forms(chart, spec)
     results = {

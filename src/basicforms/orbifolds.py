@@ -43,18 +43,15 @@ class OrbifoldChart:
     when the group has more than ``cap`` elements.
     """
 
-    __slots__ = ("_dim", "_group", "_generators", "_label")
+    __slots__ = ("_dim", "_group", "_generators")
 
-    def __init__(
-        self, dim: int, generators: Sequence[AffineMap], label: str = "", cap: int = 64
-    ):
+    def __init__(self, dim: int, generators: Sequence[AffineMap], cap: int = 64):
         for g in generators:
             if g.dim != dim:
                 raise ValueError("generator has the wrong dimension")
         self._dim = dim
         self._generators = tuple(generators)
         self._group = tuple(group_closure(self._generators, cap))
-        self._label = label
 
     @property
     def dim(self) -> int:
@@ -69,13 +66,8 @@ class OrbifoldChart:
         """The given generators, in input order; their words give the group."""
         return self._generators
 
-    @property
-    def label(self) -> str:
-        return self._label
-
     def __repr__(self) -> str:
-        tag = f" {self._label!r}" if self._label else ""
-        return f"OrbifoldChart(dim={self._dim}, order={len(self._group)}{tag})"
+        return f"OrbifoldChart(dim={self._dim}, order={len(self._group)})"
 
 
 def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list[Form]:

@@ -116,23 +116,16 @@ def exponents_upto(num_vars: int, max_degree: int) -> list[Exponents]:
     """All exponent tuples with total degree <= max_degree, graded-lex order.
 
     Degree by degree, each in descending lex order: lower total degree
-    first, then earlier variables ranked higher.
+    first, then earlier variables ranked higher.  The multisets of t
+    variable indices, listed in lex order, are exactly the exponents of
+    degree t in descending lex order.
     """
-    out: list[Exponents] = []
-    for total in range(max_degree + 1):
-        out.extend(_exponents_of_degree(num_vars, total))
-    return out
-
-
-def _exponents_of_degree(num_vars: int, total: int) -> list[Exponents]:
-    """Exponent tuples of total degree ``total``, in descending lex order."""
-    if num_vars == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _exponents_of_degree(num_vars - 1, total - first):
-            out.append((first,) + rest)
-    return out
+    variables = range(num_vars)
+    return [
+        tuple(map(picks.count, variables))
+        for total in range(max_degree + 1)
+        for picks in itertools.combinations_with_replacement(variables, total)
+    ]
 
 
 class Window:

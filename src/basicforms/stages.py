@@ -101,12 +101,8 @@ def stages_check(
     )
     direct = basic_form_basis(big, direct_spec)
 
-    # compare in a window wide enough for both routes
-    widest = max(
-        [direct_spec.max_degree]
-        + [f.max_coefficient_degree() for f in pulled + direct if not f.is_zero]
-    )
-    window = Window(big.dim, spec.grade, widest)
+    # both routes lie in the direct window, by the degree bound above
+    window = Window(big.dim, spec.grade, direct_spec.max_degree)
     pulled_rank, joined_rank = prefix_ranks(
         span_matrix(window, pulled + direct), [len(pulled), len(pulled) + len(direct)]
     )

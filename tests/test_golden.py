@@ -41,7 +41,7 @@ def _b3_chart() -> OrbifoldChart:
         _signed_permutation((1, 2, 0), (1, 1, -1)),
         _signed_permutation((1, 0, 2), (-1, 1, 1)),
     ]
-    return OrbifoldChart(3, gens, label="b3")
+    return OrbifoldChart(3, gens)
 
 
 def _shifted_d4_chart() -> OrbifoldChart:
@@ -53,7 +53,7 @@ def _shifted_d4_chart() -> OrbifoldChart:
         there.compose(_signed_permutation(p, s)).compose(back)
         for p, s in (((1, 0), (-1, 1)), ((0, 1), (1, -1)))
     ]
-    return OrbifoldChart(2, gens, label="d4_shifted")
+    return OrbifoldChart(2, gens)
 
 
 def _r4_rotation() -> ActionSpec:

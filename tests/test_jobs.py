@@ -14,9 +14,10 @@ import tracemalloc
 
 import pytest
 
-from basicforms import cli
+from basicforms import cli, jobs
 from basicforms.cli import builtin_job_names, run
-from basicforms.expressions import MAX_DIGITS, MAX_EXPONENT, parse_poly_expr
+from basicforms.examples import solenoid_stages
+from basicforms.expressions import MAX_DIGITS, MAX_EXPONENT, ParseError, parse_poly_expr
 from basicforms.jobs import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -29,6 +30,7 @@ from basicforms.jobs import (
     format_report,
     run_job,
 )
+from basicforms.stages import stages_check
 
 
 def _builtin(name: str) -> dict:
@@ -158,6 +160,70 @@ def test_bad_coefficient_expression_is_a_parse_error():
     assert code == EXIT_PARSE_ERROR
     assert report["error"]["kind"] == "parse"
     assert isinstance(report["error"]["position"], int)
+
+
+def _inline_stages_job() -> dict:
+    """A stages job in the inline format, with the solenoid basis action as ``big``."""
+    return {
+        "command": "stages",
+        "big": _builtin("solenoid_basis")["action"],
+        "projection": ["y - a*x"],
+        "induced": {"dimension": 1, "discrete": [{"matrix": [["1"]], "translation": ["1"]}]},
+        "truncation": {"grade": 1, "max_degree": 0},
+    }
+
+
+@pytest.mark.parametrize(
+    "job, keys, path",
+    [
+        (_builtin("solenoid_basis"), ("action", "discrete", 0, "matrix", 1, 1),
+         "job.action.discrete[0].matrix[1]"),
+        (_builtin("solenoid_basis"), ("action", "discrete", 1, "translation", 0),
+         "job.action.discrete[1].translation"),
+        (_builtin("solenoid_basis"), ("action", "infinitesimal", 0, 1),
+         "job.action.infinitesimal[0]"),
+        (_inline_stages_job(), ("projection", 0), "job.projection"),
+        (_builtin("orbifold_c4"), ("chart", "generators", 0, "matrix", 0, 1),
+         "job.chart.generators[0].matrix[0]"),
+        (_builtin("symplectic_r4"), ("sigma", "terms", 1, "coefficient"),
+         "job.sigma.terms[1].coefficient"),
+    ],
+    ids=["action-matrix", "translation", "infinitesimal", "projection", "chart-matrix", "sigma"],
+)
+def test_every_expression_input_reports_its_own_path(job, keys, path):
+    bad = "1 + ?"
+    with pytest.raises(ParseError) as raised:
+        parse_poly_expr(bad, ["x", "y"])
+    *outer, last = keys
+    entry = job
+    for key in outer:
+        entry = entry[key]
+    entry[last] = bad
+    report, code = run_job(job)
+    assert code == EXIT_PARSE_ERROR, report.get("error")
+    assert report["error"]["message"] == f"{path}: {raised.value}"
+    assert report["error"]["position"] == raised.value.position
+    assert 0 <= raised.value.position < len(bad)
+
+
+def test_bundled_stages_job_is_the_solenoid_example(monkeypatch):
+    # the job file spells the example out; both must describe one situation
+    seen = []
+
+    def capture(big, projection, induced, spec):
+        seen.append((big, projection, induced))
+        return stages_check(big, projection, induced, spec)
+
+    monkeypatch.setattr(jobs, "stages_check", capture)
+    report, code = run_job(_builtin("stages_solenoid"))
+    assert code == EXIT_OK, report.get("error")
+    [(big, projection, induced)] = seen
+    want_big, want_projection, want_induced = solenoid_stages()
+    for got, want in ((big, want_big), (induced, want_induced)):
+        assert got.dim == want.dim
+        assert list(got.discrete) == list(want.discrete)
+        assert list(got.infinitesimal) == list(want.infinitesimal)
+    assert projection == want_projection
 
 
 def test_deep_nesting_is_a_parse_error():

@@ -29,8 +29,7 @@ def test_c4_chart_shape():
     chart = c4_square_chart()
     assert chart.dim == 2
     assert len(chart.group) == 4
-    assert chart.label == "c4"
-    assert "order=4" in repr(chart)
+    assert repr(chart) == "OrbifoldChart(dim=2, order=4)"
 
 
 def test_c4_area_form_is_the_constant_invariant():
