@@ -41,7 +41,8 @@ from .actions import ActionSpec, AffineMap, GroupNotFiniteError
 from .expressions import MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_expr
 from .forms import Form, FormSums, PolyMap, VectorField, add_terms, render_form
 from .orbifolds import OrbifoldChart, orbifold_invariant_forms
-from .polynomials import default_var_names, render_poly
+from .polynomials import Polynomial, default_var_names, render_poly
+from .scalars import Scalar
 from .solver import TruncationSpec, _basic_cohomology, basic_form_basis
 from .stages import IntertwiningError, stages_check
 
@@ -101,12 +102,21 @@ def _get(mapping: Mapping[str, Any], key: str, kind, path: str, default=None, re
 def _expr(value: Any, path: str, names: Sequence[str] | None = None):
     """``value`` parsed as a scalar, or as a polynomial in ``names`` if given.
 
-    A parse error is re-raised with ``path`` in front of its message.
+    Plain ASCII digits, with at most one leading ``-`` and at most
+    ``MAX_DIGITS`` digits, are read as an int without the parser: most
+    entries of a job are ``0`` or ``1``.  Anything else goes to the
+    parser, and a parse error is re-raised with ``path`` in front of its
+    message.
     """
+    text = str(value)
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:
+        c = Scalar._rational(int(text))
+        return c if names is None else Polynomial._from_sums(len(names), {(0,) * len(names): c})
     try:
         if names is None:
-            return parse_scalar_expr(str(value))
-        return parse_poly_expr(str(value), names)
+            return parse_scalar_expr(text)
+        return parse_poly_expr(text, names)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc.message}", exc.position) from None
 

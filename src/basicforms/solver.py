@@ -21,7 +21,14 @@ hold every image coefficient, so no condition is silently dropped:
 * invariance under any other affine map g: rows of g^* - id, target degree d;
 * Lie invariance: target degree d + delta - 1 where delta is the largest
   generator component degree (transport adds delta - 1, Jacobian terms too);
-* horizontality: grade k - 1, target degree d + delta.
+* horizontality: grade k - 1, target degree d + delta;
+* a field in the span of earlier fields adds no block.  For invariance
+  the fields are the translations' constant fields, then the
+  infinitesimal generators; for horizontality the latter alone.  L_xi
+  and i_xi are Q(a)-linear in xi, and every image lies in its block's
+  target window, so each row of such a block is a combination of rows of
+  the kept blocks, and the stacked system keeps its row space, its
+  reduced echelon form and its canonical kernel basis.
 
 Assembly follows the window's tensor structure.  Column (e, I) holds the
 image of x^e dx_I, and each operator splits into a factor of e and a
@@ -65,7 +72,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form, FormSums, Indices, VectorField, add_terms, ext_d, interior, lie_derivative
-from .linalg import Matrix, kernel_basis, prefix_ranks, stack
+from .linalg import Matrix, _gauss_jordan, kernel_basis, prefix_ranks, stack
 from .polynomials import Exponents, Polynomial, add_product
 from .scalars import ONE, Scalar
 
@@ -264,42 +271,67 @@ def _is_translation(g: AffineMap) -> bool:
     return all(e.is_one if i == j else e.is_zero for i, row in rows for j, e in enumerate(row))
 
 
+def _independent(fields: Sequence[VectorField]) -> set[int]:
+    """Positions of the fields that are not Q(a)-combinations of earlier fields.
+
+    Field i is column i of a matrix with one row per (component j,
+    exponent h).  A column of a reduced row echelon form is a pivot column
+    exactly when it is outside the span of the columns before it.
+    """
+    rows: dict[tuple[int, Exponents], dict[int, Scalar]] = {}
+    for i, xi in enumerate(fields):
+        for j, component in enumerate(xi.components):
+            for h, c in component.terms.items():
+                rows.setdefault((j, h), {})[i] = c
+    return set(_gauss_jordan(Matrix(len(fields), list(rows.values()))))
+
+
 def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     """Stacked linear conditions on the window for invariance under every generator.
 
     Block order is fixed: discrete generators first (input order), then
-    infinitesimal generators.  A form in the window is invariant iff its
-    coordinate vector is in the kernel.  A translation x -> x + t gives the
-    rows of L_t (the constant field t), which have the kernel of g^* - id;
-    any other discrete generator keeps the window, so its block maps the
-    domain into the domain itself.
+    infinitesimal generators, less the fields in the span of earlier
+    fields.  A form in the window is invariant iff its coordinate vector
+    is in the kernel.  A translation x -> x + t gives the rows of L_t (the
+    constant field t), which have the kernel of g^* - id; it gives no rows
+    when t is a combination of earlier translations, and an infinitesimal
+    generator none when it is a combination of the translations and the
+    generators before it.  Any other discrete generator keeps the window,
+    so its block maps the domain into the domain itself.
     """
-    blocks = []
-    for g in action.discrete:
-        if _is_translation(g):
-            t = VectorField([Polynomial.constant(domain.dim, c) for c in g.translation])
-            blocks.append(_lie_block(t, domain))
-        else:
-            blocks.append(_affine_block(g, domain))
-    blocks.extend(_lie_block(xi, domain) for xi in action.infinitesimal)
-    if not blocks:
-        return Matrix.zero(0, domain.size)
-    return stack(blocks)
+    discrete = action.discrete
+    fields: dict[int, VectorField] = {
+        i: VectorField([Polynomial.constant(domain.dim, c) for c in g.translation])
+        for i, g in enumerate(discrete)
+        if _is_translation(g)
+    }
+    fields.update(enumerate(action.infinitesimal, len(discrete)))
+    positions = list(fields)
+    kept = {positions[c] for c in _independent(list(fields.values()))}
+    blocks = [
+        _lie_block(fields[i], domain) if i in fields else _affine_block(discrete[i], domain)
+        for i in range(len(discrete) + len(action.infinitesimal))
+        if i in kept or i not in fields
+    ]
+    return stack(blocks) if blocks else Matrix.zero(0, domain.size)
 
 
 def horizontality_constraints(action: ActionSpec, domain: Window) -> Matrix:
     """Stacked conditions i_xi(form) = 0 on the window for every infinitesimal generator.
 
+    A generator in the span of the generators before it adds no rows.
     Empty (zero rows) for finite groups: no connected directions, nothing to
     contract against.
     """
-    if domain.grade == 0 or not action.infinitesimal:
+    if domain.grade == 0:
         return Matrix.zero(0, domain.size)
+    kept = _independent(action.infinitesimal)
     blocks = []
-    for xi in action.infinitesimal:
-        target = Window(action.dim, domain.grade - 1, domain.max_degree + xi.max_degree())
-        blocks.append(_field_block(xi, domain, target, lie=False))
-    return stack(blocks)
+    for i, xi in enumerate(action.infinitesimal):
+        if i in kept:
+            target = Window(action.dim, domain.grade - 1, domain.max_degree + xi.max_degree())
+            blocks.append(_field_block(xi, domain, target, lie=False))
+    return stack(blocks) if blocks else Matrix.zero(0, domain.size)
 
 
 def basic_form_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:

@@ -338,6 +338,19 @@ def horizontality_blocks(action: ActionSpec, domain: Window) -> list[Matrix]:
     ]
 
 
+def independent_fields(fields: Sequence[VectorField]) -> list[bool]:
+    """Whether each field raises the rank of the fields before it.
+
+    Each field is a dense row over every (component, exponent) pair that
+    some field uses, and each prefix of rows has its rank taken by its own
+    elimination.
+    """
+    keys = sorted({(j, h) for xi in fields for j, c in enumerate(xi.components) for h in c.terms})
+    rows = [[xi.component(j).terms.get(h, 0) for j, h in keys] for xi in fields]
+    ranks = [rank(Matrix.from_rows(rows[:i])) for i in range(len(rows) + 1)]
+    return [after > before for before, after in zip(ranks, ranks[1:])]
+
+
 def matrix_apply(matrix: Matrix, vector: Mapping[int, ScalarLike]) -> tuple[Scalar, ...]:
     """Matrix times a sparse column vector ``{column: value}``, summed entry by entry."""
     return tuple(

@@ -206,6 +206,75 @@ def test_every_expression_input_reports_its_own_path(job, keys, path):
     assert 0 <= raised.value.position < len(bad)
 
 
+def _parser_inputs(monkeypatch) -> list[str]:
+    """The texts that ``jobs._expr`` hands to the parser from now on."""
+    seen = []
+    for name in ("parse_scalar_expr", "parse_poly_expr"):
+        original = getattr(jobs, name)
+
+        def spy(text, *names, original=original):
+            seen.append(text)
+            return original(text, *names)
+
+        monkeypatch.setattr(jobs, name, spy)
+    return seen
+
+
+def _parsed(text: str, names):
+    value = parse_poly_expr(text, names or [])
+    return value if names else value.constant_coefficient()
+
+
+@pytest.mark.parametrize("names", [None, ["x", "y"]])
+def test_plain_digit_literals_skip_the_parser(monkeypatch, names):
+    """ASCII digits, one optional leading '-', at most MAX_DIGITS digits: the parser's value."""
+    seen = _parser_inputs(monkeypatch)
+    widest = "9" * MAX_DIGITS
+    for text in ("0", "1", "-0", "-1", "007", "-345", widest, "-" + widest):
+        for value in {text, int(text)}:
+            got = jobs._expr(value, "job.x", names)
+            want = _parsed(text, names)
+            assert got == want
+            stored = [(c._num, c._den) for c in (got.terms.values() if names else [got])]
+            assert stored == [(c._num, c._den) for c in (want.terms.values() if names else [want])]
+            assert all(type(n) is int for num, _ in stored for n in num)
+    assert seen == []
+
+
+@pytest.mark.parametrize("names", [None, ["x", "y"]])
+@pytest.mark.parametrize(
+    "text, fails",
+    [
+        ("--1", False),
+        ("+1", True),
+        (" 1", False),
+        ("1 ", False),
+        ("\u00b2", True),
+        ("0.5", False),
+        ("-", True),
+        ("", True),
+        ("1_0", True),
+        ("9" * (MAX_DIGITS + 1), True),
+        ("-" + "9" * (MAX_DIGITS + 1), True),
+    ],
+)
+def test_other_literals_go_to_the_parser(monkeypatch, names, text, fails):
+    """Every other text is parsed as before: the same value, or the same error and position."""
+    seen = _parser_inputs(monkeypatch)
+    try:
+        want = _parsed(text, names)
+    except ParseError as exc:
+        assert fails
+        with pytest.raises(ParseError) as raised:
+            jobs._expr(text, "job.x", names)
+        assert raised.value.message == f"job.x: {exc.message}"
+        assert raised.value.position == exc.position
+    else:
+        assert not fails
+        assert jobs._expr(text, "job.x", names) == want
+    assert seen == [text]
+
+
 def test_bundled_stages_job_is_the_solenoid_example(monkeypatch):
     # the job file spells the example out; both must describe one situation
     seen = []

@@ -9,7 +9,9 @@ compared against a literal four-term sum for the quarter-turn group, and
 every constraint block against the per-monomial route of
 ``helpers.operator_block`` (one whole image form per window monomial); a
 translation's L_t block also by reduced row echelon form against the
-oracle's g^* - id.  Every window read off a larger window of its grade
+oracle's g^* - id.  A field in the span of earlier fields has no block,
+and the system keeps the reduced row echelon form of one block per
+generator.  Every window read off a larger window of its grade
 equals the canonical kernel of its own system.
 """
 
@@ -51,6 +53,7 @@ from helpers import (
     cohomology_records,
     grlex_key,
     horizontality_blocks,
+    independent_fields,
     invariance_blocks,
     matrix_apply,
     operator_block,
@@ -359,17 +362,25 @@ def _lie_target(domain: Window) -> Window:
 
 
 def _assert_blocks_match_the_per_monomial_route(action: ActionSpec, domain: Window) -> None:
-    """The assembly against the oracle, block for block.
+    """The assembly against the oracle, block for block over the kept fields.
 
     ``_affine_block`` equals the oracle's g^* - id under ``==`` for every
     discrete generator.  A translation by t is assembled as L_t instead:
     that block equals the oracle's L_t, and its reduced row echelon form
     equals that of the oracle's g^* - id, so the two have one row space.
-    Every other block equals the oracle's.  Every block's row count is its
-    target window's size, so equal stacks are equal blocks.
+    A field in the span of the fields before it has no block: for
+    invariance the translations' constant fields, then the infinitesimal
+    generators; for horizontality the latter alone.  ``independent_fields``
+    says which, by ranks of its own; every other block equals the
+    oracle's.  Every block's row count is its target window's size, so
+    equal stacks are equal blocks.  Where a block is dropped, the assembled
+    system has the reduced row echelon form of the stack of every oracle
+    block.  Where none is, that follows from the checks above, and the
+    elimination of a dense map over Q(a) stacked with every field takes
+    minutes on R^3 and R^4.
     """
     oracle = invariance_blocks(action, domain)
-    expected = []
+    expected = []  # (the field whose span decides, or None; block)
     for g, block in zip(action.discrete, oracle):
         assert solver._affine_block(g, domain) == block
         t = _translation_field(g)
@@ -377,13 +388,25 @@ def _assert_blocks_match_the_per_monomial_route(action: ActionSpec, domain: Wind
             lie = operator_block(domain, _lie_target(domain), lambda f: lie_derivative(t, f))
             assert _gauss_jordan(lie) == _gauss_jordan(block)
             block = lie
-        expected.append(block)
-    expected += oracle[len(action.discrete) :]
-    for assembled, blocks in (
-        (invariance_constraints(action, domain), expected),
-        (horizontality_constraints(action, domain), horizontality_blocks(action, domain)),
+        expected.append((t, block))
+    expected += zip(action.infinitesimal, oracle[len(action.discrete) :])
+    kept = iter(independent_fields([f for f, _ in expected if f is not None]))
+    horizontal = horizontality_blocks(action, domain)
+    for assembled, blocks, every in (
+        (
+            invariance_constraints(action, domain),
+            [block for f, block in expected if f is None or next(kept)],
+            oracle,
+        ),
+        (
+            horizontality_constraints(action, domain),
+            [b for b, k in zip(horizontal, independent_fields(action.infinitesimal)) if k],
+            horizontal,
+        ),
     ):
         assert assembled == (stack(blocks) if blocks else Matrix.zero(0, domain.size))
+        if len(blocks) < len(every):
+            assert _gauss_jordan(assembled) == _gauss_jordan(stack(every))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -457,12 +480,98 @@ def test_translation_block_has_the_kernel_of_g_star_minus_id(dim):
             for degree in range(5):
                 domain = Window(dim, grade, degree)
                 system = invariance_constraints(action, domain)
-                assert system.rows == _lie_target(domain).size
+                # the zero field is in the span of any fields, even none, and adds no rows
+                assert system.rows == (_lie_target(domain).size if moves else 0)
                 (oracle,) = invariance_blocks(action, domain)
                 reduced = _gauss_jordan(system)
                 assert reduced == _gauss_jordan(oracle)
                 invariant = math.comb(dim, grade) * math.comb(dim - moves + degree, degree)
                 assert domain.size - len(reduced) == invariant
+
+
+def _combination(coefficients, fields) -> VectorField:
+    """The field sum of c_i xi_i."""
+    dim = fields[0].dim
+    terms = lambda j: (xi.component(j).scale(c) for c, xi in zip(coefficients, fields))
+    return VectorField([sum(terms(j), Polynomial.zero(dim)) for j in range(dim)])
+
+
+def _span_cases() -> list[tuple[ActionSpec, set[int]]]:
+    """Actions that repeat a direction, each with the positions of the fields it keeps.
+
+    The fields are the translations' constant fields, then the
+    infinitesimal generators, as ``invariance_constraints`` collects them.
+    """
+    rng = random.Random(1240)
+    a = Scalar.parameter()
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    rotation = VectorField([-y, x])
+    first, second = (rand_vector_field(rng, 2, max_degree=1, with_param=True) for _ in range(2))
+    quarter_turn = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
+    constant = lambda *values: VectorField([Polynomial.constant(2, v) for v in values])
+    coefficients = [rand_scalar(rng) for _ in range(3)]
+    return [
+        # a multiple of an earlier field over Q(a)
+        (ActionSpec(2, infinitesimal=[first, _combination([rand_scalar(rng)], [first])]), {0}),
+        # 1 = (-1/a)(-a): a coefficient with a in its denominator
+        (ActionSpec(1, [AffineMap.translation_by([-a]), AffineMap.translation_by([1])]), {0}),
+        # the zero translation and the zero field
+        (ActionSpec(2, [AffineMap.translation_by([0, 0])], [constant(0, 0), rotation]), {2}),
+        # a constant field that repeats a translation: no Lie block, an interior block
+        (ActionSpec(2, [AffineMap.translation_by([1, a])], [constant(2, 2 * a)]), {0}),
+        # a rotation next to a multiple of it, and a map that is not a translation
+        (ActionSpec(2, [quarter_turn], [rotation, _combination([(a + 1) / 2], [rotation])]), {0}),
+        # a seeded combination of a translation and two fields over Q(a)
+        (
+            ActionSpec(
+                2,
+                [AffineMap.translation_by([1, 0])],
+                [first, second, _combination(coefficients, [constant(1, 0), first, second])],
+            ),
+            {0, 1, 2},
+        ),
+    ]
+
+
+def _every_block(action: ActionSpec, domain: Window) -> Matrix:
+    """The system with one block per generator, none dropped."""
+    blocks = [
+        solver._affine_block(g, domain) if t is None else solver._lie_block(t, domain)
+        for g, t in zip(action.discrete, map(_translation_field, action.discrete))
+    ]
+    blocks += [solver._lie_block(xi, domain) for xi in action.infinitesimal]
+    if domain.grade > 0:
+        for xi in action.infinitesimal:
+            target = Window(domain.dim, domain.grade - 1, domain.max_degree + xi.max_degree())
+            blocks.append(solver._field_block(xi, domain, target, lie=False))
+    return stack(blocks)
+
+
+@pytest.mark.parametrize("case", range(len(_span_cases())))
+def test_a_field_in_the_span_of_earlier_fields_adds_no_block(case):
+    """Dropping such a field keeps the row space, so the RREF and the basis stay.
+
+    L_xi and i_xi are Q(a)-linear in xi, and each image lies in its
+    target window.  So a dropped block's rows are combinations of the
+    kept blocks' rows, and the reduced system has the reduced row echelon
+    form of the system over every block.
+    """
+    action, kept = _span_cases()[case]
+    fields = [t for t in map(_translation_field, action.discrete) if t is not None]
+    fields += action.infinitesimal
+    assert solver._independent(fields) == kept
+    assert [i in kept for i in range(len(fields))] == independent_fields(fields)
+    for grade in range(action.dim + 1):
+        for degree in range(4):
+            domain = Window(action.dim, grade, degree)
+            reduced = stack(
+                [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
+            )
+            every = _every_block(action, domain)
+            assert reduced.rows < every.rows
+            assert _gauss_jordan(reduced) == _gauss_jordan(every)
+            basis = basic_form_basis(action, TruncationSpec(grade, degree))
+            assert basis == [domain.combine(vec) for vec in kernel_basis(every)]
 
 
 def test_translations_compose_no_powers(monkeypatch):
@@ -571,9 +680,9 @@ def _count_calls(monkeypatch, module, *names) -> dict[str, int]:
     for name in names:
         original = getattr(module, name)
 
-        def counted(*args, name=name, original=original):
+        def counted(*args, name=name, original=original, **kwargs):
             counts[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return counts
@@ -593,6 +702,23 @@ def test_one_assembly_and_one_elimination_per_grade(monkeypatch, job, eliminatio
     _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
     assert code == 0
     assert counts == {"invariance_constraints": eliminations, "kernel_basis": eliminations}
+
+
+def test_the_solenoid_flow_builds_no_lie_block(monkeypatch):
+    """The flow (1, a) is a combination of the lattice translations (1, 0) and (0, 1).
+
+    So the bundled basis job builds the Lie blocks of the two translations
+    only, not three, and the flow's interior block.
+    """
+    from importlib import resources
+
+    from basicforms.jobs import run_job
+
+    path = resources.files("basicforms") / "jobs_data" / "solenoid_basis.json"
+    counts = _count_calls(monkeypatch, solver, "_lie_block", "_field_block")
+    _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
+    assert code == 0
+    assert counts == {"_lie_block": 2, "_field_block": 3}
 
 
 def _count_linalg_calls(monkeypatch, *names) -> dict[str, int]:
