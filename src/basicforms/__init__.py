@@ -37,7 +37,6 @@ from .solver import (
     TruncationSpec,
     Window,
     basic_form_basis,
-    reynolds_average,
     truncated_basic_cohomology,
 )
 from .expressions import ParseError, parse_poly_expr, parse_scalar_expr
@@ -111,7 +110,6 @@ __all__ = [
     "TruncationSpec",
     "Window",
     "basic_form_basis",
-    "reynolds_average",
     "truncated_basic_cohomology",
     "ParseError",
     "parse_poly_expr",

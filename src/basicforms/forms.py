@@ -179,10 +179,6 @@ class Form:
             self._dim, self._grade, {i: p.bind_param(value) for i, p in self._terms.items()}
         )
 
-    def max_coefficient_degree(self) -> int:
-        degrees = [p.total_degree() for p in self._terms.values()]
-        return int(max(degrees)) if degrees else 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
             return NotImplemented

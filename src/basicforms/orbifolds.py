@@ -9,11 +9,13 @@ With no connected directions the horizontal condition is vacuous, so the
 forms that descend are exactly the invariant ones.  They are computed as
 the kernel of the stacked invariance constraints under the generators (the
 solver route): a form fixed by every generator is fixed by every word in
-them, hence by the whole group.  Two checks that share nothing with the
-constraint assembly then prove that answer:
+them, hence by the whole group.  Two checks then prove that answer:
 
-* soundness: the Reynolds projector (the average over the whole group)
-  fixes every basis form, at |G| pullbacks per form;
+* soundness: each generator's pullback fixes every basis form, at |S|
+  pullbacks per form, which by the above is the whole group fixing it.
+  The check shares each generator's power table and pulled-back
+  covectors with the assembly, which built them; it shares neither the
+  window indexing, nor the -1 of g^* - id, nor the elimination;
 * completeness: the basis has as many forms as Molien's formula counts
   invariants in the window, from one characteristic polynomial per group
   element and no window linear algebra.
@@ -27,10 +29,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .actions import ActionSpec, AffineMap, Rows, group_closure
+from .actions import ActionSpec, AffineMap, Rows, act_pullback, group_closure
 from .forms import Form
 from .scalars import ONE, ZERO, Scalar
-from .solver import TruncationSpec, basic_form_basis, reynolds_average
+from .solver import TruncationSpec, basic_form_basis
 
 
 class OrbifoldChart:
@@ -76,20 +78,20 @@ def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list
     Computed from the kernel of the invariance constraints under
     ``chart.generators``, one block per generator.  The kernel is the same
     subspace as under every group element, so the canonical basis is too.
-    The answer is then proven without the constraint assembly: the Reynolds
-    projector over the whole ``chart.group`` must fix every basis form
-    (soundness), and the basis must have as many forms as Molien's formula
-    counts (completeness).  A failure of either check means a bug, not a
-    property of the input, hence RuntimeError, with its own message for
-    each.
+    The answer is then proven: each generator's pullback must fix every
+    basis form (soundness), and the basis must have as many forms as
+    Molien's formula counts (completeness).  The pullbacks reuse the power
+    table and pulled-back covectors that the assembly built for each
+    generator, but not its window indexing, its -1 of g^* - id or its
+    elimination; Molien's count shares nothing with it.  A failure of
+    either check means a bug, not a property of the input, hence
+    RuntimeError, with its own message for each.
     """
     action = ActionSpec(chart.dim, discrete=chart.generators)
     basis = basic_form_basis(action, spec)
     for form in basis:
-        if reynolds_average(chart, form) != form:
-            raise RuntimeError(
-                "soundness: the Reynolds projector moves a kernel basis form"
-            )
+        if any(act_pullback(g, form) != form for g in chart.generators):
+            raise RuntimeError("soundness: a generator moves a kernel basis form")
     expected = _molien_dimension(chart, spec)
     if len(basis) != expected:
         raise RuntimeError(

@@ -68,16 +68,13 @@ from __future__ import annotations
 import itertools
 import math
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .actions import ActionSpec, AffineMap, act_pullback
-from .forms import Form, FormSums, Indices, VectorField, add_terms, ext_d, interior, lie_derivative
+from .actions import ActionSpec, AffineMap
+from .forms import Form, FormSums, Indices, VectorField, ext_d, interior, lie_derivative
 from .linalg import Matrix, _gauss_jordan, kernel_basis, prefix_ranks, stack
 from .polynomials import Exponents, Polynomial, add_product
 from .scalars import ONE, Scalar
-
-if TYPE_CHECKING:  # orbifolds imports this module
-    from .orbifolds import OrbifoldChart
 
 
 class TruncationSpec:
@@ -366,22 +363,6 @@ def _basic_form_bases(
         size = math.comb(action.dim, grade) * math.comb(action.dim + d, d)
         bases[d] = [f for f, vec in zip(forms, vectors) if max(vec) < size]
     return bases
-
-
-def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
-    """Group average (1/|G|) sum of pullbacks over the chart's group.
-
-    The chart built its group as the closure of its generators, so the
-    group is whole and closed by construction.  Each element's pullback
-    goes through that element's cached map and power table, and its terms
-    are added into one term map per index tuple; the sum becomes a form
-    once, at the end.
-    """
-    group = chart.group
-    sums: FormSums = {}
-    for g in group:
-        add_terms(sums, act_pullback(g, form))
-    return Form._from_sums(form.dim, form.grade, sums).scale(Scalar.of(1) / len(group))
 
 
 class CohomologyRecord(NamedTuple):

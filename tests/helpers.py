@@ -18,7 +18,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from basicforms.actions import ActionSpec, AffineMap, act_pullback
-from basicforms.forms import Form, PolyMap, VectorField, ext_d, interior, lie_derivative
+from basicforms.forms import (
+    Form,
+    FormSums,
+    PolyMap,
+    VectorField,
+    add_terms,
+    ext_d,
+    interior,
+    lie_derivative,
+)
 from basicforms.linalg import Matrix, rank
 from basicforms.orbifolds import OrbifoldChart
 from basicforms.plots import Plot
@@ -403,6 +412,28 @@ def cohomology_records(action: ActionSpec, max_degree: int) -> list[CohomologyRe
             )
         )
     return records
+
+
+def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
+    """Group average (1/|G|) sum of pullbacks over the chart's group.
+
+    The chart built its group as the closure of its generators, so the
+    group is whole and closed by construction.  Each element's pullback
+    goes through that element's cached map and power table, and its terms
+    are added into one term map per index tuple; the sum becomes a form
+    once, at the end.
+    """
+    group = chart.group
+    sums: FormSums = {}
+    for g in group:
+        add_terms(sums, act_pullback(g, form))
+    return Form._from_sums(form.dim, form.grade, sums).scale(Scalar.of(1) / len(group))
+
+
+def max_coefficient_degree(form: Form) -> int:
+    """The largest total degree of the form's coefficients; 0 for the zero form."""
+    degrees = [p.total_degree() for p in form.terms.values()]
+    return int(max(degrees)) if degrees else 0
 
 
 def reynolds_span(chart: OrbifoldChart, window: Window) -> list[Form]:

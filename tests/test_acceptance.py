@@ -43,7 +43,6 @@ from basicforms.solver import (
     TruncationSpec,
     Window,
     basic_form_basis,
-    reynolds_average,
     truncated_basic_cohomology,
 )
 from basicforms.stages import stages_check
@@ -55,6 +54,7 @@ from helpers import (
     rand_poly,
     rand_scalar,
     rand_vector_field,
+    reynolds_average,
     spans_equal,
     window_monomials,
 )

@@ -9,6 +9,7 @@ from basicforms import orbifolds, solver
 from basicforms.actions import ActionSpec, AffineMap, GroupNotFiniteError, act_pullback
 from basicforms.examples import c4_square_chart
 from basicforms.forms import Form
+from basicforms.linalg import Matrix, rank
 from basicforms.orbifolds import OrbifoldChart, orbifold_invariant_forms
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
@@ -225,8 +226,51 @@ def test_a_non_invariant_kernel_form_trips_soundness(monkeypatch):
     kernel = orbifolds.basic_form_basis
     x = Form.function(Polynomial.variable(2, 0))
     monkeypatch.setattr(orbifolds, "basic_form_basis", lambda a, s: kernel(a, s) + [x])
-    with pytest.raises(RuntimeError, match="^soundness: the Reynolds projector moves"):
+    with pytest.raises(RuntimeError, match="^soundness: a generator moves a kernel basis form"):
         orbifold_invariant_forms(c4_square_chart(), TruncationSpec(0, 2))
+
+
+_AREA = Form.monomial(2, (0, 1), Polynomial.constant(2, 1))
+_X_DX = Form.monomial(2, (0,), Polynomial.variable(2, 0))
+
+
+@pytest.mark.parametrize(
+    "gens, grade, degree, planted",
+    [((_QUARTER, _MIRROR), 2, 0, _AREA), ((_MIRROR, _QUARTER), 1, 1, _X_DX)],
+    ids=["area_moved_by_the_mirror", "x_dx_moved_by_the_quarter_turn"],
+)
+def test_every_generator_is_checked(monkeypatch, gens, grade, degree, planted):
+    # the first generator fixes the planted form and the second moves it,
+    # so a check by the first generator alone would reach completeness
+    first, second = gens
+    assert act_pullback(first, planted) == planted
+    assert act_pullback(second, planted) != planted
+    kernel = orbifolds.basic_form_basis
+    monkeypatch.setattr(orbifolds, "basic_form_basis", lambda a, s: kernel(a, s) + [planted])
+    with pytest.raises(RuntimeError, match="^soundness:"):
+        orbifold_invariant_forms(OrbifoldChart(2, gens), TruncationSpec(grade, degree))
+
+
+def test_an_assembly_fault_trips_soundness(monkeypatch):
+    # The mirror's g^* - id block loses its row for the constant dx^dy, the
+    # only row that sees dx^dy, so the kernel gains dx^dy.  The quarter turn
+    # fixes dx^dy and the mirror moves it: the pullbacks, which share no
+    # window indexing with the assembly, catch it, but only the second
+    # generator's.
+    chart = OrbifoldChart(2, [_QUARTER, _MIRROR])
+    build = solver._affine_block
+    block = build(_MIRROR, Window(2, 2, 2))
+    rows = [block.row(i) for i in range(block.rows)]
+    assert [e.is_zero for e in rows[0]] == [False] + [True] * (block.cols - 1)
+    faulty = Matrix.from_rows(rows[1:])
+    assert rank(faulty) == rank(block) - 1
+    monkeypatch.setattr(
+        solver,
+        "_affine_block",
+        lambda g, domain: faulty if g is _MIRROR else build(g, domain),
+    )
+    with pytest.raises(RuntimeError, match="^soundness:"):
+        orbifold_invariant_forms(chart, TruncationSpec(2, 2))
 
 
 def test_a_molien_total_in_the_parameter_is_an_error(monkeypatch):
@@ -245,12 +289,10 @@ def test_pullbacks_grow_with_the_basis_not_with_the_group_times_the_window(monke
         return act_pullback(mapping, form)
 
     chart = OrbifoldChart(3, _B3)
-    spec = TruncationSpec(1, 4)
-    monkeypatch.setattr(solver, "act_pullback", counted)
-    basis = orbifold_invariant_forms(chart, spec)
-    window = Window(3, 1, 4)
-    budget = len(chart.generators) * window.size + len(chart.group) * len(basis)
-    assert 0 < len(calls) <= budget < len(chart.group) * window.size
+    monkeypatch.setattr(orbifolds, "act_pullback", counted)
+    basis = orbifold_invariant_forms(chart, TruncationSpec(1, 4))
+    assert len(basis) > 0
+    assert len(calls) == len(chart.generators) * len(basis)
 
 
 def test_quarter_turn_pulls_back_area_but_not_dx():

@@ -45,7 +45,6 @@ from basicforms.solver import (
     basic_form_basis,
     invariance_constraints,
     horizontality_constraints,
-    reynolds_average,
     span_matrix,
     truncated_basic_cohomology,
 )
@@ -63,6 +62,7 @@ from helpers import (
     rand_nonzero_fraction,
     rand_scalar,
     rand_vector_field,
+    reynolds_average,
     spans_equal,
     trivial_action,
     window_monomials,

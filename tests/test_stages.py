@@ -11,7 +11,7 @@ from basicforms.linalg import rank
 from basicforms.polynomials import Polynomial
 from basicforms.solver import TruncationSpec, Window, basic_form_basis, span_matrix
 from basicforms.stages import IntertwiningError, StagesReport, stages_check
-from helpers import spans_equal, trivial_action
+from helpers import max_coefficient_degree, spans_equal, trivial_action
 
 
 def test_solenoid_stages_agree_in_low_grades():
@@ -139,7 +139,7 @@ def _three_rank_verdict(big, projection, induced, spec):
     direct = basic_form_basis(big, TruncationSpec(spec.grade, direct_degree))
     widest = max(
         [direct_degree]
-        + [f.max_coefficient_degree() for f in pulled + direct if not f.is_zero]
+        + [max_coefficient_degree(f) for f in pulled + direct if not f.is_zero]
     )
     window = Window(big.dim, spec.grade, widest)
     direct_rank, pulled_rank, joined_rank = (
