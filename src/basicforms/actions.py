@@ -10,7 +10,7 @@ right action: pulling back by g then by h equals pulling back by g . h.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .forms import Form, PolyMap, VectorField, pullback
 from .linalg import Matrix, _gauss_jordan
@@ -211,13 +211,28 @@ def act_pullback(mapping: AffineMap, form: Form) -> Form:
     return pullback(mapping.as_poly_map(), form)
 
 
-def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[AffineMap]:
-    """The finite group the generators generate, closed by construction.
+class Closure(NamedTuple):
+    """A finite group as the breadth-first walk reached it.
+
+    ``group`` lists the elements, identity first.  ``table[i][s]`` is the
+    index of ``group[i].compose(generators[s])``, the right-multiplication
+    table.  ``words[i]`` is the tuple of generator indices whose maps,
+    composed in that order onto the identity, give ``group[i]``.
+    """
+
+    group: list[AffineMap]
+    table: list[tuple[int, ...]]
+    words: list[tuple[int, ...]]
+
+
+def closure_walk(generators: Sequence[AffineMap], cap: int = 64) -> Closure:
+    """The finite group the generators generate, with its table and words.
 
     One breadth-first walk from the identity: elements are taken in list
     order and each is multiplied on the right by every generator in input
-    order, so every product is formed exactly once and the result is closed
-    under right products by every generator.  No inverses are needed: in a
+    order, so every product is formed and hashed exactly once, and its
+    index is recorded in the table.  A new element's word is its parent's
+    word plus the generator that reached it.  No inverses are needed: in a
     finite group each inverse is a positive power, and if the generated
     group is infinite, so are the positive words.  Elements appear by word
     length, ties broken by insertion order.  Raises
@@ -231,14 +246,35 @@ def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[Affine
         if g.dim != dim:
             raise ValueError("generators live on different spaces")
     identity = AffineMap.identity(dim)
-    ordered = [identity]
-    seen = {identity}
-    for word in ordered:  # the list grows as the walk reaches new elements
+    group, table = [identity], []
+    index = {identity: 0}
+    for element in group:  # the list grows as the walk reaches new elements
+        row = []
         for g in generators:
-            product = word.compose(g)
-            seen.add(product)  # hashes the product once; new iff the set grew
-            if len(seen) > len(ordered):
-                if len(ordered) >= cap:
+            product = element.compose(g)
+            j = index.setdefault(product, len(group))  # new iff it got the next index
+            if j == len(group):
+                if j >= cap:
                     raise GroupNotFiniteError(f"group not finite within cap {cap}")
-                ordered.append(product)
-    return ordered
+                group.append(product)
+            row.append(j)
+        table.append(tuple(row))
+    # New indices first appear in the table in increasing order, each in its
+    # parent's row.  Reading the words off the finished table keeps a walk
+    # that fails at the cap linear in memory: the words of an infinite
+    # cyclic group have lengths 0, 1, ..., cap.
+    words = [()]
+    for i, row in enumerate(table):
+        for s, j in enumerate(row):
+            if j == len(words):
+                words.append(words[i] + (s,))
+    return Closure(group, table, words)
+
+
+def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[AffineMap]:
+    """The elements of :func:`closure_walk`, identity first, closed by construction.
+
+    The walk records its right-multiplication table and each element's
+    word as it goes; this returns the elements alone.
+    """
+    return closure_walk(generators, cap).group

@@ -60,8 +60,10 @@ MAX_GRID_SAMPLES = 1_000_001
 
 # Largest "closure_cap" of an orbifold chart.  The closure walk keeps every
 # element it reaches, so a chart whose group is infinite walks until the
-# cap; with no upper bound that walk runs out of memory.  A walk to this
-# cap ends within a second, and B5, of order 3840, still fits.
+# cap; with no upper bound that walk runs out of memory.  A walk of the
+# infinite group generated by x -> 2x to this cap is refused in 0.1-0.2 s,
+# and a B5 chart job (order 3840, grade 2, degree 2) takes 0.25 s, 45 ms
+# of it Molien's count (2 vCPUs, Python 3.11).
 MAX_CLOSURE_CAP = 4096
 
 # A result coefficient is printed into the report, and Python converts at

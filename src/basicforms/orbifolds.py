@@ -2,8 +2,9 @@
 
 A chart is a finite group of exact invertible affine maps acting on R^n,
 given by generators S.  Its constructor builds the group G with one
-breadth-first walk (:func:`~basicforms.actions.group_closure`, |G|*|S|
-products, no inverses), so the group is closed by construction.
+breadth-first walk (:func:`~basicforms.actions.closure_walk`, |G|*|S|
+products, no inverses), so the group is closed by construction, and keeps
+the walk's right-multiplication table and each element's word.
 
 With no connected directions the horizontal condition is vacuous, so the
 forms that descend are exactly the invariant ones.  They are computed as
@@ -17,8 +18,11 @@ them, hence by the whole group.  Two checks then prove that answer:
   covectors with the assembly, which built them; it shares neither the
   window indexing, nor the -1 of g^* - id, nor the elimination;
 * completeness: the basis has as many forms as Molien's formula counts
-  invariants in the window, from one characteristic polynomial per group
-  element and no window linear algebra.
+  invariants in the window.  The count needs each element's
+  characteristic polynomial, which it gets from the power sums
+  tr A_g^m, m <= n, read off the closure's table, with Newton's
+  identities once per distinct tuple of them; it forms no product of
+  maps and no window linear algebra.
 
 The kernel basis comes from a reduced row echelon form, so it is linearly
 independent; with both checks passing it spans the invariants.
@@ -29,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .actions import ActionSpec, AffineMap, Rows, act_pullback, group_closure
+from .actions import ActionSpec, AffineMap, act_pullback, closure_walk
 from .forms import Form
 from .scalars import ONE, ZERO, Scalar
 from .solver import TruncationSpec, basic_form_basis
@@ -40,12 +44,14 @@ class OrbifoldChart:
 
     Built from its generators: ``group`` is their breadth-first closure,
     identity first, and so is closed by construction; ``generators`` keeps
-    them in input order.  Raises ValueError for no generators or one of
-    the wrong dimension, and :class:`~basicforms.actions.GroupNotFiniteError`
-    when the group has more than ``cap`` elements.
+    them in input order.  The walk's right-multiplication ``table`` and
+    each element's ``words`` are kept too.  Raises ValueError for no
+    generators or one of the wrong dimension, and
+    :class:`~basicforms.actions.GroupNotFiniteError` when the group has
+    more than ``cap`` elements.
     """
 
-    __slots__ = ("_dim", "_group", "_generators")
+    __slots__ = ("_dim", "_group", "_generators", "_table", "_words")
 
     def __init__(self, dim: int, generators: Sequence[AffineMap], cap: int = 64):
         for g in generators:
@@ -53,7 +59,10 @@ class OrbifoldChart:
                 raise ValueError("generator has the wrong dimension")
         self._dim = dim
         self._generators = tuple(generators)
-        self._group = tuple(group_closure(self._generators, cap))
+        walk = closure_walk(self._generators, cap)
+        self._group = tuple(walk.group)
+        self._table = tuple(walk.table)
+        self._words = tuple(walk.words)
 
     @property
     def dim(self) -> int:
@@ -67,6 +76,16 @@ class OrbifoldChart:
     def generators(self) -> tuple[AffineMap, ...]:
         """The given generators, in input order; their words give the group."""
         return self._generators
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """``group[table[i][s]] == group[i].compose(generators[s])``."""
+        return self._table
+
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """``group[i]`` is the product of ``generators[s]`` for s in ``words[i]``, in order."""
+        return self._words
 
     def __repr__(self) -> str:
         return f"OrbifoldChart(dim={self._dim}, order={len(self._group)})"
@@ -101,31 +120,41 @@ def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list
     return basis
 
 
-def _det_coefficients(rows: Rows) -> tuple[Scalar, ...]:
-    """Coefficients q_0, ..., q_n of det(I - t*A), low degree first.
+def _power_sums(chart: OrbifoldChart) -> list[tuple[Scalar, ...]]:
+    """(tr A_g, tr A_g^2, ..., tr A_g^n) for every element g, in group order.
 
-    det(I - tA) is t^n times the characteristic polynomial of A at 1/t, so
-    the Faddeev-LeVerrier recurrence gives them: with P_1 = A,
-    q_k = -tr(P_k)/k and P_{k+1} = A (P_k + q_k I) = A P_k + q_k A.  Also
-    q_k = (-1)^k tr Lambda^k(A), so one recurrence gives both factors of a
-    Molien term.  The products skip the zero entries of A.
+    The linear part is a homomorphism, so A_g^m is the linear part of g^m,
+    and tr A_g^m is the trace of that element.  Each trace is read once;
+    g^m is reached from g^(m-1) by following g's word through the
+    closure's table, integer lookups and no product of maps.
     """
-    n = len(rows)
-    nonzero = [[(l, e) for l, e in enumerate(row) if not e.is_zero] for row in rows]
+    n = chart.dim
+    traces = [sum((g.linear[i][i] for i in range(1, n)), g.linear[0][0]) for g in chart.group]
+    table, sums = chart.table, []
+    for i, word in enumerate(chart.words):
+        power, row = i, [traces[i]]
+        for _ in range(n - 1):
+            for s in word:
+                power = table[power][s]
+            row.append(traces[power])
+        sums.append(tuple(row))
+    return sums
 
-    def next_entry(power, q: Scalar, i: int, j: int) -> Scalar:
-        """Entry (i, j) of A P_k + q_k A, from P_k and q_k."""
-        return sum((e * power[l][j] for l, e in nonzero[i]), q * rows[i][j])
 
+def _newton_coefficients(sums: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Coefficients q_0, ..., q_n of det(I - t*A), low degree first, from p_m = tr A^m.
+
+    det(I - tA) = prod_i (1 - lambda_i t), so q_k = (-1)^k e_k(lambda) =
+    (-1)^k tr Lambda^k(A), and Newton's identities read
+    k q_k = -sum_{i=1..k} p_i q_{k-i}.  Exact over Q(a): the only
+    division is by k <= n.
+    """
     coeffs = [ONE]
-    power = rows
-    for k in range(1, n + 1):
-        q = -sum((power[i][i] for i in range(n)), ZERO) / k
-        coeffs.append(q)
-        if k == n - 1:  # the last power is read only on its diagonal
-            power = [{i: next_entry(power, q, i, i)} for i in range(n)]
-        elif k < n:
-            power = [[next_entry(power, q, i, j) for j in range(n)] for i in range(n)]
+    for k in range(1, len(sums) + 1):
+        total = sums[k - 1]  # p_k q_0
+        for i in range(1, k):
+            total = total + sums[i - 1] * coeffs[k - i]
+        coeffs.append(-total / k)
     return tuple(coeffs)
 
 
@@ -139,15 +168,19 @@ def _molien_dimension(chart: OrbifoldChart, spec: TruncationSpec) -> int:
 
     summed over the linear parts A_g alone.  A finite affine group fixes
     the centroid c of the orbit of 0; translating c to the origin keeps
-    every window and turns each g into A_g, so c is never needed.  Group
-    elements with one characteristic polynomial contribute the same term,
-    so each distinct one is expanded once.  Exact in Scalar, since chart
+    every window and turns each g into A_g, so c is never needed.  Over a
+    field of characteristic 0 the power sums (tr A_g^m, m <= n) fix the
+    characteristic polynomial and it fixes them, so elements are counted
+    by their tuple of power sums, read off the closure's table, and
+    Newton's identities give det(I - t A_g) once per distinct tuple; the
+    count forms no product of maps.  Exact in Scalar, since chart
     generators may mention the parameter; a total that mentions it or is
     not an integer means a bug.
     """
     n, grade = chart.dim, spec.grade
     total = ZERO
-    for q, count in Counter(_det_coefficients(g.linear) for g in chart.group).items():
+    for sums, count in Counter(_power_sums(chart)).items():
+        q = _newton_coefficients(sums)
         series = [ONE]  # 1/det(I - tA) through t^d
         for k in range(1, spec.max_degree + 1):
             series.append(

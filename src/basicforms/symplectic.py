@@ -70,15 +70,23 @@ class HamiltonianModel:
         gradient = [potential.partial(i) for i in range(dim)]
         if len({len(sample.tangent_basis) for sample in level_samples}) > 1:
             raise ValueError("level samples carry tangent bases of different sizes")
-        for sample in level_samples:
-            if len(sample.point) != dim:
+        # one array evaluation per polynomial, over the samples up to the
+        # first point of the wrong dimension; an array entry equals the
+        # float value at its sample
+        points = [sample.point for sample in level_samples]
+        count = next((i for i, p in enumerate(points) if len(p) != dim), len(points))
+        coords = list(np.array(points[:count], dtype=float).reshape(count, dim).T)
+        values = _on_samples(potential, coords, count)
+        grads = [_on_samples(g, coords, count) for g in gradient]
+        for s, sample in enumerate(level_samples):
+            if s == count:
                 raise ValueError("level sample point has the wrong dimension")
-            value = potential.evaluate(sample.point)
+            value = values[s]
             if abs(value) > LEVEL_TOL:
                 raise ValueError(
                     f"sample {sample.point} is off the zero level: potential = {value:.3e}"
                 )
-            grad_at = [g.evaluate(sample.point) for g in gradient]
+            grad_at = [g[s] for g in grads]
             for vec in sample.tangent_basis:
                 if len(vec) != dim:
                     raise ValueError("tangent vector has the wrong dimension")
@@ -113,6 +121,16 @@ class HamiltonianModel:
     @property
     def level_samples(self) -> tuple[LevelSample, ...]:
         return self._level_samples
+
+
+def _on_samples(poly: Polynomial, coords: list[np.ndarray], count: int) -> np.ndarray:
+    """Values of ``poly`` at ``count`` samples, one coordinate array per variable.
+
+    A constant polynomial evaluates to a float, broadcast to every sample.
+    Overflow gives inf and nan silently, as float arithmetic does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.broadcast_to(poly.evaluate(coords), (count,))
 
 
 def momentum_residual(model: HamiltonianModel) -> Form:

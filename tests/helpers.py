@@ -259,6 +259,14 @@ def naive_group(generators: Sequence[AffineMap], limit: int = 256) -> set[Affine
     return reached
 
 
+def word_product(generators: Sequence[AffineMap], word: Sequence[int]) -> AffineMap:
+    """The identity with ``generators[s]`` composed on the right for each s of ``word``, in order."""
+    product = AffineMap.identity(generators[0].dim)
+    for s in word:
+        product = product.compose(generators[s])
+    return product
+
+
 def trivial_action(dim: int) -> ActionSpec:
     """The identity map as the only generator: every form is invariant."""
     return ActionSpec(dim, discrete=[AffineMap.identity(dim)])
@@ -501,6 +509,19 @@ def molien_counts(
             partial += coeff
             totals[d] += trace * partial
     return [total / len(linear_parts) for total in totals]
+
+
+def matrix_power_traces(rows: Sequence[Sequence[Fraction]], count: int) -> list[Fraction]:
+    """tr A, tr A^2, ..., tr A^count, each power a dense row-by-column product."""
+    n = len(rows)
+    power, traces = [list(row) for row in rows], []
+    for _ in range(count):
+        traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
+        power = [
+            [sum((power[i][l] * rows[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    return traces
 
 
 def linear_parts(chart: OrbifoldChart, a0: Fraction = Fraction(0)) -> list[list[list[Fraction]]]:

@@ -15,6 +15,7 @@ from basicforms.actions import (
     AffineMap,
     GroupNotFiniteError,
     act_pullback,
+    closure_walk,
     group_closure,
 )
 from basicforms.forms import Form
@@ -31,6 +32,7 @@ from helpers import (
     rand_fraction,
     rand_scalar,
     safe_a0,
+    word_product,
 )
 
 
@@ -285,6 +287,28 @@ def test_closure_hashes_each_product_once(monkeypatch):
     assert len(group) == 48  # all signed permutations of R^3
     # the identity, then one hash per product word * generator
     assert hashes <= 1 + len(group) * len(generators)
+
+
+def test_closure_walk_records_its_table_and_words():
+    b3 = [_signed_permutation((1, 2, 0), (1, 1, -1)), _signed_permutation((1, 0, 2), (-1, 1, 1))]
+    # B3 about a point off the origin, one coordinate in the parameter
+    rng = random.Random(314)
+    shift = AffineMap.translation_by([rand_fraction(rng, 3), 0, rand_scalar(rng)])
+    moved = [shift.compose(g).compose(affine_inverse(shift)) for g in b3]
+    assert any(g.uses_parameter for g in moved)
+    for generators, order in (([_rotation()], 4), (b3, 48), (moved, 48)):
+        walk = closure_walk(generators, cap=64)
+        group = walk.group
+        assert group == group_closure(generators, cap=64)
+        assert len(group) == order
+        assert len(walk.table) == len(walk.words) == len(group)
+        for i, row in enumerate(walk.table):
+            assert row == tuple(group.index(group[i].compose(g)) for g in generators)
+        # breadth-first: the identity's word is empty and words never shrink
+        assert walk.words[0] == ()
+        assert all(len(u) <= len(v) for u, v in zip(walk.words, walk.words[1:]))
+        for element, word in zip(group, walk.words):
+            assert word_product(generators, word) == element
 
 
 def test_action_spec_validation_and_binding():

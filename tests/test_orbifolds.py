@@ -15,14 +15,17 @@ from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
 from basicforms.solver import TruncationSpec, Window, basic_form_basis
 from helpers import (
+    _tpoly_det,
     affine_inverse,
     linear_parts,
+    matrix_power_traces,
     molien_counts,
     naive_group,
     rand_fraction,
     rand_nonzero_fraction,
     reynolds_span,
     spans_equal,
+    word_product,
 )
 
 
@@ -109,6 +112,17 @@ _MIRROR = AffineMap.from_rows([[1, 0], [0, -1]], [0, 0])
 _B3 = [_signed_permutation((1, 2, 0), (1, 1, -1)), _signed_permutation((1, 0, 2), (-1, 1, 1))]
 
 
+def _assert_table_and_words(chart: OrbifoldChart) -> None:
+    group, gens = chart.group, chart.generators
+    assert len(chart.table) == len(chart.words) == len(group)
+    for i, row in enumerate(chart.table):
+        assert len(row) == len(gens)
+        for s, j in enumerate(row):
+            assert group[j] == group[i].compose(gens[s])
+    for element, word in zip(group, chart.words):
+        assert word_product(gens, word) == element
+
+
 @pytest.mark.parametrize(
     "dim, gens, order, grade, degree, reverse",
     [
@@ -128,6 +142,7 @@ def test_generator_route_matches_whole_group(dim, gens, order, grade, degree, re
     assert len(chart.group) == len(set(chart.group)) == order
     # the walk uses no inverse letters and still misses no element
     assert set(chart.group) == naive_group(gens)
+    _assert_table_and_words(chart)
     spec = TruncationSpec(grade, degree)
     from_generators = basic_form_basis(ActionSpec(dim, discrete=chart.generators), spec)
     from_group = basic_form_basis(ActionSpec(dim, discrete=chart.group), spec)
@@ -171,6 +186,7 @@ def _random_finite_chart(rng: random.Random, dim: int) -> OrbifoldChart:
 @pytest.mark.parametrize("seed, dim", [(1101, 2), (1102, 2), (1103, 3), (1104, 3), (1106, 4)])
 def test_molien_count_of_conjugated_signed_permutations(seed, dim):
     chart = _random_finite_chart(random.Random(seed), dim)
+    _assert_table_and_words(chart)
     parts = linear_parts(chart)
     for grade in range(dim + 1):
         for degree, count in enumerate(molien_counts(parts, grade, 3)):
@@ -185,19 +201,20 @@ _A = Scalar.parameter()
 _HALF = Fraction(1, 2)
 
 
-@pytest.mark.parametrize(
-    "generator",
-    [
-        # the quarter turn about the point (a, 1/2)
-        AffineMap.from_rows([[0, -1], [1, 0]], [_A + _HALF, _HALF - _A]),
-        # the flip diag(-1, 1) conjugated by the shear [[1, a], [0, 1]]
-        AffineMap.from_rows([[-1, 2 * _A], [0, 1]], [0, 0]),
-    ],
-    ids=["translation_in_a", "linear_part_in_a"],
-)
+_PARAMETER_GENERATORS = [
+    # the quarter turn about the point (a, 1/2)
+    AffineMap.from_rows([[0, -1], [1, 0]], [_A + _HALF, _HALF - _A]),
+    # the flip diag(-1, 1) conjugated by the shear [[1, a], [0, 1]]
+    AffineMap.from_rows([[-1, 2 * _A], [0, 1]], [0, 0]),
+]
+_PARAMETER_IDS = ["translation_in_a", "linear_part_in_a"]
+
+
+@pytest.mark.parametrize("generator", _PARAMETER_GENERATORS, ids=_PARAMETER_IDS)
 def test_chart_over_the_parameter_field(generator):
     assert generator.uses_parameter
     chart = OrbifoldChart(2, [generator])
+    _assert_table_and_words(chart)
     # Molien's count holds at every bound value: each element's
     # characteristic polynomial does not depend on a
     parts = linear_parts(chart, Fraction(3))
@@ -207,6 +224,62 @@ def test_chart_over_the_parameter_field(generator):
             basis = orbifold_invariant_forms(chart, spec)
             assert basis == basic_form_basis(ActionSpec(2, discrete=chart.group), spec)
             assert count.denominator == 1 and len(basis) == count
+
+
+@pytest.mark.parametrize("seed, dim", [(None, 3), (1102, 2), (1104, 3), (1106, 4)])
+def test_power_sums_are_traces_of_matrix_powers(seed, dim):
+    if seed is None:
+        chart = OrbifoldChart(3, _B3)
+    else:
+        chart = _random_finite_chart(random.Random(seed), dim)
+    n = chart.dim
+    sums = orbifolds._power_sums(chart)
+    assert len(sums) == len(chart.group)
+    for rows, row_sums in zip(linear_parts(chart), sums):
+        assert list(row_sums) == matrix_power_traces(rows, n)
+        # Newton's identities give det(I - tA), expanded by cofactors
+        det = _tpoly_det(
+            [[[Fraction(i == j), -rows[i][j]] for j in range(n)] for i in range(n)]
+        )
+        det += [Fraction(0)] * (n + 1 - len(det))
+        assert list(orbifolds._newton_coefficients(row_sums)) == det
+
+
+_SCALAR_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+def test_molien_count_forms_no_map_product_and_few_scalar_operations(monkeypatch):
+    chart = OrbifoldChart(3, _B3)
+
+    def refuse(self, other):
+        raise AssertionError("Molien's count formed a product of maps")
+
+    monkeypatch.setattr(AffineMap, "compose", refuse)
+    operations = 0
+    for name in _SCALAR_OPERATORS:
+        def counted(*args, _operator=getattr(Scalar, name)):
+            nonlocal operations
+            operations += 1
+            return _operator(*args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    assert orbifolds._molien_dimension(chart, TruncationSpec(1, 2)) == 1
+    # one Faddeev-LeVerrier recurrence per element took 2569 operations here
+    assert operations <= 600
+
+
+def test_b4_chart_count_matches_molien_by_cofactors():
+    # (x1, x2, x3, x4) -> (x2, x3, x4, -x1) and the swap of x1 and x2
+    # generate all 384 signed permutations of R^4
+    gens = [_signed_permutation((1, 2, 3, 0), (1, 1, 1, -1)), _signed_permutation((1, 0, 2, 3), (1,) * 4)]
+    chart = OrbifoldChart(4, gens, cap=384)
+    assert len(chart.group) == 384
+    expected = molien_counts(linear_parts(chart), 1, 3)[3]
+    assert expected == 3
+    assert len(orbifold_invariant_forms(chart, TruncationSpec(1, 3))) == expected
 
 
 @pytest.mark.parametrize(
@@ -274,11 +347,14 @@ def test_an_assembly_fault_trips_soundness(monkeypatch):
 
 
 def test_a_molien_total_in_the_parameter_is_an_error(monkeypatch):
-    # det(I - tA) = 1 + a t for every element gives the total -a at grade 1
-    one_plus_at = (Scalar.of(1), _A, Scalar.of(0))
-    monkeypatch.setattr(orbifolds, "_det_coefficients", lambda linear: one_plus_at)
+    # power sums (p_1, p_2) = (-a, a^2) give det(I - tA) = 1 + a t for
+    # every element, and so the total -a at grade 1
+    chart = c4_square_chart()
+    sums = [(-_A, _A * _A)] * len(chart.group)
+    assert orbifolds._newton_coefficients(sums[0]) == (Scalar.of(1), _A, Scalar.of(0))
+    monkeypatch.setattr(orbifolds, "_power_sums", lambda chart: sums)
     with pytest.raises(RuntimeError, match="non-integer count"):
-        orbifold_invariant_forms(c4_square_chart(), TruncationSpec(1, 0))
+        orbifold_invariant_forms(chart, TruncationSpec(1, 0))
 
 
 def test_pullbacks_grow_with_the_basis_not_with_the_group_times_the_window(monkeypatch):

@@ -8,6 +8,7 @@ re-verified here from scratch before the checks that rely on them run.
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from basicforms.scalars import Scalar
 from basicforms.symplectic import (
     HamiltonianModel,
     LevelSample,
+    _on_samples,
     builtin_model,
     level_restriction_check,
     model_names,
@@ -198,6 +200,45 @@ def test_model_validation_rejects_off_level_samples():
     ragged = [LevelSample((1.0, 0.0, 0.0, 0.0), (e1,)), LevelSample((1.0, 0.0, 0.0, 0.0), (e1, e2))]
     with pytest.raises(ValueError, match="different sizes"):
         HamiltonianModel(omega, field, potential, ragged)
+
+
+def test_sample_arrays_equal_per_sample_evaluation():
+    # validation reads the potential and its gradient off one array per
+    # polynomial; each entry is the float value at its sample, bit for bit
+    model = builtin_model("r4_rotation")
+    points = [sample.point for sample in model.level_samples]
+    coords = list(np.array(points).T)
+    for poly in [model.potential] + [model.potential.partial(i) for i in range(4)]:
+        values = _on_samples(poly, coords, len(points))
+        assert [float(v) for v in values] == [poly.evaluate(p) for p in points]
+
+
+def test_model_validation_names_the_one_off_level_sample():
+    model = builtin_model("r4_rotation")
+    samples = list(model.level_samples)
+    tenth = samples[9]
+    # scaled off the unit sphere; the frame stays tangent to the level sets
+    off = LevelSample(tuple(1.5 * c for c in tenth.point), tenth.tangent_basis)
+    samples[9] = off
+    with pytest.raises(ValueError, match=f"^sample {re.escape(str(off.point))} is off the zero level"):
+        HamiltonianModel(model.omega, model.field, model.potential, samples)
+    # the first fault in sample order decides the message
+    short = LevelSample((1.0, 0.0, 0.0), tenth.tangent_basis)
+    with pytest.raises(ValueError, match="off the zero level"):
+        HamiltonianModel(model.omega, model.field, model.potential, samples[:12] + [short])
+    with pytest.raises(ValueError, match="wrong dimension"):
+        HamiltonianModel(model.omega, model.field, model.potential, samples[:9] + [short, off])
+
+
+def test_model_validation_with_a_constant_potential():
+    model = builtin_model("r4_rotation")
+    samples = model.level_samples
+    zero = Polynomial.zero(4)
+    assert HamiltonianModel(model.omega, model.field, zero, samples).level_samples == samples
+    one = Polynomial.constant(4, 1)
+    first = re.escape(str(samples[0].point))
+    with pytest.raises(ValueError, match=f"^sample {first} is off the zero level: potential = 1.000e"):
+        HamiltonianModel(model.omega, model.field, one, samples)
 
 
 def test_restriction_deviations_match_per_sample_evaluation():
