@@ -31,7 +31,7 @@ from .forms import (
     render_form,
     wedge,
 )
-from .actions import ActionSpec, AffineMap, GroupNotFiniteError, act_pullback, group_closure
+from .actions import ActionSpec, AffineMap, act_pullback
 from .solver import (
     CohomologyRecord,
     TruncationSpec,
@@ -41,7 +41,7 @@ from .solver import (
 )
 from .expressions import ParseError, parse_poly_expr, parse_scalar_expr
 from .stages import IntertwiningError, StagesReport, stages_check
-from .orbifolds import OrbifoldChart, orbifold_invariant_forms
+from .orbifolds import GroupNotFiniteError, OrbifoldChart, orbifold_invariant_forms
 from .jobs import JobValidationError, run_job
 
 # The verification layer imports numpy, which costs more than the rest of
@@ -105,7 +105,6 @@ __all__ = [
     "AffineMap",
     "GroupNotFiniteError",
     "act_pullback",
-    "group_closure",
     "CohomologyRecord",
     "TruncationSpec",
     "Window",

@@ -10,7 +10,7 @@ right action: pulling back by g then by h equals pulling back by g . h.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .forms import Form, PolyMap, VectorField, pullback
 from .linalg import Matrix, _gauss_jordan
@@ -18,10 +18,6 @@ from .polynomials import Polynomial
 from .scalars import ZERO, Scalar, ScalarLike
 
 Rows = tuple[tuple[Scalar, ...], ...]
-
-
-class GroupNotFiniteError(RuntimeError):
-    """Raised when a generated group exceeds the closure cap."""
 
 
 class AffineMap:
@@ -209,72 +205,3 @@ def act_pullback(mapping: AffineMap, form: Form) -> Form:
     if mapping.dim != form.dim:
         raise ValueError("map and form live on different spaces")
     return pullback(mapping.as_poly_map(), form)
-
-
-class Closure(NamedTuple):
-    """A finite group as the breadth-first walk reached it.
-
-    ``group`` lists the elements, identity first.  ``table[i][s]`` is the
-    index of ``group[i].compose(generators[s])``, the right-multiplication
-    table.  ``words[i]`` is the tuple of generator indices whose maps,
-    composed in that order onto the identity, give ``group[i]``.
-    """
-
-    group: list[AffineMap]
-    table: list[tuple[int, ...]]
-    words: list[tuple[int, ...]]
-
-
-def closure_walk(generators: Sequence[AffineMap], cap: int = 64) -> Closure:
-    """The finite group the generators generate, with its table and words.
-
-    One breadth-first walk from the identity: elements are taken in list
-    order and each is multiplied on the right by every generator in input
-    order, so every product is formed and hashed exactly once, and its
-    index is recorded in the table.  A new element's word is its parent's
-    word plus the generator that reached it.  No inverses are needed: in a
-    finite group each inverse is a positive power, and if the generated
-    group is infinite, so are the positive words.  Elements appear by word
-    length, ties broken by insertion order.  Raises
-    :class:`GroupNotFiniteError` as soon as more than ``cap`` distinct
-    elements appear.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    dim = generators[0].dim
-    for g in generators:
-        if g.dim != dim:
-            raise ValueError("generators live on different spaces")
-    identity = AffineMap.identity(dim)
-    group, table = [identity], []
-    index = {identity: 0}
-    for element in group:  # the list grows as the walk reaches new elements
-        row = []
-        for g in generators:
-            product = element.compose(g)
-            j = index.setdefault(product, len(group))  # new iff it got the next index
-            if j == len(group):
-                if j >= cap:
-                    raise GroupNotFiniteError(f"group not finite within cap {cap}")
-                group.append(product)
-            row.append(j)
-        table.append(tuple(row))
-    # New indices first appear in the table in increasing order, each in its
-    # parent's row.  Reading the words off the finished table keeps a walk
-    # that fails at the cap linear in memory: the words of an infinite
-    # cyclic group have lengths 0, 1, ..., cap.
-    words = [()]
-    for i, row in enumerate(table):
-        for s, j in enumerate(row):
-            if j == len(words):
-                words.append(words[i] + (s,))
-    return Closure(group, table, words)
-
-
-def group_closure(generators: Sequence[AffineMap], cap: int = 64) -> list[AffineMap]:
-    """The elements of :func:`closure_walk`, identity first, closed by construction.
-
-    The walk records its right-multiplication table and each element's
-    word as it goes; this returns the elements alone.
-    """
-    return closure_walk(generators, cap).group

@@ -507,6 +507,22 @@ def eval_form(form: Form, point: Sequence, vectors: Sequence[Sequence]):
     return total
 
 
+def check_float_range(form: Form, name: str) -> None:
+    """ValueError naming ``name`` and the term if a coefficient has no float value.
+
+    :func:`eval_form` converts every coefficient to a float; one beyond
+    float range would raise OverflowError there, mid-evaluation.
+    """
+    for indices, coeff in form.terms.items():
+        for c in coeff.terms.values():
+            try:
+                c.evaluate()
+            except OverflowError:
+                raise ValueError(
+                    f"{name} has a coefficient beyond float range in its {list(indices)} term"
+                ) from None
+
+
 def covector_names(names: Sequence[str]) -> list[str]:
     return [f"d{name}" for name in names]
 

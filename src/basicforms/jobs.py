@@ -37,13 +37,21 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
-from .actions import ActionSpec, AffineMap, GroupNotFiniteError
+from .actions import ActionSpec, AffineMap
 from .expressions import MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_expr
-from .forms import Form, FormSums, PolyMap, VectorField, add_terms, render_form
-from .orbifolds import OrbifoldChart, orbifold_invariant_forms
+from .forms import (
+    Form,
+    FormSums,
+    PolyMap,
+    VectorField,
+    add_terms,
+    check_float_range,
+    render_form,
+)
+from .orbifolds import GroupNotFiniteError, OrbifoldChart, orbifold_invariant_forms
 from .polynomials import Polynomial, default_var_names, render_poly
 from .scalars import Scalar
-from .solver import TruncationSpec, _basic_cohomology, basic_form_basis
+from .solver import TruncationSpec, basic_form_basis, truncated_basic_cohomology
 from .stages import IntertwiningError, stages_check
 
 EXIT_OK = 0
@@ -58,12 +66,15 @@ EXIT_COMPUTATION_ERROR = 4
 # before anything is allocated.
 MAX_GRID_SAMPLES = 1_000_001
 
-# Largest "closure_cap" of an orbifold chart.  The closure walk keeps every
-# element it reaches, so a chart whose group is infinite walks until the
-# cap; with no upper bound that walk runs out of memory.  A walk of the
-# infinite group generated by x -> 2x to this cap is refused in 0.1-0.2 s,
-# and a B5 chart job (order 3840, grade 2, degree 2) takes 0.25 s, 45 ms
-# of it Molien's count (2 vCPUs, Python 3.11).
+# Largest "closure_cap" of an orbifold chart.  The chart's walk keeps every
+# element it reaches, so a chart whose group is infinite but whose every
+# trace an element of finite order could have (a translation, a unipotent
+# shear) walks until the cap; with no upper bound that walk runs out of
+# memory.  A walk of the group generated by x -> x + 1 to this cap is
+# refused in 0.03-0.06 s, and one of a translation of R^4 with an entry in
+# a in 0.1-0.2 s; x -> 2x is refused at its first element, by its trace.  A
+# B5 chart job (order 3840, grade 2, degree 2) takes 0.13 s (2 vCPUs,
+# Python 3.11).
 MAX_CLOSURE_CAP = 4096
 
 # A result coefficient is printed into the report, and Python converts at
@@ -205,6 +216,8 @@ def _parse_grid(spec: Mapping[str, Any] | None, path: str) -> dict[str, Any]:
     _require(count >= 2, f"{path}.count must be at least 2")
     _require(count <= MAX_GRID_SAMPLES, f"{path}.count must be at most {MAX_GRID_SAMPLES}")
     _require(stop > start, f"{path}.stop must exceed {path}.start")
+    _require(math.isfinite(stop - start),
+             f"{path}.stop - {path}.start is beyond float range")
     return {"start": start, "stop": stop, "count": count}
 
 
@@ -279,15 +292,10 @@ def _parse_numeric_form(
                 "or --bind-a instead of running formally"
             )
         form = binding.bind(form, path)
-    for indices, coeff in form.terms.items():
-        for c in coeff.terms.values():
-            try:
-                c.evaluate()
-            except OverflowError:
-                raise JobValidationError(
-                    f"{path} has a coefficient beyond float range "
-                    f"in its {list(indices)} term"
-                ) from None
+    try:
+        check_float_range(form, path)
+    except ValueError as exc:
+        raise JobValidationError(str(exc)) from None
     return form
 
 
@@ -354,7 +362,7 @@ def _run_cohomology(job, binding: _Binding, tol) -> tuple[dict, bool]:
     _require(max_degree >= 0, "job.max_degree must be nonnegative")
     action = binding.bind(action, "job.action")
     windows = []
-    for d, records in _basic_cohomology(action, (max_degree, max_degree + 2)).items():
+    for d, records in truncated_basic_cohomology(action, (max_degree, max_degree + 2)).items():
         windows.append(
             {
                 "max_degree": d,

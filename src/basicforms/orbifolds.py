@@ -1,10 +1,13 @@
 """Invariant forms on finite-group charts.
 
 A chart is a finite group of exact invertible affine maps acting on R^n,
-given by generators S.  Its constructor builds the group G with one
-breadth-first walk (:func:`~basicforms.actions.closure_walk`, |G|*|S|
-products, no inverses), so the group is closed by construction, and keeps
-the walk's right-multiplication table and each element's word.
+given by generators S.  Its constructor walks the group G breadth-first
+from the identity (|G|*|S| products, no inverses), so the group is closed
+by construction, and keeps the walk's right-multiplication table and each
+element's trace.  An element of finite order has an integer trace of
+absolute value at most n, so a group with an element whose trace is not
+such an integer is infinite: the walk stops at that element, not at the
+cap.
 
 With no connected directions the horizontal condition is vacuous, so the
 forms that descend are exactly the invariant ones.  They are computed as
@@ -20,9 +23,9 @@ them, hence by the whole group.  Two checks then prove that answer:
 * completeness: the basis has as many forms as Molien's formula counts
   invariants in the window.  The count needs each element's
   characteristic polynomial, which it gets from the power sums
-  tr A_g^m, m <= n, read off the closure's table, with Newton's
-  identities once per distinct tuple of them; it forms no product of
-  maps and no window linear algebra.
+  tr A_g^m, m <= n, read off the walk's table and traces, with Newton's
+  identities once per distinct tuple of them; it runs on Python ints,
+  and forms no product of maps, no Scalar and no window linear algebra.
 
 The kernel basis comes from a reduced row echelon form, so it is linearly
 independent; with both checks passing it spans the invariants.
@@ -33,10 +36,34 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .actions import ActionSpec, AffineMap, act_pullback, closure_walk
+from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form
-from .scalars import ONE, ZERO, Scalar
 from .solver import TruncationSpec, basic_form_basis
+
+
+class GroupNotFiniteError(RuntimeError):
+    """Raised when a chart's generators generate an infinite group, or one past the cap."""
+
+
+def _trace(g: AffineMap) -> int:
+    """tr A_g as an int; GroupNotFiniteError unless it is one of absolute value at most n.
+
+    The eigenvalues of an element of finite order are n roots of unity, so
+    its trace is an algebraic integer of absolute value at most n.  It also
+    lies in Q(a), and Q is algebraically closed in Q(a), so it is rational,
+    hence an integer.
+    """
+    rows = g.linear
+    n = len(rows)
+    trace = sum((rows[i][i] for i in range(1, n)), rows[0][0])
+    if trace.is_rational:
+        value = trace.as_fraction()
+        if value.denominator == 1 and abs(value) <= n:
+            return value.numerator
+    raise GroupNotFiniteError(
+        f"group not finite: an element has trace {trace}, "
+        f"not an integer between {-n} and {n}"
+    )
 
 
 class OrbifoldChart:
@@ -44,25 +71,47 @@ class OrbifoldChart:
 
     Built from its generators: ``group`` is their breadth-first closure,
     identity first, and so is closed by construction; ``generators`` keeps
-    them in input order.  The walk's right-multiplication ``table`` and
-    each element's ``words`` are kept too.  Raises ValueError for no
-    generators or one of the wrong dimension, and
-    :class:`~basicforms.actions.GroupNotFiniteError` when the group has
+    them in input order.  The walk takes elements in list order and
+    multiplies each on the right by every generator in input order, so
+    every product is formed and hashed exactly once; no inverses are
+    needed, since in a finite group each inverse is a positive power.
+    Elements appear by word length, ties broken by insertion order.  The
+    right-multiplication table (``_table[i][s]`` is the index of
+    ``group[i].compose(generators[s])``) and each element's trace are kept
+    for Molien's count.  Raises ValueError for no generators or one of the
+    wrong dimension, and :class:`GroupNotFiniteError` at the first element
+    whose trace no element of finite order has, or when the group has
     more than ``cap`` elements.
     """
 
-    __slots__ = ("_dim", "_group", "_generators", "_table", "_words")
+    __slots__ = ("_dim", "_group", "_generators", "_table", "_traces")
 
     def __init__(self, dim: int, generators: Sequence[AffineMap], cap: int = 64):
+        if not generators:
+            raise ValueError("need at least one generator")
         for g in generators:
             if g.dim != dim:
                 raise ValueError("generator has the wrong dimension")
         self._dim = dim
         self._generators = tuple(generators)
-        walk = closure_walk(self._generators, cap)
-        self._group = tuple(walk.group)
-        self._table = tuple(walk.table)
-        self._words = tuple(walk.words)
+        identity = AffineMap.identity(dim)
+        group, table, traces = [identity], [], [dim]
+        index = {identity: 0}
+        for element in group:  # the list grows as the walk reaches new elements
+            row = []
+            for g in self._generators:
+                product = element.compose(g)
+                j = index.setdefault(product, len(group))  # new iff it got the next index
+                if j == len(group):
+                    if j >= cap:
+                        raise GroupNotFiniteError(f"group not finite within cap {cap}")
+                    traces.append(_trace(product))
+                    group.append(product)
+                row.append(j)
+            table.append(tuple(row))
+        self._group = tuple(group)
+        self._table = tuple(table)
+        self._traces = tuple(traces)
 
     @property
     def dim(self) -> int:
@@ -76,16 +125,6 @@ class OrbifoldChart:
     def generators(self) -> tuple[AffineMap, ...]:
         """The given generators, in input order; their words give the group."""
         return self._generators
-
-    @property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """``group[table[i][s]] == group[i].compose(generators[s])``."""
-        return self._table
-
-    @property
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        """``group[i]`` is the product of ``generators[s]`` for s in ``words[i]``, in order."""
-        return self._words
 
     def __repr__(self) -> str:
         return f"OrbifoldChart(dim={self._dim}, order={len(self._group)})"
@@ -120,18 +159,33 @@ def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list
     return basis
 
 
-def _power_sums(chart: OrbifoldChart) -> list[tuple[Scalar, ...]]:
+def _words(table: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each element's word: the generator indices whose maps, composed in
+    that order onto the identity, give it.
+
+    A new element's word is its parent's word plus the generator that
+    reached it.  New indices first appear in the table in increasing
+    order, each in its parent's row, so one pass over the rows reads them.
+    """
+    words = [()]
+    for i, row in enumerate(table):
+        for s, j in enumerate(row):
+            if j == len(words):
+                words.append(words[i] + (s,))
+    return words
+
+
+def _power_sums(chart: OrbifoldChart) -> list[tuple[int, ...]]:
     """(tr A_g, tr A_g^2, ..., tr A_g^n) for every element g, in group order.
 
     The linear part is a homomorphism, so A_g^m is the linear part of g^m,
-    and tr A_g^m is the trace of that element.  Each trace is read once;
-    g^m is reached from g^(m-1) by following g's word through the
-    closure's table, integer lookups and no product of maps.
+    and tr A_g^m is the trace the walk kept for that element.  g^m is
+    reached from g^(m-1) by following g's word through the walk's table,
+    integer lookups and no product of maps.
     """
-    n = chart.dim
-    traces = [sum((g.linear[i][i] for i in range(1, n)), g.linear[0][0]) for g in chart.group]
-    table, sums = chart.table, []
-    for i, word in enumerate(chart.words):
+    n, table, traces = chart.dim, chart._table, chart._traces
+    sums = []
+    for i, word in enumerate(_words(table)):
         power, row = i, [traces[i]]
         for _ in range(n - 1):
             for s in word:
@@ -141,20 +195,19 @@ def _power_sums(chart: OrbifoldChart) -> list[tuple[Scalar, ...]]:
     return sums
 
 
-def _newton_coefficients(sums: Sequence[Scalar]) -> tuple[Scalar, ...]:
+def _newton_coefficients(sums: Sequence[int]) -> tuple[int, ...]:
     """Coefficients q_0, ..., q_n of det(I - t*A), low degree first, from p_m = tr A^m.
 
     det(I - tA) = prod_i (1 - lambda_i t), so q_k = (-1)^k e_k(lambda) =
     (-1)^k tr Lambda^k(A), and Newton's identities read
-    k q_k = -sum_{i=1..k} p_i q_{k-i}.  Exact over Q(a): the only
-    division is by k <= n.
+    k q_k = -sum_{i=1..k} p_i q_{k-i}.  For A of finite order each q_k is
+    +-e_k of roots of unity, an algebraic integer in Q(a), so an integer,
+    and the division by k is exact.
     """
-    coeffs = [ONE]
+    coeffs = [1]
     for k in range(1, len(sums) + 1):
-        total = sums[k - 1]  # p_k q_0
-        for i in range(1, k):
-            total = total + sums[i - 1] * coeffs[k - i]
-        coeffs.append(-total / k)
+        total = sums[k - 1] + sum(sums[i - 1] * coeffs[k - i] for i in range(1, k))
+        coeffs.append(-total // k)
     return tuple(coeffs)
 
 
@@ -171,25 +224,22 @@ def _molien_dimension(chart: OrbifoldChart, spec: TruncationSpec) -> int:
     every window and turns each g into A_g, so c is never needed.  Over a
     field of characteristic 0 the power sums (tr A_g^m, m <= n) fix the
     characteristic polynomial and it fixes them, so elements are counted
-    by their tuple of power sums, read off the closure's table, and
-    Newton's identities give det(I - t A_g) once per distinct tuple; the
-    count forms no product of maps.  Exact in Scalar, since chart
-    generators may mention the parameter; a total that mentions it or is
-    not an integer means a bug.
+    by their tuple of power sums, read off the walk, and Newton's
+    identities give det(I - t A_g) once per distinct tuple.  Every
+    quantity is an integer (the walk kept only integer traces), so the
+    count runs on Python ints; a total that |G| does not divide means a
+    bug.
     """
     n, grade = chart.dim, spec.grade
-    total = ZERO
+    total = 0
     for sums, count in Counter(_power_sums(chart)).items():
         q = _newton_coefficients(sums)
-        series = [ONE]  # 1/det(I - tA) through t^d
+        series = [1]  # 1/det(I - tA) through t^d
         for k in range(1, spec.max_degree + 1):
-            series.append(
-                -sum((q[i] * series[k - i] for i in range(1, min(k, n) + 1)), ZERO)
-            )
+            series.append(-sum(q[i] * series[k - i] for i in range(1, min(k, n) + 1)))
         wedge_trace = -q[grade] if grade % 2 else q[grade]
-        total = total + count * wedge_trace * sum(series, ZERO)
-    total = total / len(chart.group)
-    if not total.is_rational or total.as_fraction().denominator != 1:
-        raise RuntimeError(f"Molien's formula gives a non-integer count {total}")
-    return int(total.as_fraction())
-
+        total += count * wedge_trace * sum(series)
+    order = len(chart.group)
+    if total % order:
+        raise RuntimeError(f"Molien's formula gives a non-integer count {total}/{order}")
+    return total // order

@@ -55,6 +55,7 @@ gauges, which are never built whole.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -344,12 +345,23 @@ def pullback_along_plot(plot: Plot, form: Form) -> np.ndarray:
 
 
 def _report(deviations: np.ndarray, grid: np.ndarray, tol: float) -> DeviationReport:
+    """The worst deviation and where it is; ValueError if it is not finite.
+
+    ``np.argmax`` takes the first NaN as the largest value, so a single
+    check on the worst sample sees every inf and NaN.
+    """
     idx = int(np.argmax(deviations)) if deviations.size else 0
     worst = float(deviations[idx]) if deviations.size else 0.0
+    where = tuple(float(v) for v in grid[idx]) if grid.size else ()
+    if not math.isfinite(worst):
+        raise ValueError(
+            f"the deviation at sample {idx} (parameter {list(where)}) is {worst}: "
+            "the values there leave float range"
+        )
     return DeviationReport(
         max_abs_deviation=worst,
         argmax_index=idx,
-        argmax_param=tuple(float(v) for v in grid[idx]) if grid.size else (),
+        argmax_param=where,
         tolerance=tol,
         passed=worst <= tol,
         deviations=deviations,
@@ -357,8 +369,13 @@ def _report(deviations: np.ndarray, grid: np.ndarray, tol: float) -> DeviationRe
 
 
 def _deviations(first: Plot, second: Plot, form: Form) -> np.ndarray:
-    """Per-sample worst absolute difference of the two pullbacks."""
-    diff = np.abs(pullback_along_plot(first, form) - pullback_along_plot(second, form))
+    """Per-sample worst absolute difference of the two pullbacks.
+
+    Values beyond float range become inf or NaN without a warning;
+    :func:`_report` refuses them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(pullback_along_plot(first, form) - pullback_along_plot(second, form))
     return diff.max(axis=1) if diff.shape[1] else np.zeros(first.num_samples)
 
 

@@ -376,22 +376,16 @@ class CohomologyRecord(NamedTuple):
     dim_cohomology: int
 
 
-def truncated_basic_cohomology(action: ActionSpec, max_degree: int) -> list[CohomologyRecord]:
-    """Closed-mod-exact dimensions of basic forms, one record per grade.
-
-    Closed forms are measured inside the degree-``max_degree`` window;
-    exact ones come from basic potentials one degree higher (d drops the
-    coefficient degree by one, so every exact form in the window has a
-    potential in the degree ``max_degree + 1`` window).  These are
-    truncation dimensions, not a limit statement.
-    """
-    return _basic_cohomology(action, [max_degree])[max_degree]
-
-
-def _basic_cohomology(
+def truncated_basic_cohomology(
     action: ActionSpec, window_degrees: Sequence[int]
 ) -> dict[int, list[CohomologyRecord]]:
-    """The records of :func:`truncated_basic_cohomology` for every window degree.
+    """Closed-mod-exact dimensions of basic forms, one record per grade, by window degree.
+
+    For each d in ``window_degrees``, closed forms are measured inside the
+    degree-d window; exact ones come from basic potentials one degree
+    higher (d drops the coefficient degree by one, so every exact form in
+    the window has a potential in the degree d + 1 window).  These are
+    truncation dimensions, not a limit statement.
 
     Grade k needs the bases of every window degree d, and below the top
     grade those of every d + 1 for the potentials; all of them come from

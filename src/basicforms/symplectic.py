@@ -24,7 +24,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .forms import Form, VectorField, ext_d, eval_form, interior, lie_derivative, wedge
+from .forms import (
+    Form,
+    VectorField,
+    check_float_range,
+    eval_form,
+    ext_d,
+    interior,
+    lie_derivative,
+    wedge,
+)
 from .plots import DeviationReport, _report
 from .polynomials import Polynomial
 
@@ -176,7 +185,10 @@ def level_restriction_check(
     On every sampled level point, both the contraction ``i_X candidate`` and
     the Lie derivative ``L_X candidate`` are evaluated on all tangent-basis
     tuples of the appropriate size; PASS means every value is within ``tol``.
-    A candidate that mentions ``a`` is bound first (``Form.bind_param``).
+    A candidate that mentions ``a`` must be bound first
+    (``Form.bind_param``), else this raises UnboundParameterError.  Raises
+    ValueError, naming it, when ``i_X sigma`` or ``L_X sigma`` (sigma the
+    candidate) has a coefficient beyond float range, before sampling.
     """
     if not model.level_samples:
         raise ValueError("model carries no level samples")
@@ -186,6 +198,8 @@ def level_restriction_check(
         raise ValueError("restriction check needs a form of grade at least 1")
     contraction = interior(model.field, candidate)
     invariance = lie_derivative(model.field, candidate)
+    check_float_range(contraction, "i_X sigma")
+    check_float_range(invariance, "L_X sigma")
     c_dev = _tuple_deviations(contraction, model.level_samples)
     i_dev = _tuple_deviations(invariance, model.level_samples)
     # samples have no plot parameter; a report names the worst by its index

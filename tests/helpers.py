@@ -246,8 +246,9 @@ def naive_group(generators: Sequence[AffineMap], limit: int = 256) -> set[Affine
     """Every product of the generators and their inverses, by word length.
 
     Adds all words one letter longer until a length brings nothing new;
-    fails past ``limit`` elements.  Kept apart from ``group_closure``, which
-    walks right products by the generators alone.
+    fails past ``limit`` elements.  Kept apart from ``OrbifoldChart``'s
+    walk, which takes right products by the generators alone and checks
+    each new element's trace.
     """
     letters = list(generators) + [affine_inverse(g) for g in generators]
     reached = {AffineMap.identity(generators[0].dim)}
@@ -257,6 +258,17 @@ def naive_group(generators: Sequence[AffineMap], limit: int = 256) -> set[Affine
         reached |= frontier
         assert len(reached) <= limit, "group is larger than the limit"
     return reached
+
+
+def dense_product(g: AffineMap, h: AffineMap) -> AffineMap:
+    """g after h, every entry a full row-by-column sum."""
+    n = g.dim
+    rows, shift = g.linear, g.translation
+    return AffineMap.from_rows(
+        [[sum((rows[i][k] * h.linear[k][j] for k in range(n)), Scalar.of(0)) for j in range(n)]
+         for i in range(n)],
+        [sum((rows[i][k] * h.translation[k] for k in range(n)), shift[i]) for i in range(n)],
+    )
 
 
 def word_product(generators: Sequence[AffineMap], word: Sequence[int]) -> AffineMap:

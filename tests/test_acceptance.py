@@ -117,7 +117,7 @@ def test_criterion_03_solenoid_cohomology():
     failures: list = []
     action = solenoid_plane()
     for d in (2, 4):
-        dims = [r.dim_cohomology for r in truncated_basic_cohomology(action, d)]
+        dims = [r.dim_cohomology for r in truncated_basic_cohomology(action, [d])[d]]
         _expect(failures, dims == [1, 1, 0], f"window {d} gives {dims}, want [1, 1, 0]")
     _finish(3, "solenoid cohomology is (1, 1, 0) at windows 2 and 4", 5.0, started, failures)
 

@@ -1,8 +1,8 @@
-"""Affine maps, pullback action, and breadth-first group closure.
+"""Affine maps and the pullback action.
 
-The closure oracle is independent repeated matrix multiplication: for the
-quarter-turn generator the four powers are written out and compared
-element for element.
+The composition oracles are pointwise application and the dense
+row-by-column product; a chart's walk of its group is tested in
+``test_orbifolds.py``.
 """
 
 import random
@@ -10,29 +10,21 @@ from fractions import Fraction
 
 import pytest
 
-from basicforms.actions import (
-    ActionSpec,
-    AffineMap,
-    GroupNotFiniteError,
-    act_pullback,
-    closure_walk,
-    group_closure,
-)
+from basicforms.actions import ActionSpec, AffineMap, act_pullback
 from basicforms.forms import Form
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
 import helpers
 from helpers import (
-    affine_inverse,
     apply_exact,
     cofactor_det,
+    dense_product,
     eval_scalar_exact,
     rand_affine,
     rand_form,
     rand_fraction,
     rand_scalar,
     safe_a0,
-    word_product,
 )
 
 
@@ -119,20 +111,9 @@ def test_compose_against_pointwise_application():
         product = g.compose(h)
         assert apply_exact(product, point) == apply_exact(g, apply_exact(h, point))
         # compose skips the rank check; the checked constructor agrees,
-        # down to the hash that group_closure deduplicates by
+        # down to the hash that a chart's walk deduplicates by
         assert AffineMap(product.linear, product.translation) == product
         assert hash(AffineMap.from_rows(product.linear, product.translation)) == hash(product)
-
-
-def _dense_product(g: AffineMap, h: AffineMap) -> AffineMap:
-    """g after h, every entry a full row-by-column sum."""
-    n = g.dim
-    rows, shift = g.linear, g.translation
-    return AffineMap.from_rows(
-        [[sum((rows[i][k] * h.linear[k][j] for k in range(n)), Scalar.of(0)) for j in range(n)]
-         for i in range(n)],
-        [sum((rows[i][k] * h.translation[k] for k in range(n)), shift[i]) for i in range(n)],
-    )
 
 
 def _signed_permutation(perm, signs, translation=None) -> AffineMap:
@@ -142,13 +123,13 @@ def _signed_permutation(perm, signs, translation=None) -> AffineMap:
     return AffineMap.from_rows(rows, translation or [0] * len(perm))
 
 
-def test_compose_equals_the_dense_product(monkeypatch):
+def test_compose_equals_the_dense_product():
     rng = random.Random(307)
     for _ in range(60):
         dim = rng.randint(1, 4)
         g = rand_affine(rng, dim, with_param=dim < 4)
         h = rand_affine(rng, dim, with_param=dim < 4)
-        assert g.compose(h) == _dense_product(g, h)
+        assert g.compose(h) == dense_product(g, h)
     for _ in range(60):
         dim = rng.randint(1, 4)
         g, h = (
@@ -159,12 +140,7 @@ def test_compose_equals_the_dense_product(monkeypatch):
             )
             for _ in range(2)
         )
-        assert g.compose(h) == _dense_product(g, h)
-    # a B3 chart's closure walks its elements in the same order either way
-    b3 = [_signed_permutation((1, 2, 0), (1, 1, -1)), _signed_permutation((1, 0, 2), (-1, 1, 1))]
-    group = group_closure(b3, cap=48)
-    monkeypatch.setattr(AffineMap, "compose", _dense_product)
-    assert group_closure(b3, cap=48) == group
+        assert g.compose(h) == dense_product(g, h)
 
 
 def test_as_poly_map_agrees_with_apply_exact():
@@ -235,80 +211,6 @@ def test_binding_an_affine_map_with_filled_tables():
             break
         for f, image in zip(forms, pulled):
             assert act_pullback(bound, f.bind_param(a0)) == image.bind_param(a0)
-
-
-def test_closure_of_quarter_turn_matches_powers():
-    r = _rotation()
-    group = group_closure([r], cap=8)
-    powers = [AffineMap.identity(2)]
-    for _ in range(3):
-        powers.append(r.compose(powers[-1]))
-    assert len(group) == 4
-    assert set(group) == set(powers)
-    # breadth-first: identity first, generator next
-    assert group[0] == AffineMap.identity(2)
-    assert group[1] in (r, affine_inverse(r))
-
-
-def test_closure_of_sign_flip():
-    flip = AffineMap.from_rows([[-1]], [0])
-    group = group_closure([flip])
-    assert group == [AffineMap.identity(1), flip]
-
-
-def test_closure_detects_infinite_group():
-    shift = AffineMap.translation_by([1])
-    with pytest.raises(GroupNotFiniteError):
-        group_closure([shift], cap=16)
-
-
-def test_closure_cap_is_tight():
-    r = _rotation()
-    assert len(group_closure([r], cap=4)) == 4
-    with pytest.raises(GroupNotFiniteError):
-        group_closure([r], cap=3)
-
-
-def test_closure_hashes_each_product_once(monkeypatch):
-    generators = [
-        _signed_permutation((1, 2, 0), (1, 1, -1)),
-        _signed_permutation((1, 0, 2), (-1, 1, 1)),
-    ]
-    hashes = 0
-    original = AffineMap.__hash__
-
-    def counting(self):
-        nonlocal hashes
-        hashes += 1
-        return original(self)
-
-    monkeypatch.setattr(AffineMap, "__hash__", counting)
-    group = group_closure(generators, cap=48)
-    assert len(group) == 48  # all signed permutations of R^3
-    # the identity, then one hash per product word * generator
-    assert hashes <= 1 + len(group) * len(generators)
-
-
-def test_closure_walk_records_its_table_and_words():
-    b3 = [_signed_permutation((1, 2, 0), (1, 1, -1)), _signed_permutation((1, 0, 2), (-1, 1, 1))]
-    # B3 about a point off the origin, one coordinate in the parameter
-    rng = random.Random(314)
-    shift = AffineMap.translation_by([rand_fraction(rng, 3), 0, rand_scalar(rng)])
-    moved = [shift.compose(g).compose(affine_inverse(shift)) for g in b3]
-    assert any(g.uses_parameter for g in moved)
-    for generators, order in (([_rotation()], 4), (b3, 48), (moved, 48)):
-        walk = closure_walk(generators, cap=64)
-        group = walk.group
-        assert group == group_closure(generators, cap=64)
-        assert len(group) == order
-        assert len(walk.table) == len(walk.words) == len(group)
-        for i, row in enumerate(walk.table):
-            assert row == tuple(group.index(group[i].compose(g)) for g in generators)
-        # breadth-first: the identity's word is empty and words never shrink
-        assert walk.words[0] == ()
-        assert all(len(u) <= len(v) for u, v in zip(walk.words, walk.words[1:]))
-        for element, word in zip(group, walk.words):
-            assert word_product(generators, word) == element
 
 
 def test_action_spec_validation_and_binding():

@@ -74,7 +74,7 @@ def _cases():
         )
     for d in (2, 4):
         cases[f"solenoid_cohomology_d{d}"] = lambda d=d: [
-            r._asdict() for r in truncated_basic_cohomology(solenoid_plane(), d)
+            r._asdict() for r in truncated_basic_cohomology(solenoid_plane(), [d])[d]
         ]
     for d in (1, 2, 3):
         cases[f"r4_rotation_g2_d{d}"] = lambda d=d: _basis(

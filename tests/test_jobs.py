@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 
 from basicforms import cli, jobs
+from basicforms.actions import AffineMap
 from basicforms.cli import builtin_job_names, run
 from basicforms.examples import solenoid_stages
 from basicforms.expressions import MAX_DIGITS, MAX_EXPONENT, ParseError, parse_poly_expr
@@ -509,6 +510,42 @@ def test_coefficient_beyond_float_range_is_a_validation_error(name):
     assert "beyond float range" in report["error"]["message"]
 
 
+def test_symplectic_derived_coefficient_beyond_float_range_is_a_validation_error():
+    # sigma's coefficients have floats, but L_X sigma doubles one past float range
+    big = "1" + "0" * 308
+    job = _builtin("symplectic_r4")
+    for term in job["sigma"]["terms"]:
+        term["coefficient"] = f"{big}*x^2"
+    report, code = run_job(job)
+    assert code == EXIT_VALIDATION_ERROR, report.get("error")
+    assert "sigma has a coefficient beyond float range" in report["error"]["message"]
+    json.dumps(report, allow_nan=False)  # the report is strict JSON
+
+
+def test_grid_whose_span_leaves_float_range_is_a_validation_error():
+    job = _builtin("z2_criterion")
+    job["grid"] = {"start": -1e308, "stop": 1e308, "count": 11}
+    report, code = run_job(job)
+    assert code == EXIT_VALIDATION_ERROR, report.get("error")
+    assert "job.grid.stop - job.grid.start is beyond float range" in report["error"]["message"]
+    json.dumps(report, allow_nan=False)  # the report is strict JSON
+
+
+def test_criterion_values_beyond_float_range_are_a_validation_error():
+    # x^5 overflows at |x| = 1e300, and inf - inf is NaN
+    job = {
+        "command": "criterion",
+        "plots": {"first": "torus_line", "second": "torus_line_shifted"},
+        "form": {"grade": 1, "terms": [{"indices": [0], "coefficient": "x^5"}]},
+        "grid": {"start": -1e300, "stop": 1e300, "count": 11},
+    }
+    report, code = run_job(job)
+    assert code == EXIT_VALIDATION_ERROR, report.get("error")
+    assert report["error"]["message"].startswith("the deviation at sample 0 ")
+    assert "leave float range" in report["error"]["message"]
+    json.dumps(report, allow_nan=False)  # the report is strict JSON
+
+
 def test_unknown_builtin_plot_is_a_validation_error():
     job = _builtin("z2_criterion")
     job["plots"]["first"] = "missing_plot"
@@ -571,27 +608,50 @@ def test_infinite_closure_is_a_validation_error():
     assert code == EXIT_VALIDATION_ERROR
 
 
-def _doubling_chart_job(cap: int) -> dict:
+def _line_chart_job(matrix: str, translation: str, cap: int) -> dict:
     return {
         "command": "orbifold",
-        "chart": {"dimension": 1, "generators": [{"matrix": [["2"]]}], "closure_cap": cap},
+        "chart": {
+            "dimension": 1,
+            "generators": [{"matrix": [[matrix]], "translation": [translation]}],
+            "closure_cap": cap,
+        },
         "truncation": {"grade": 0, "max_degree": 1},
     }
 
 
 @pytest.mark.parametrize("cap", [10**9, MAX_CLOSURE_CAP + 1, 0, -1])
 def test_out_of_range_closure_cap_is_refused_before_walking(cap):
+    # x -> x + 1 has trace 1 at every power, so only the cap would stop it
     started = time.perf_counter()
-    report, code = run_job(_doubling_chart_job(cap))
+    report, code = run_job(_line_chart_job("1", "1", cap))
     assert time.perf_counter() - started < 2.0
     assert code == EXIT_VALIDATION_ERROR
     assert "closure_cap must be between 1 and 4096" in report["error"]["message"]
 
 
 def test_largest_closure_cap_ends_an_infinite_walk():
-    report, code = run_job(_doubling_chart_job(MAX_CLOSURE_CAP))
+    report, code = run_job(_line_chart_job("1", "1", MAX_CLOSURE_CAP))
     assert code == EXIT_VALIDATION_ERROR
     assert "not finite within cap 4096" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("matrix", ["(a+1)/(a-1)", "a+1", "3/2", "2"])
+def test_a_chart_whose_generator_has_no_finite_order_trace_stops_at_once(monkeypatch, matrix):
+    # each map generates an infinite group; its trace is not an integer of
+    # absolute value at most 1, so the walk stops at its first product,
+    # where walking (a+1)/(a-1) to the cap took minutes
+    compose, calls = AffineMap.compose, []
+
+    def counted(self, other):
+        calls.append(other)
+        return compose(self, other)
+
+    monkeypatch.setattr(AffineMap, "compose", counted)
+    report, code = run_job(_line_chart_job(matrix, "0", MAX_CLOSURE_CAP))
+    assert code == EXIT_VALIDATION_ERROR
+    assert report["error"]["message"].startswith("job.chart: group not finite: an element has trace")
+    assert len(calls) == 1
 
 
 def test_properness_flag_is_echoed():

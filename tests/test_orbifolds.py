@@ -1,28 +1,37 @@
-"""Finite-group charts: invariant-form bases, and pullbacks under a chart transition."""
+"""Finite-group charts: the walk of the group, invariant-form bases, and
+pullbacks under a chart transition.
+
+The walk's oracles are repeated matrix multiplication (the quarter turn's
+four powers), the words of the generators and their inverses
+(``naive_group``), and the dense row-by-column product.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import basicforms
 from basicforms import orbifolds, solver
-from basicforms.actions import ActionSpec, AffineMap, GroupNotFiniteError, act_pullback
+from basicforms.actions import ActionSpec, AffineMap, act_pullback
 from basicforms.examples import c4_square_chart
 from basicforms.forms import Form
 from basicforms.linalg import Matrix, rank
-from basicforms.orbifolds import OrbifoldChart, orbifold_invariant_forms
+from basicforms.orbifolds import GroupNotFiniteError, OrbifoldChart, orbifold_invariant_forms
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
 from basicforms.solver import TruncationSpec, Window, basic_form_basis
 from helpers import (
     _tpoly_det,
     affine_inverse,
+    dense_product,
     linear_parts,
     matrix_power_traces,
     molien_counts,
     naive_group,
     rand_fraction,
     rand_nonzero_fraction,
+    rand_scalar,
     reynolds_span,
     spans_equal,
     word_product,
@@ -114,13 +123,104 @@ _B3 = [_signed_permutation((1, 2, 0), (1, 1, -1)), _signed_permutation((1, 0, 2)
 
 def _assert_table_and_words(chart: OrbifoldChart) -> None:
     group, gens = chart.group, chart.generators
-    assert len(chart.table) == len(chart.words) == len(group)
-    for i, row in enumerate(chart.table):
+    table, words = chart._table, orbifolds._words(chart._table)
+    assert len(table) == len(words) == len(chart._traces) == len(group)
+    for i, row in enumerate(table):
         assert len(row) == len(gens)
         for s, j in enumerate(row):
             assert group[j] == group[i].compose(gens[s])
-    for element, word in zip(group, chart.words):
+    for element, word, trace in zip(group, words, chart._traces):
         assert word_product(gens, word) == element
+        assert Scalar.of(trace) == sum((row[i] for i, row in enumerate(element.linear)), Scalar.of(0))
+
+
+def _counting_compose(monkeypatch, limit: int | None = None) -> list:
+    """Patch AffineMap.compose to record each call, and to fail past ``limit``
+    calls if given; returns the record."""
+    calls, compose = [], AffineMap.compose
+
+    def counted(self, other):
+        calls.append(other)
+        assert limit is None or len(calls) <= limit, f"more than {limit} products"
+        return compose(self, other)
+
+    monkeypatch.setattr(AffineMap, "compose", counted)
+    return calls
+
+
+def test_closure_of_quarter_turn_matches_powers():
+    group = OrbifoldChart(2, [_QUARTER], cap=8).group
+    powers = [AffineMap.identity(2)]
+    for _ in range(3):
+        powers.append(_QUARTER.compose(powers[-1]))
+    assert len(group) == 4
+    assert set(group) == set(powers)
+    # breadth-first: identity first, generator next
+    assert group[0] == AffineMap.identity(2)
+    assert group[1] in (_QUARTER, affine_inverse(_QUARTER))
+
+
+def test_closure_of_sign_flip():
+    flip = AffineMap.from_rows([[-1]], [0])
+    assert OrbifoldChart(1, [flip]).group == (AffineMap.identity(1), flip)
+
+
+def test_closure_detects_infinite_group(monkeypatch):
+    assert basicforms.GroupNotFiniteError is GroupNotFiniteError
+    shift = AffineMap.translation_by([1])
+    calls = _counting_compose(monkeypatch)
+    with pytest.raises(GroupNotFiniteError, match="^group not finite within cap 16$"):
+        OrbifoldChart(1, [shift], cap=16)
+    # x -> x + 1 has trace 1 at every power, so only the cap stops it
+    assert len(calls) == 16
+
+
+def test_closure_cap_is_tight():
+    assert len(OrbifoldChart(2, [_QUARTER], cap=4).group) == 4
+    with pytest.raises(GroupNotFiniteError):
+        OrbifoldChart(2, [_QUARTER], cap=3)
+
+
+def test_closure_hashes_each_product_once(monkeypatch):
+    hashes = 0
+    original = AffineMap.__hash__
+
+    def counting(self):
+        nonlocal hashes
+        hashes += 1
+        return original(self)
+
+    monkeypatch.setattr(AffineMap, "__hash__", counting)
+    chart = OrbifoldChart(3, _B3, cap=48)
+    assert len(chart.group) == 48  # all signed permutations of R^3
+    # the identity, then one hash per product word * generator
+    assert hashes <= 1 + len(chart.group) * len(_B3)
+
+
+def test_closure_order_is_the_same_with_dense_products(monkeypatch):
+    # compose skips zero entries; the walk reaches the same elements in
+    # the same order when every entry is a full row-by-column sum
+    group = OrbifoldChart(3, _B3, cap=48).group
+    monkeypatch.setattr(AffineMap, "compose", dense_product)
+    assert OrbifoldChart(3, _B3, cap=48).group == group
+
+
+def test_closure_walk_records_its_table_and_words():
+    # B3 about a point off the origin, one coordinate in the parameter
+    rng = random.Random(314)
+    shift = AffineMap.translation_by([rand_fraction(rng, 3), 0, rand_scalar(rng)])
+    moved = [shift.compose(g).compose(affine_inverse(shift)) for g in _B3]
+    assert any(g.uses_parameter for g in moved)
+    for dim, generators, order in ((2, [_QUARTER], 4), (3, _B3, 48), (3, moved, 48)):
+        chart = OrbifoldChart(dim, generators, cap=64)
+        group, words = chart.group, orbifolds._words(chart._table)
+        assert len(group) == order
+        for i, row in enumerate(chart._table):
+            assert row == tuple(group.index(group[i].compose(g)) for g in generators)
+        # breadth-first: the identity's word is empty and words never shrink
+        assert words[0] == ()
+        assert all(len(u) <= len(v) for u, v in zip(words, words[1:]))
+        _assert_table_and_words(chart)
 
 
 @pytest.mark.parametrize(
@@ -153,14 +253,25 @@ def test_generator_route_matches_whole_group(dim, gens, order, grade, degree, re
     assert spans_equal(window, basis, reynolds_span(chart, window))
 
 
+def _conjugator(rng: random.Random, dim: int) -> AffineMap:
+    """A random rational affine map: a diagonal scaling with one shear entry
+    and a translation, all of height at most 3."""
+    rows = [
+        [rand_nonzero_fraction(rng, 3) if i == j else 0 for j in range(dim)]
+        for i in range(dim)
+    ]
+    i, j = rng.sample(range(dim), 2)
+    rows[i][j] = rand_nonzero_fraction(rng, 2)
+    return AffineMap.from_rows(rows, [rand_fraction(rng, 3) for _ in range(dim)])
+
+
 def _random_finite_chart(rng: random.Random, dim: int) -> OrbifoldChart:
     """Two random signed permutations, conjugated by a random rational affine map.
 
-    The conjugating map is a diagonal scaling with one shear entry and a
-    translation, all of height at most 3.  It gives non-integer linear
-    parts and nonzero translations, keeps the group finite, and keeps the
-    maps sparse enough for dimension 4 at degree 3.  Redraws until the
-    pair generates at most 64 elements.
+    The conjugation gives non-integer linear parts and nonzero
+    translations, keeps the group finite, and keeps the maps sparse enough
+    for dimension 4 at degree 3.  Redraws until the pair generates at most
+    64 elements; a finite group is never refused for a trace.
     """
     while True:
         gens = [
@@ -169,18 +280,12 @@ def _random_finite_chart(rng: random.Random, dim: int) -> OrbifoldChart:
             )
             for _ in range(2)
         ]
-        rows = [
-            [rand_nonzero_fraction(rng, 3) if i == j else 0 for j in range(dim)]
-            for i in range(dim)
-        ]
-        i, j = rng.sample(range(dim), 2)
-        rows[i][j] = rand_nonzero_fraction(rng, 2)
-        h = AffineMap.from_rows(rows, [rand_fraction(rng, 3) for _ in range(dim)])
+        h = _conjugator(rng, dim)
         h_inverse = affine_inverse(h)
         try:
             return OrbifoldChart(dim, [h.compose(g).compose(h_inverse) for g in gens])
-        except GroupNotFiniteError:
-            continue
+        except GroupNotFiniteError as exc:
+            assert "within cap" in str(exc)
 
 
 @pytest.mark.parametrize("seed, dim", [(1101, 2), (1102, 2), (1103, 3), (1104, 3), (1106, 4)])
@@ -199,6 +304,69 @@ def test_molien_count_of_conjugated_signed_permutations(seed, dim):
 
 _A = Scalar.parameter()
 _HALF = Fraction(1, 2)
+
+
+def _diagonal(rng: random.Random, dim: int, kind: str) -> list[Scalar]:
+    """Nonzero diagonal entries whose sum no element of finite order has as its trace."""
+    while True:
+        if kind == "non_integer_trace":
+            entries = [Scalar.of(rand_nonzero_fraction(rng, 3)) for _ in range(dim)]
+        elif kind == "trace_above_n":
+            entries = [Scalar.of(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(dim)]
+        else:  # trace_in_a
+            entry = _A * rand_nonzero_fraction(rng, 3) + rand_fraction(rng, 3)
+            if rng.random() < 0.5:
+                entry = entry / (_A + rand_nonzero_fraction(rng, 3))
+            entries = [entry] + [Scalar.of(rng.choice((1, -1))) for _ in range(dim - 1)]
+        trace = sum(entries[1:], entries[0])
+        if kind == "trace_in_a":
+            wanted = trace.uses_parameter
+        elif kind == "non_integer_trace":
+            wanted = trace.as_fraction().denominator != 1
+        else:
+            wanted = abs(trace.as_fraction()) > dim
+        if wanted:
+            return entries
+
+
+@pytest.mark.parametrize("kind", ["non_integer_trace", "trace_above_n", "trace_in_a"])
+@pytest.mark.parametrize("seed", [2801, 2802, 2803])
+def test_a_trace_no_finite_group_has_is_refused_at_once(monkeypatch, seed, kind):
+    # a map with that trace, conjugated to hide it from its entries, beside
+    # a finite-order map, in random order: the walk refuses it when it
+    # first reaches it, within |S| products, whatever the cap
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+    rows = [[0] * dim for _ in range(dim)]
+    for i, entry in enumerate(_diagonal(rng, dim, kind)):
+        rows[i][i] = entry
+    bad = AffineMap.from_rows(rows, [rand_fraction(rng, 3) for _ in range(dim)])
+    finite = _signed_permutation(rng.sample(range(dim), dim), [rng.choice((1, -1)) for _ in range(dim)])
+    if dim > 1:
+        h = _conjugator(rng, dim)
+        bad, finite = (h.compose(g).compose(affine_inverse(h)) for g in (bad, finite))
+    gens = rng.sample([bad, finite], 2)
+    _counting_compose(monkeypatch, limit=len(gens))
+    with pytest.raises(GroupNotFiniteError, match="^group not finite: an element has trace"):
+        OrbifoldChart(dim, gens, cap=4096)
+
+
+@pytest.mark.parametrize("kind", ["translation", "unipotent_shear"])
+@pytest.mark.parametrize("seed", [2811, 2812])
+def test_a_unipotent_chart_stops_at_the_cap(seed, kind):
+    # every element has trace n, so the walk runs until the cap
+    rng = random.Random(seed)
+    dim = rng.randint(2, 3)
+    if kind == "translation":
+        gens = [AffineMap.translation_by([_A, *(rand_scalar(rng) for _ in range(dim - 1))])]
+    else:
+        rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        rows[0][dim - 1] = _A * rand_nonzero_fraction(rng, 3)
+        h = _conjugator(rng, dim)
+        gens = [h.compose(AffineMap.from_rows(rows, [0] * dim)).compose(affine_inverse(h))]
+    gens.append(AffineMap.translation_by([rand_fraction(rng, 3) for _ in range(dim)]))
+    with pytest.raises(GroupNotFiniteError, match="^group not finite within cap 40$"):
+        OrbifoldChart(dim, gens, cap=40)
 
 
 _PARAMETER_GENERATORS = [
@@ -247,28 +415,25 @@ def test_power_sums_are_traces_of_matrix_powers(seed, dim):
 
 _SCALAR_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__neg__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__",
 )
 
 
 def test_molien_count_forms_no_map_product_and_few_scalar_operations(monkeypatch):
-    chart = OrbifoldChart(3, _B3)
+    charts = [OrbifoldChart(3, _B3), *(OrbifoldChart(2, [g]) for g in _PARAMETER_GENERATORS)]
+    expected = [molien_counts(linear_parts(chart), 1, 2)[2] for chart in charts]
 
-    def refuse(self, other):
-        raise AssertionError("Molien's count formed a product of maps")
+    def refuse(*args):
+        raise AssertionError("Molien's count formed a product of maps or used a Scalar")
 
     monkeypatch.setattr(AffineMap, "compose", refuse)
-    operations = 0
     for name in _SCALAR_OPERATORS:
-        def counted(*args, _operator=getattr(Scalar, name)):
-            nonlocal operations
-            operations += 1
-            return _operator(*args)
-
-        monkeypatch.setattr(Scalar, name, counted)
-    assert orbifolds._molien_dimension(chart, TruncationSpec(1, 2)) == 1
-    # one Faddeev-LeVerrier recurrence per element took 2569 operations here
-    assert operations <= 600
+        monkeypatch.setattr(Scalar, name, refuse)
+    # the count runs on Python ints; one Faddeev-LeVerrier recurrence per
+    # element took 2569 Scalar operations on B3
+    got = [orbifolds._molien_dimension(chart, TruncationSpec(1, 2)) for chart in charts]
+    assert got == expected
+    assert got[0] == 1
 
 
 def test_b4_chart_count_matches_molien_by_cofactors():
@@ -346,14 +511,13 @@ def test_an_assembly_fault_trips_soundness(monkeypatch):
         orbifold_invariant_forms(chart, TruncationSpec(2, 2))
 
 
-def test_a_molien_total_in_the_parameter_is_an_error(monkeypatch):
-    # power sums (p_1, p_2) = (-a, a^2) give det(I - tA) = 1 + a t for
-    # every element, and so the total -a at grade 1
+def test_a_molien_total_the_order_does_not_divide_is_an_error(monkeypatch):
+    # at grade 1, degree 0 the total is the sum of the traces p_1: 5 for
+    # the four elements of C4, which 4 does not divide
     chart = c4_square_chart()
-    sums = [(-_A, _A * _A)] * len(chart.group)
-    assert orbifolds._newton_coefficients(sums[0]) == (Scalar.of(1), _A, Scalar.of(0))
+    sums = [(2, 2), (1, 1), (1, 1), (1, 1)]
     monkeypatch.setattr(orbifolds, "_power_sums", lambda chart: sums)
-    with pytest.raises(RuntimeError, match="non-integer count"):
+    with pytest.raises(RuntimeError, match="non-integer count 5/4"):
         orbifold_invariant_forms(chart, TruncationSpec(1, 0))
 
 
