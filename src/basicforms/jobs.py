@@ -38,7 +38,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .actions import ActionSpec, AffineMap
-from .expressions import MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_expr
+from .expressions import _TOO_LONG, MAX_DIGITS, ParseError, parse_poly_expr, parse_scalar_expr
 from .forms import (
     Form,
     FormSums,
@@ -76,11 +76,6 @@ MAX_GRID_SAMPLES = 1_000_001
 # B5 chart job (order 3840, grade 2, degree 2) takes 0.13 s (2 vCPUs,
 # Python 3.11).
 MAX_CLOSURE_CAP = 4096
-
-# A result coefficient is printed into the report, and Python converts at
-# most MAX_DIGITS digits between int and text; a job whose result has a
-# longer numerator or denominator is refused (exit 2).
-_TOO_LONG = 10**MAX_DIGITS
 
 
 class JobValidationError(ValueError):
@@ -137,8 +132,9 @@ def _expr(value: Any, path: str, names: Sequence[str] | None = None):
 def _parse_affine(spec: Mapping[str, Any], dim: int, path: str) -> AffineMap:
     _require(isinstance(spec, dict), f"{path} must be an object")
     matrix = _get(spec, "matrix", list, path, required=True)
-    translation = _get(spec, "translation", list, path, default=["0"] * dim)
+    # checked before the default translation, whose length is dim
     _require(len(matrix) == dim, f"{path}.matrix must have {dim} rows")
+    translation = _get(spec, "translation", list, path, default=["0"] * dim)
     rows = []
     for i, row in enumerate(matrix):
         _require(isinstance(row, list) and len(row) == dim,
@@ -157,19 +153,20 @@ def _parse_action(job: Mapping[str, Any], key: str) -> ActionSpec:
     path = f"job.{key}"
     dim = _get(spec, "dimension", int, path, required=True)
     _require(dim >= 1, f"{path}.dimension must be positive")
-    names = default_var_names(dim)
     discrete = []
     for i, g in enumerate(_get(spec, "discrete", list, path, default=[])):
         discrete.append(_parse_affine(g, dim, f"{path}.discrete[{i}]"))
-    infinitesimal = []
-    for i, comps in enumerate(_get(spec, "infinitesimal", list, path, default=[])):
+    fields = _get(spec, "infinitesimal", list, path, default=[])
+    for i, comps in enumerate(fields):
         _require(isinstance(comps, list) and len(comps) == dim,
                  f"{path}.infinitesimal[{i}] must list {dim} components")
-        infinitesimal.append(
-            VectorField([_expr(c, f"{path}.infinitesimal[{i}]", names) for c in comps])
-        )
-    _require(bool(discrete) or bool(infinitesimal),
-             f"{path} must give at least one generator")
+    _require(bool(discrete) or bool(fields), f"{path} must give at least one generator")
+    # every generator has now shown dim entries, so the dim names fit in memory
+    names = default_var_names(dim)
+    infinitesimal = [
+        VectorField([_expr(c, f"{path}.infinitesimal[{i}]", names) for c in comps])
+        for i, comps in enumerate(fields)
+    ]
     return ActionSpec(dim, discrete=discrete, infinitesimal=infinitesimal)
 
 
@@ -231,7 +228,7 @@ class _Binding:
         _require(isinstance(raw, (int, float, str)) and not isinstance(raw, bool),
                  "parameter must be 'formal', a number, or a fraction string")
         too_long = f"parameter has more than {MAX_DIGITS} digits"
-        _require(not isinstance(raw, int) or abs(raw) < 10**MAX_DIGITS, too_long)
+        _require(not isinstance(raw, int) or abs(raw) < _TOO_LONG, too_long)
         raw = str(raw)  # NaN and infinities then fail like bad strings
         # digits on either side of a '/', plus the exponent Fraction multiplies out
         mantissa, _, exponent = raw.lower().partition("e")
@@ -314,6 +311,8 @@ def _tolerance(job: Mapping[str, Any], tol: float | None, default: float) -> flo
 
 
 def _form_json(form: Form) -> dict:
+    # Python converts at most MAX_DIGITS digits between int and text, so a
+    # result with a longer numerator or denominator is refused (exit 2)
     for poly in form.terms.values():
         _require(all(c.height < _TOO_LONG for c in poly.terms.values()),
                  f"a result coefficient has more than {MAX_DIGITS} digits")
@@ -467,7 +466,7 @@ def _run_gauge(job, binding: _Binding, tol: float | None) -> tuple[dict, bool]:
     bind = binding.numeric
     form, report = _plot_check(
         job, binding, tol, smooth_gauge_check, DEFAULT_FD_TOL,
-        lambda rows: (builtin_plot(plot, rows, bind), builtin_gauge(gauge, rows, bind)),
+        lambda rows: (builtin_plot(plot, rows, bind), builtin_gauge(gauge, rows)),
     )
     results = {
         "plot": plot,

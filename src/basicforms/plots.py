@@ -11,9 +11,9 @@ measures the worst disagreement.
 Forms are evaluated with ``a`` bound exactly: a form that mentions the
 parameter is bound with ``bind_param`` to a rational before it is
 sampled, and raises ``UnboundParameterError`` otherwise.  The float
-``bind_a`` of :func:`builtin_plot` and :func:`builtin_gauge` is data of
-the plot itself (``solenoid_line_flowed`` moves along the flow of slope
-``a``), never a form coefficient.
+``bind_a`` of :func:`builtin_plot` is data of the plot itself
+(``solenoid_line_flowed`` moves along the flow of slope ``a``), never a
+form coefficient; no gauge takes it.
 
 The flat bump functions used by the built-in ``z2_p1``/``z2_p2`` pair are
 the classic smooth-but-not-analytic examples: e^(-1/t^2) glued at 0, where
@@ -24,9 +24,11 @@ Only :func:`smooth_gauge_check` differentiates numerically (the gauge path
 is sampled, not symbolic); it refuses grids whose finite-difference error
 estimate is not comfortably below the tolerance.
 
-Numbers are computed on whole sample arrays: :func:`pullback_along_plot`
-makes one :func:`~basicforms.forms.eval_form` call per parameter index
-tuple, over all samples at once.  Each array entry takes exactly the
+Numbers are computed on whole sample arrays: a form is evaluated on
+sampled frames (a plot's Jacobians, or the tangent frames of
+:mod:`basicforms.symplectic`'s level samples) with one
+:func:`~basicforms.forms.eval_form` call per increasing tuple of frame
+columns, over all samples at once.  Each array entry takes exactly the
 arithmetic of the float path at that sample, and powers are repeated
 products (``x^3 = (x*x)*x``), not numpy's ``**``: numpy's power is not
 odd-symmetric and differs from Python's float power on some inputs, while a
@@ -57,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -121,32 +123,27 @@ class Plot:
 
 @dataclass(frozen=True)
 class GroupPath:
-    """Sampled path of invertible affine maps over a 1-parameter grid; each
-    sample's |det|, by the cofactor expansion of :func:`eval_form`, is >= 1e-12."""
+    """Sampled path of invertible affine maps, one per row of a 1-parameter
+    grid; each sample's |det|, by the cofactor expansion of
+    :func:`eval_form`, is >= 1e-12."""
 
-    grid: np.ndarray
     linears: np.ndarray  # (S, n, n)
     translations: np.ndarray  # (S, n)
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim == 1:
-            grid = grid[:, None]
         linears = np.asarray(self.linears, dtype=float)
         translations = np.asarray(self.translations, dtype=float)
-        samples = grid.shape[0]
-        if linears.ndim != 3 or linears.shape[0] != samples:
+        if linears.ndim != 3:
             raise ValueError("gauge linear parts have wrong shape")
-        n = linears.shape[1]
+        samples, n = linears.shape[:2]
         if linears.shape != (samples, n, n) or translations.shape != (samples, n):
             raise ValueError("gauge shapes are inconsistent")
-        for name, arr in (("grid", grid), ("linear parts", linears), ("translations", translations)):
+        for name, arr in (("linear parts", linears), ("translations", translations)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"gauge {name} contain non-finite entries")
         dets = _det_float([[linears[:, i, j] for j in range(n)] for i in range(n)])
         if np.any(np.abs(dets) < 1e-12):
             raise ValueError("gauge contains a numerically singular map")
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "linears", linears)
         object.__setattr__(self, "translations", translations)
 
@@ -193,72 +190,43 @@ def default_line_grid(start: float = -1.5, stop: float = 1.5, count: int = 2001)
     return grid
 
 
-def _as_param_column(grid: np.ndarray) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    if g.ndim != 2 or g.shape[1] != 1:
-        raise ValueError("this builtin needs a 1-parameter grid")
-    return g
-
-
-def _plot_z2_p1(grid: np.ndarray, bind_a: float | None) -> Plot:
-    g = _as_param_column(grid)
-    t = g[:, 0]
+def _plot_z2_p1(t: np.ndarray, bind_a: float | None) -> Plot:
     sign = np.sign(t)
     bump, prime = _flat_bump(t)
-    values = (sign * bump)[:, None]
-    jac = (sign * prime)[:, None, None]
-    return Plot(g, values, jac)
+    return Plot(t, (sign * bump)[:, None], (sign * prime)[:, None, None])
 
 
-def _plot_z2_p2(grid: np.ndarray, bind_a: float | None) -> Plot:
-    g = _as_param_column(grid)
-    t = g[:, 0]
+def _plot_z2_p2(t: np.ndarray, bind_a: float | None) -> Plot:
     bump, prime = _flat_bump(t)
-    values = (-bump)[:, None]
-    jac = (-prime)[:, None, None]
-    return Plot(g, values, jac)
+    return Plot(t, (-bump)[:, None], (-prime)[:, None, None])
 
 
-def _plot_torus_line(grid: np.ndarray, bind_a: float | None) -> Plot:
-    g = _as_param_column(grid)
-    t = g[:, 0]
-    return Plot(g, t[:, None], np.ones_like(t)[:, None, None])
+def _plot_torus_line(t: np.ndarray, bind_a: float | None) -> Plot:
+    return Plot(t, t[:, None], np.ones_like(t)[:, None, None])
 
 
-def _plot_torus_line_shifted(grid: np.ndarray, bind_a: float | None) -> Plot:
-    g = _as_param_column(grid)
-    t = g[:, 0]
-    return Plot(g, (t + 1.0)[:, None], np.ones_like(t)[:, None, None])
+def _plot_torus_line_shifted(t: np.ndarray, bind_a: float | None) -> Plot:
+    return Plot(t, (t + 1.0)[:, None], np.ones_like(t)[:, None, None])
 
 
-def _plot_solenoid_line(grid: np.ndarray, bind_a: float | None) -> Plot:
-    g = _as_param_column(grid)
-    t = g[:, 0]
+def _plot_solenoid_line(t: np.ndarray, bind_a: float | None) -> Plot:
     values = np.stack([t, np.zeros_like(t)], axis=1)
     jac = np.stack([np.ones_like(t), np.zeros_like(t)], axis=1)[:, :, None]
-    return Plot(g, values, jac)
+    return Plot(t, values, jac)
 
 
-def _plot_solenoid_line_flowed(grid: np.ndarray, bind_a: float | None) -> Plot:
+def _plot_solenoid_line_flowed(t: np.ndarray, bind_a: float | None) -> Plot:
     # the same line pushed by the flow at time t, so the slope parameter enters
     if bind_a is None:
         raise ValueError("plot 'solenoid_line_flowed' needs a numeric value for 'a'")
-    g = _as_param_column(grid)
-    t = g[:, 0]
     values = np.stack([2.0 * t, bind_a * t], axis=1)
     jac = np.stack([np.full_like(t, 2.0), np.full_like(t, bind_a)], axis=1)[:, :, None]
-    return Plot(g, values, jac)
+    return Plot(t, values, jac)
 
 
-def _plot_so2_arc(grid: np.ndarray, bind_a: float | None) -> Plot:
-    g = _as_param_column(grid)
-    t = g[:, 0]
+def _plot_so2_arc(t: np.ndarray, bind_a: float | None) -> Plot:
     c, s = np.cos(t), np.sin(t)
-    values = np.stack([c, s], axis=1)
-    jac = np.stack([-s, c], axis=1)[:, :, None]
-    return Plot(g, values, jac)
+    return Plot(t, np.stack([c, s], axis=1), np.stack([-s, c], axis=1)[:, :, None])
 
 
 _PLOT_REGISTRY: dict[str, Callable[[np.ndarray, float | None], Plot]] = {
@@ -272,6 +240,22 @@ _PLOT_REGISTRY: dict[str, Callable[[np.ndarray, float | None], Plot]] = {
 }
 
 
+def _builtin(registry: dict[str, Callable], kind: str, name: str) -> Callable:
+    """The builder registered under ``name``; KeyError naming the known ones."""
+    builder = registry.get(name)
+    if builder is None:
+        raise KeyError(f"unknown {kind} {name!r}; known: {', '.join(sorted(registry))}")
+    return builder
+
+
+def _flat_grid(grid: np.ndarray) -> np.ndarray:
+    """The flat parameter array of a 1-parameter grid, given flat or as one column."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[1:] not in ((), (1,)):
+        raise ValueError("this builtin needs a 1-parameter grid")
+    return g.reshape(-1)
+
+
 def plot_names() -> list[str]:
     return sorted(_PLOT_REGISTRY)
 
@@ -281,30 +265,24 @@ def builtin_plot(name: str, grid: np.ndarray, bind_a: float | None = None) -> Pl
 
     Plots whose formulas involve the parameter require ``bind_a``.
     """
-    builder = _PLOT_REGISTRY.get(name)
-    if builder is None:
-        raise KeyError(f"unknown plot {name!r}; known: {', '.join(plot_names())}")
-    return builder(np.asarray(grid, dtype=float), bind_a)
+    return _builtin(_PLOT_REGISTRY, "plot", name)(_flat_grid(grid), bind_a)
 
 
-def _gauge_so2_half_turn(grid: np.ndarray, bind_a: float | None) -> GroupPath:
-    g = _as_param_column(grid)
-    theta = g[:, 0] / 2.0
+def _gauge_so2_half_turn(t: np.ndarray) -> GroupPath:
+    theta = t / 2.0
     c, s = np.cos(theta), np.sin(theta)
     linears = np.stack(
         [np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1
     )
-    return GroupPath(g, linears, np.zeros((g.shape[0], 2)))
+    return GroupPath(linears, np.zeros((len(t), 2)))
 
 
-def _gauge_so2_identity(grid: np.ndarray, bind_a: float | None) -> GroupPath:
-    g = _as_param_column(grid)
-    samples = g.shape[0]
-    linears = np.broadcast_to(np.eye(2), (samples, 2, 2)).copy()
-    return GroupPath(g, linears, np.zeros((samples, 2)))
+def _gauge_so2_identity(t: np.ndarray) -> GroupPath:
+    linears = np.broadcast_to(np.eye(2), (len(t), 2, 2)).copy()
+    return GroupPath(linears, np.zeros((len(t), 2)))
 
 
-_GAUGE_REGISTRY: dict[str, Callable[[np.ndarray, float | None], GroupPath]] = {
+_GAUGE_REGISTRY: dict[str, Callable[[np.ndarray], GroupPath]] = {
     "so2_half_turn": _gauge_so2_half_turn,
     "so2_identity": _gauge_so2_identity,
 }
@@ -314,11 +292,8 @@ def gauge_names() -> list[str]:
     return sorted(_GAUGE_REGISTRY)
 
 
-def builtin_gauge(name: str, grid: np.ndarray, bind_a: float | None = None) -> GroupPath:
-    builder = _GAUGE_REGISTRY.get(name)
-    if builder is None:
-        raise KeyError(f"unknown gauge {name!r}; known: {', '.join(gauge_names())}")
-    return builder(np.asarray(grid, dtype=float), bind_a)
+def builtin_gauge(name: str, grid: np.ndarray) -> GroupPath:
+    return _builtin(_GAUGE_REGISTRY, "gauge", name)(_flat_grid(grid))
 
 
 def basis_tuples(param_dim: int, grade: int) -> list[tuple[int, ...]]:
@@ -335,13 +310,24 @@ def pullback_along_plot(plot: Plot, form: Form) -> np.ndarray:
     """
     if form.dim != plot.ambient_dim:
         raise ValueError("form and plot live in different ambient dimensions")
-    combos = basis_tuples(plot.param_dim, form.grade)
-    out = np.zeros((plot.num_samples, len(combos)))
-    point = plot.values.T
+    return _on_frames(plot.values, plot.jacobians, form)
+
+
+def _on_frames(points: np.ndarray, frames: np.ndarray, form: Form) -> np.ndarray:
+    """Values of ``form`` at points (S, n) on the frames (S, n, q), laid out
+    like Jacobians: shape (S, C(q, grade)), one column per increasing tuple
+    of frame columns, in lexicographic order."""
+    combos = basis_tuples(frames.shape[2], form.grade)
+    out = np.zeros((points.shape[0], len(combos)))
+    point = points.T
     for ci, combo in enumerate(combos):
-        vectors = [plot.jacobians[:, :, j].T for j in combo]
-        out[:, ci] = eval_form(form, point, vectors)
+        out[:, ci] = eval_form(form, point, [frames[:, :, j].T for j in combo])
     return out
+
+
+def _worst(values: np.ndarray) -> np.ndarray:
+    """The largest |entry| of each row of (S, C) values; zeros when C is 0."""
+    return np.abs(values).max(axis=1) if values.shape[1] else np.zeros(values.shape[0])
 
 
 def _report(deviations: np.ndarray, grid: np.ndarray, tol: float) -> DeviationReport:
@@ -375,8 +361,7 @@ def _deviations(first: Plot, second: Plot, form: Form) -> np.ndarray:
     :func:`_report` refuses them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(pullback_along_plot(first, form) - pullback_along_plot(second, form))
-    return diff.max(axis=1) if diff.shape[1] else np.zeros(first.num_samples)
+        return _worst(pullback_along_plot(first, form) - pullback_along_plot(second, form))
 
 
 def criterion_check(

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +27,12 @@ from .forms import (
     Form,
     VectorField,
     check_float_range,
-    eval_form,
     ext_d,
     interior,
     lie_derivative,
     wedge,
 )
-from .plots import DeviationReport, _report
+from .plots import DeviationReport, _builtin, _on_frames, _report, _worst
 from .polynomials import Polynomial
 
 LEVEL_TOL = 1e-10
@@ -160,21 +158,6 @@ class RestrictionReport:
         return self.contraction.passed and self.invariance.passed
 
 
-def _tuple_deviations(form: Form, samples: Sequence[LevelSample]) -> np.ndarray:
-    """Per-sample worst |form(point; tangent tuple)| over basis tuples.
-
-    All samples are evaluated at once: one :func:`eval_form` call per
-    tuple of tangent-basis positions, on arrays with one entry per sample.
-    """
-    points = np.array([sample.point for sample in samples]).T
-    bases = np.array([sample.tangent_basis for sample in samples])
-    out = np.zeros(len(samples))
-    for combo in combinations(range(bases.shape[1]), form.grade):
-        vectors = [bases[:, c, :].T for c in combo]
-        out = np.maximum(out, np.abs(eval_form(form, points, vectors)))
-    return out
-
-
 def level_restriction_check(
     model: HamiltonianModel,
     candidate: Form,
@@ -200,10 +183,14 @@ def level_restriction_check(
     invariance = lie_derivative(model.field, candidate)
     check_float_range(contraction, "i_X sigma")
     check_float_range(invariance, "L_X sigma")
-    c_dev = _tuple_deviations(contraction, model.level_samples)
-    i_dev = _tuple_deviations(invariance, model.level_samples)
+    samples = model.level_samples
+    points = np.array([sample.point for sample in samples], dtype=float)
+    # each sample's tangent vectors as the columns of an (n, q) frame
+    frames = np.array([sample.tangent_basis for sample in samples], dtype=float)
+    frames = frames.reshape(len(samples), -1, model.dim).transpose(0, 2, 1)
     # samples have no plot parameter; a report names the worst by its index
-    indices = np.arange(len(model.level_samples), dtype=float)[:, None]
+    indices = np.arange(len(samples), dtype=float)[:, None]
+    c_dev, i_dev = (_worst(_on_frames(points, frames, f)) for f in (contraction, invariance))
     return RestrictionReport(
         contraction=_report(c_dev, indices, tol), invariance=_report(i_dev, indices, tol)
     )
@@ -263,7 +250,4 @@ def model_names() -> list[str]:
 def builtin_model(name: str) -> HamiltonianModel:
     """The library's stock models; ``r4_rotation`` is the diagonal circle
     action on R^4 with its unit-sphere zero level (64 samples)."""
-    builder = _MODEL_BUILDERS.get(name)
-    if builder is None:
-        raise KeyError(f"unknown model {name!r}; known: {', '.join(model_names())}")
-    return builder()
+    return _builtin(_MODEL_BUILDERS, "model", name)()

@@ -782,6 +782,65 @@ def test_module_entry_point_subprocess():
     assert "(a) dx + (-1) dy" in proc.stdout
 
 
+def _stages_induced_dimension(dim: int) -> dict:
+    job = _builtin("stages_solenoid")
+    job["induced"]["dimension"] = dim
+    return job
+
+
+def _chart_dimension(dim: int) -> dict:
+    return {
+        "command": "orbifold",
+        "chart": {"dimension": dim, "generators": [{"matrix": [["-1"]]}]},
+        "truncation": {"grade": 0, "max_degree": 1},
+    }
+
+
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        (
+            {
+                "command": "basis",
+                "action": {"dimension": 10**8, "infinitesimal": [["1"]]},
+                "truncation": {"grade": 1, "max_degree": 1},
+            },
+            f"job.action.infinitesimal[0] must list {10**8} components",
+        ),
+        (_stages_induced_dimension(10**8),
+         f"job.induced.discrete[0].matrix must have {10**8} rows"),
+        (_stages_induced_dimension(10**400),
+         f"job.induced.discrete[0].matrix must have {10**400} rows"),
+        (_chart_dimension(10**9), f"job.chart.generators[0].matrix must have {10**9} rows"),
+        (_chart_dimension(10**400), f"job.chart.generators[0].matrix must have {10**400} rows"),
+    ],
+    ids=["basis_1e8", "stages_1e8", "stages_1e400", "chart_1e9", "chart_1e400"],
+)
+def test_a_dimension_the_job_cannot_fill_is_refused_before_allocating(tmp_path, job, message):
+    # the CLI under a 512 MB address-space cap, which the child sets itself:
+    # a list of dimension entries, or dimension variable names, would end in
+    # MemoryError (exit 4), and a 400-digit dimension in OverflowError
+    pytest.importorskip("resource")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    capped_cli = (
+        "import resource, sys\n"
+        "cap = 512 * 1024 * 1024\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from basicforms.cli import run\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", capped_cli, job["command"], "--job", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION_ERROR, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+    assert json.loads(proc.stdout)["error"] == {"kind": "validation", "message": message}
+
+
 def _z2_job(count: int) -> dict:
     job = _builtin("z2_criterion")
     job["grid"] = {"start": -1.5, "stop": 1.5, "count": count}

@@ -80,10 +80,26 @@ def test_registries():
         "z2_p2",
     ]
     assert gauge_names() == ["so2_half_turn", "so2_identity"]
-    with pytest.raises(KeyError, match="torus_line"):
+    with pytest.raises(KeyError) as raised:
         builtin_plot("nope", default_line_grid())
-    with pytest.raises(KeyError, match="so2_half_turn"):
+    assert raised.value.args[0] == f"unknown plot 'nope'; known: {', '.join(plot_names())}"
+    with pytest.raises(KeyError) as raised:
         builtin_gauge("nope", default_line_grid())
+    assert raised.value.args[0] == "unknown gauge 'nope'; known: so2_half_turn, so2_identity"
+
+
+def test_builtins_take_a_flat_or_one_column_grid_only():
+    grid = default_line_grid(count=11)
+    flat, column = builtin_plot("so2_arc", grid), builtin_plot("so2_arc", grid[:, None])
+    assert np.array_equal(flat.grid, column.grid) and flat.grid.shape == (11, 1)
+    assert np.array_equal(flat.jacobians, column.jacobians)
+    assert np.array_equal(builtin_gauge("so2_half_turn", grid).linears,
+                          builtin_gauge("so2_half_turn", grid[:, None]).linears)
+    for bad in (np.zeros((11, 2)), np.float64(0.5), np.zeros((11, 1, 1))):
+        with pytest.raises(ValueError, match="^this builtin needs a 1-parameter grid$"):
+            builtin_plot("torus_line", bad)
+        with pytest.raises(ValueError, match="^this builtin needs a 1-parameter grid$"):
+            builtin_gauge("so2_identity", bad)
 
 
 def test_flowed_line_requires_slope_value():
@@ -248,12 +264,12 @@ def test_plot_shape_validation():
     with pytest.raises(ValueError):
         Plot(np.zeros(5), np.zeros((4, 1)), np.zeros((4, 1, 1)))
     with pytest.raises(ValueError, match="singular"):
-        GroupPath(np.zeros(3), np.zeros((3, 2, 2)), np.zeros((3, 2)))
+        GroupPath(np.zeros((3, 2, 2)), np.zeros((3, 2)))
     eye = np.broadcast_to(np.eye(2), (3, 2, 2))
     with pytest.raises(ValueError, match="non-finite"):
-        GroupPath(np.zeros(3), np.full((3, 2, 2), np.nan), np.zeros((3, 2)))
+        GroupPath(np.full((3, 2, 2), np.nan), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="non-finite"):
-        GroupPath(np.zeros(3), eye, np.full((3, 2), np.inf))
+        GroupPath(eye, np.full((3, 2), np.inf))
 
 
 def test_gauge_refuses_a_3x3_path_singular_at_one_sample():
@@ -261,16 +277,16 @@ def test_gauge_refuses_a_3x3_path_singular_at_one_sample():
     linears = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
     linears[:, 0, 1] = grid  # shears: determinant 1 everywhere
     translations = np.zeros((5, 3))
-    assert GroupPath(grid, linears, translations).dim == 3
+    assert GroupPath(linears, translations).dim == 3
     singular = linears.copy()
     singular[3] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]
     with pytest.raises(ValueError, match="numerically singular"):
-        GroupPath(grid, singular, translations)
+        GroupPath(singular, translations)
     # no zero entry and no zero row: the determinant 1e-13 alone refuses it
     tiny = linears.copy()
     tiny[2] = np.diag([1e-5, 1e-5, 1e-3]) + 1e-9
     with pytest.raises(ValueError, match="numerically singular"):
-        GroupPath(grid, tiny, translations)
+        GroupPath(tiny, translations)
 
 
 def test_report_fields():

@@ -41,8 +41,9 @@ def _round_omega():
 
 def test_builtin_registry():
     assert model_names() == ["r4_rotation"]
-    with pytest.raises(KeyError, match="r4_rotation"):
+    with pytest.raises(KeyError) as raised:
         builtin_model("nope")
+    assert raised.value.args[0] == "unknown model 'nope'; known: r4_rotation"
 
 
 def test_model_sample_count_and_membership():
