@@ -47,8 +47,10 @@ class AffineMap:
     def _invertible(cls, linear: Rows, translation: tuple[Scalar, ...]) -> "AffineMap":
         """Map from parts already known to be square and invertible.
 
-        Only products of invertible maps come here, so the full-rank check
-        that ``__init__`` runs would pass by construction.
+        Only products of invertible maps come here, from ``compose`` or as a
+        chart's group elements assembled from the rows its walk reached, so
+        the full-rank check that ``__init__`` runs would pass by
+        construction.
         """
         out = cls.__new__(cls)
         out._linear = linear
@@ -111,7 +113,7 @@ class AffineMap:
         """self after other: (self . other)(x) = self(other(x)).
 
         Only products of two nonzero entries are formed, each added into its
-        output entry: chart generators are mostly zeros.
+        output entry.
         """
         if self.dim != other.dim:
             raise ValueError("composition of maps on different spaces")

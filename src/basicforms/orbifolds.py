@@ -4,10 +4,14 @@ A chart is a finite group of exact invertible affine maps acting on R^n,
 given by generators S.  Its constructor walks the group G breadth-first
 from the identity (|G|*|S| products, no inverses), so the group is closed
 by construction, and keeps the walk's right-multiplication table and each
-element's trace.  An element of finite order has an integer trace of
-absolute value at most n, so a group with an element whose trace is not
-such an integer is infinite: the walk stops at that element, not at the
-cap.
+element's trace.  The walk multiplies rows, not maps: an element is the
+tuple of the indices of its n homogeneous rows (A_g row i | b_g[i]) in the
+orbit of the unit rows under the generators, and a lazy table forms each
+distinct row times each generator once, so the walk does at most
+n*|G|*|S| row products in Scalar arithmetic, and a product of elements is
+n lookups.  An element of finite order has an integer trace of absolute
+value at most n, so a group with an element whose trace is not such an
+integer is infinite: the walk stops at that element, not at the cap.
 
 With no connected directions the horizontal condition is vacuous, so the
 forms that descend are exactly the invariant ones.  They are computed as
@@ -38,6 +42,7 @@ from typing import Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form
+from .scalars import ONE, ZERO, Scalar
 from .solver import TruncationSpec, basic_form_basis
 
 
@@ -45,21 +50,43 @@ class GroupNotFiniteError(RuntimeError):
     """Raised when a chart's generators generate an infinite group, or one past the cap."""
 
 
-def _trace(g: AffineMap) -> int:
-    """tr A_g as an int; GroupNotFiniteError unless it is one of absolute value at most n.
+Row = tuple[Scalar, ...]
+
+
+def _row_product(row: Row, generator: Sequence[Row]) -> Row:
+    """The homogeneous row (a | t) times H(g) = [[A_g, b_g], [0, 1]].
+
+    ``generator`` is g's homogeneous rows (A_g row k | b_g[k]), so the
+    product is t on the last entry plus the sum of a[k] times row k.  Only
+    products of two nonzero entries are formed.
+    """
+    out = [ZERO] * len(row)
+    out[-1] = row[-1]
+    for e, g_row in zip(row, generator):
+        if e.is_zero:
+            continue
+        for j, f in enumerate(g_row):
+            if not f.is_zero:
+                out[j] = out[j] + e * f
+    return tuple(out)
+
+
+def _integer_trace(diagonal: Sequence[Scalar]) -> int:
+    """tr A_g from its diagonal, as an int; GroupNotFiniteError unless it is
+    one of absolute value at most n.
 
     The eigenvalues of an element of finite order are n roots of unity, so
     its trace is an algebraic integer of absolute value at most n.  It also
     lies in Q(a), and Q is algebraically closed in Q(a), so it is rational,
-    hence an integer.
+    hence an integer.  A rational Scalar keeps an integral coefficient as an
+    int, so the test reads its numerator and builds no Fraction.
     """
-    rows = g.linear
-    n = len(rows)
-    trace = sum((rows[i][i] for i in range(1, n)), rows[0][0])
+    n = len(diagonal)
+    trace = sum(diagonal[1:], diagonal[0])
     if trace.is_rational:
-        value = trace.as_fraction()
-        if value.denominator == 1 and abs(value) <= n:
-            return value.numerator
+        value = trace._num[0] if trace._num else 0
+        if type(value) is int and abs(value) <= n:
+            return value
     raise GroupNotFiniteError(
         f"group not finite: an element has trace {trace}, "
         f"not an integer between {-n} and {n}"
@@ -82,6 +109,18 @@ class OrbifoldChart:
     wrong dimension, and :class:`GroupNotFiniteError` at the first element
     whose trace no element of finite order has, or when the group has
     more than ``cap`` elements.
+
+    The walk multiplies rows, not maps.  Row i of ``g.compose(h)`` is row i
+    of g's homogeneous matrix (A_g | b_g) times H(h) = [[A_h, b_h], [0, 1]],
+    so an element is the tuple of the indices of its n rows in the orbit of
+    the unit rows (e_i | 0) under the generators.  A lazy table holds each
+    distinct row times each generator, formed once in Scalar arithmetic;
+    a product of elements is then n lookups in it and one hash of small
+    ints.  Rows are keyed by their exact entries and an element is
+    determined by its rows, so two index tuples are equal exactly when the
+    maps are.  The walk forms at most n*|G|*|S| row products, fewer when
+    rows repeat: 6 rows times 2 generators for the 48 signed permutations
+    of R^3.  ``group`` is assembled from the rows once, at the end.
     """
 
     __slots__ = ("_dim", "_group", "_generators", "_table", "_traces")
@@ -94,22 +133,48 @@ class OrbifoldChart:
                 raise ValueError("generator has the wrong dimension")
         self._dim = dim
         self._generators = tuple(generators)
-        identity = AffineMap.identity(dim)
+        homogeneous = [
+            tuple((*row, t) for row, t in zip(g.linear, g.translation)) for g in self._generators
+        ]
+        # the orbit of the unit rows, and the lazy row table: row_table[r][s]
+        # is the index of rows[r] times generators[s], or None until formed
+        rows = [tuple(ONE if j == i else ZERO for j in range(dim + 1)) for i in range(dim)]
+        row_index = {row: i for i, row in enumerate(rows)}
+        row_table: list[list[int | None]] = [[None] * len(homogeneous) for _ in rows]
+        identity = tuple(range(dim))
         group, table, traces = [identity], [], [dim]
         index = {identity: 0}
         for element in group:  # the list grows as the walk reaches new elements
-            row = []
-            for g in self._generators:
-                product = element.compose(g)
-                j = index.setdefault(product, len(group))  # new iff it got the next index
-                if j == len(group):
-                    if j >= cap:
+            products = []
+            for s, g in enumerate(homogeneous):
+                product = []
+                for r in element:
+                    j = row_table[r][s]
+                    if j is None:
+                        row = _row_product(rows[r], g)
+                        j = row_index.setdefault(row, len(rows))  # new iff it got the next index
+                        if j == len(rows):
+                            rows.append(row)
+                            row_table.append([None] * len(homogeneous))
+                        row_table[r][s] = j
+                    product.append(j)
+                product = tuple(product)
+                k = index.setdefault(product, len(group))
+                if k == len(group):
+                    if k >= cap:
                         raise GroupNotFiniteError(f"group not finite within cap {cap}")
-                    traces.append(_trace(product))
+                    traces.append(_integer_trace([rows[r][i] for i, r in enumerate(product)]))
                     group.append(product)
-                row.append(j)
-            table.append(tuple(row))
-        self._group = tuple(group)
+                products.append(k)
+            table.append(tuple(products))
+        linear = [row[:dim] for row in rows]
+        shift = [row[dim] for row in rows]
+        self._group = tuple(
+            AffineMap._invertible(
+                tuple([linear[r] for r in element]), tuple([shift[r] for r in element])
+            )
+            for element in group
+        )
         self._table = tuple(table)
         self._traces = tuple(traces)
 

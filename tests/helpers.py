@@ -271,6 +271,52 @@ def dense_product(g: AffineMap, h: AffineMap) -> AffineMap:
     )
 
 
+def dense_row_product(row: Sequence[Scalar], generator: Sequence[Sequence[Scalar]]) -> tuple[Scalar, ...]:
+    """A homogeneous row times H(g), every entry a full row-by-column sum.
+
+    ``generator`` is g's homogeneous rows (A_g row k | b_g[k]); H(g) adds
+    the row (0, ..., 0, 1) below them.
+    """
+    n = len(generator)
+    return tuple(
+        sum((row[k] * generator[k][j] for k in range(n)), row[n] if j == n else Scalar.of(0))
+        for j in range(n + 1)
+    )
+
+
+def compose_walk(
+    generators: Sequence[AffineMap], cap: int = 64
+) -> tuple[list[AffineMap], list[tuple[int, ...]], list[int]]:
+    """The breadth-first walk of a finite group by whole maps: its elements,
+    right-multiplication table and traces.
+
+    Takes elements in list order, right-multiplies each by every generator
+    in input order with ``AffineMap.compose``, and keeps the products not
+    seen before, deduplicated by the maps' own hashes.  Each trace is the
+    sum of a linear part's diagonal, checked to be an integer.  Fails past
+    ``cap`` elements.  Kept apart from ``OrbifoldChart``'s walk, which
+    multiplies rows and deduplicates by row indices.
+    """
+    group = [AffineMap.identity(generators[0].dim)]
+    index, table = {group[0]: 0}, []
+    for element in group:
+        row = []
+        for g in generators:
+            product = element.compose(g)
+            if product not in index:
+                assert len(group) < cap, "group is larger than the cap"
+                index[product] = len(group)
+                group.append(product)
+            row.append(index[product])
+        table.append(tuple(row))
+    traces = []
+    for g in group:
+        trace = sum((row[i] for i, row in enumerate(g.linear)), Scalar.of(0)).as_fraction()
+        assert trace.denominator == 1, "a finite group has integer traces"
+        traces.append(trace.numerator)
+    return group, table, traces
+
+
 def word_product(generators: Sequence[AffineMap], word: Sequence[int]) -> AffineMap:
     """The identity with ``generators[s]`` composed on the right for each s of ``word``, in order."""
     product = AffineMap.identity(generators[0].dim)
@@ -536,9 +582,9 @@ def matrix_power_traces(rows: Sequence[Sequence[Fraction]], count: int) -> list[
     return traces
 
 
-def linear_parts(chart: OrbifoldChart, a0: Fraction = Fraction(0)) -> list[list[list[Fraction]]]:
-    """The linear part of every group element as rows of Fractions, ``a`` bound to a0."""
-    return [[[eval_scalar_exact(e, a0) for e in row] for row in g.linear] for g in chart.group]
+def linear_parts(maps: Sequence[AffineMap], a0: Fraction = Fraction(0)) -> list[list[list[Fraction]]]:
+    """The linear part of every map as rows of Fractions, ``a`` bound to a0."""
+    return [[[eval_scalar_exact(e, a0) for e in row] for row in g.linear] for g in maps]
 
 
 def compose_terms(poly: Polynomial, images: Sequence[Polynomial]) -> Polynomial:

@@ -14,8 +14,7 @@ import tracemalloc
 
 import pytest
 
-from basicforms import cli, jobs
-from basicforms.actions import AffineMap
+from basicforms import cli, jobs, orbifolds
 from basicforms.cli import builtin_job_names, run
 from basicforms.examples import solenoid_stages
 from basicforms.expressions import MAX_DIGITS, MAX_EXPONENT, ParseError, parse_poly_expr
@@ -640,14 +639,15 @@ def test_largest_closure_cap_ends_an_infinite_walk():
 def test_a_chart_whose_generator_has_no_finite_order_trace_stops_at_once(monkeypatch, matrix):
     # each map generates an infinite group; its trace is not an integer of
     # absolute value at most 1, so the walk stops at its first product,
-    # where walking (a+1)/(a-1) to the cap took minutes
-    compose, calls = AffineMap.compose, []
+    # where walking (a+1)/(a-1) to the cap took minutes: the identity's one
+    # row times the generator is the walk's only row product
+    row_product, calls = orbifolds._row_product, []
 
-    def counted(self, other):
-        calls.append(other)
-        return compose(self, other)
+    def counted(row, generator):
+        calls.append(row)
+        return row_product(row, generator)
 
-    monkeypatch.setattr(AffineMap, "compose", counted)
+    monkeypatch.setattr(orbifolds, "_row_product", counted)
     report, code = run_job(_line_chart_job(matrix, "0", MAX_CLOSURE_CAP))
     assert code == EXIT_VALIDATION_ERROR
     assert report["error"]["message"].startswith("job.chart: group not finite: an element has trace")

@@ -3,7 +3,8 @@ pullbacks under a chart transition.
 
 The walk's oracles are repeated matrix multiplication (the quarter turn's
 four powers), the words of the generators and their inverses
-(``naive_group``), and the dense row-by-column product.
+(``naive_group``), the dense row-by-column product, and the same
+breadth-first walk by whole maps (``compose_walk``).
 """
 
 import random
@@ -24,7 +25,8 @@ from basicforms.solver import TruncationSpec, Window, basic_form_basis
 from helpers import (
     _tpoly_det,
     affine_inverse,
-    dense_product,
+    compose_walk,
+    dense_row_product,
     linear_parts,
     matrix_power_traces,
     molien_counts,
@@ -134,17 +136,17 @@ def _assert_table_and_words(chart: OrbifoldChart) -> None:
         assert Scalar.of(trace) == sum((row[i] for i, row in enumerate(element.linear)), Scalar.of(0))
 
 
-def _counting_compose(monkeypatch, limit: int | None = None) -> list:
-    """Patch AffineMap.compose to record each call, and to fail past ``limit``
-    calls if given; returns the record."""
-    calls, compose = [], AffineMap.compose
+def _counting_row_products(monkeypatch, limit: int | None = None) -> list:
+    """Patch the walk's row product to record each (row, generator) call, and
+    to fail past ``limit`` calls if given; returns the record."""
+    calls, product = [], orbifolds._row_product
 
-    def counted(self, other):
-        calls.append(other)
-        assert limit is None or len(calls) <= limit, f"more than {limit} products"
-        return compose(self, other)
+    def counted(row, generator):
+        calls.append((row, generator))
+        assert limit is None or len(calls) <= limit, f"more than {limit} row products"
+        return product(row, generator)
 
-    monkeypatch.setattr(AffineMap, "compose", counted)
+    monkeypatch.setattr(orbifolds, "_row_product", counted)
     return calls
 
 
@@ -168,10 +170,11 @@ def test_closure_of_sign_flip():
 def test_closure_detects_infinite_group(monkeypatch):
     assert basicforms.GroupNotFiniteError is GroupNotFiniteError
     shift = AffineMap.translation_by([1])
-    calls = _counting_compose(monkeypatch)
+    calls = _counting_row_products(monkeypatch)
     with pytest.raises(GroupNotFiniteError, match="^group not finite within cap 16$"):
         OrbifoldChart(1, [shift], cap=16)
-    # x -> x + 1 has trace 1 at every power, so only the cap stops it
+    # x -> x + 1 has trace 1 at every power, so only the cap stops it; its
+    # one row (1 | k) is new at every power, so each product forms one
     assert len(calls) == 16
 
 
@@ -182,27 +185,47 @@ def test_closure_cap_is_tight():
 
 
 def test_closure_hashes_each_product_once(monkeypatch):
-    hashes = 0
-    original = AffineMap.__hash__
+    hashes = {"scalar": 0, "map": 0}
+    scalar_hash, map_hash = Scalar.__hash__, AffineMap.__hash__
 
-    def counting(self):
-        nonlocal hashes
-        hashes += 1
-        return original(self)
+    def counting(kind, original):
+        def counted(self):
+            hashes[kind] += 1
+            return original(self)
+        return counted
 
-    monkeypatch.setattr(AffineMap, "__hash__", counting)
+    monkeypatch.setattr(Scalar, "__hash__", counting("scalar", scalar_hash))
+    monkeypatch.setattr(AffineMap, "__hash__", counting("map", map_hash))
+    calls = _counting_row_products(monkeypatch)
     chart = OrbifoldChart(3, _B3, cap=48)
     assert len(chart.group) == 48  # all signed permutations of R^3
-    # the identity, then one hash per product word * generator
-    assert hashes <= 1 + len(chart.group) * len(_B3)
+    # Scalars are hashed only as rows: the 3 unit rows, then each row
+    # product once, 4 entries a row; products of elements hash ints alone
+    assert hashes == {"scalar": (3 + len(calls)) * 4, "map": 0}
 
 
 def test_closure_order_is_the_same_with_dense_products(monkeypatch):
-    # compose skips zero entries; the walk reaches the same elements in
-    # the same order when every entry is a full row-by-column sum
-    group = OrbifoldChart(3, _B3, cap=48).group
-    monkeypatch.setattr(AffineMap, "compose", dense_product)
-    assert OrbifoldChart(3, _B3, cap=48).group == group
+    # the row product skips zero entries; the walk reaches the same
+    # elements in the same order when every entry is a full row-by-column sum
+    chart = OrbifoldChart(3, _B3, cap=48)
+    monkeypatch.setattr(orbifolds, "_row_product", dense_row_product)
+    dense = OrbifoldChart(3, _B3, cap=48)
+    assert dense.group == chart.group
+    assert dense._table == chart._table and dense._traces == chart._traces
+
+
+def test_b3_walk_forms_each_row_times_each_generator_once(monkeypatch):
+    # the 48 elements' rows are the 6 signed unit rows, so the walk forms
+    # 6 rows * 2 generators row products where the map walk formed 96
+    # products of 3 rows each
+    calls = _counting_row_products(monkeypatch)
+    chart = OrbifoldChart(3, _B3, cap=48)
+    assert len(chart.group) == 48
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
+    assert {row for row, _ in calls} == {
+        row + (Scalar.of(0),) for g in chart.group for row in g.linear
+    }
 
 
 def test_closure_walk_records_its_table_and_words():
@@ -292,7 +315,7 @@ def _random_finite_chart(rng: random.Random, dim: int) -> OrbifoldChart:
 def test_molien_count_of_conjugated_signed_permutations(seed, dim):
     chart = _random_finite_chart(random.Random(seed), dim)
     _assert_table_and_words(chart)
-    parts = linear_parts(chart)
+    parts = linear_parts(chart.group)
     for grade in range(dim + 1):
         for degree, count in enumerate(molien_counts(parts, grade, 3)):
             basis = orbifold_invariant_forms(chart, TruncationSpec(grade, degree))
@@ -334,7 +357,7 @@ def _diagonal(rng: random.Random, dim: int, kind: str) -> list[Scalar]:
 def test_a_trace_no_finite_group_has_is_refused_at_once(monkeypatch, seed, kind):
     # a map with that trace, conjugated to hide it from its entries, beside
     # a finite-order map, in random order: the walk refuses it when it
-    # first reaches it, within |S| products, whatever the cap
+    # first reaches it, within |S| products of elements, whatever the cap
     rng = random.Random(seed)
     dim = rng.randint(1, 3)
     rows = [[0] * dim for _ in range(dim)]
@@ -346,7 +369,8 @@ def test_a_trace_no_finite_group_has_is_refused_at_once(monkeypatch, seed, kind)
         h = _conjugator(rng, dim)
         bad, finite = (h.compose(g).compose(affine_inverse(h)) for g in (bad, finite))
     gens = rng.sample([bad, finite], 2)
-    _counting_compose(monkeypatch, limit=len(gens))
+    # each of the identity's n rows times each generator, at most
+    _counting_row_products(monkeypatch, limit=dim * len(gens))
     with pytest.raises(GroupNotFiniteError, match="^group not finite: an element has trace"):
         OrbifoldChart(dim, gens, cap=4096)
 
@@ -385,13 +409,55 @@ def test_chart_over_the_parameter_field(generator):
     _assert_table_and_words(chart)
     # Molien's count holds at every bound value: each element's
     # characteristic polynomial does not depend on a
-    parts = linear_parts(chart, Fraction(3))
+    parts = linear_parts(chart.group, Fraction(3))
     for grade in range(3):
         for degree, count in enumerate(molien_counts(parts, grade, 3)):
             spec = TruncationSpec(grade, degree)
             basis = orbifold_invariant_forms(chart, spec)
             assert basis == basic_form_basis(ActionSpec(2, discrete=chart.group), spec)
             assert count.denominator == 1 and len(basis) == count
+
+
+def _dense_conjugator(rng: random.Random, dim: int) -> AffineMap:
+    """A random rational affine map with no zero entry in its linear part."""
+    while True:
+        rows = [[rand_nonzero_fraction(rng, 4) for _ in range(dim)] for _ in range(dim)]
+        try:
+            return AffineMap.from_rows(rows, [rand_fraction(rng, 4) for _ in range(dim)])
+        except ValueError:
+            continue
+
+
+def _shear_in_a(rng: random.Random, dim: int) -> AffineMap:
+    """The identity plus a multiple of a at one off-diagonal entry, and a translation in a."""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    i, j = rng.sample(range(dim), 2)
+    rows[i][j] = _A * rand_nonzero_fraction(rng, 3)
+    return AffineMap.from_rows(rows, [_A * rand_fraction(rng, 3) + rand_fraction(rng, 3) for _ in range(dim)])
+
+
+@pytest.mark.parametrize("conjugation", ["none", "dense", "shear_in_a"])
+@pytest.mark.parametrize("seed, dim", [(3001, 2), (3002, 2), (3003, 3), (3004, 3), (3005, 3)])
+def test_row_walk_matches_the_walk_by_maps(seed, dim, conjugation):
+    # one or two signed permutations generate a subgroup of B2 or B3; the
+    # conjugations make every row entry a fraction or a function of a
+    rng = random.Random(seed)
+    gens = [
+        _signed_permutation(rng.sample(range(dim), dim), [rng.choice((1, -1)) for _ in range(dim)])
+        for _ in range(rng.randint(1, 2))
+    ]
+    if conjugation != "none":
+        h = _dense_conjugator(rng, dim) if conjugation == "dense" else _shear_in_a(rng, dim)
+        gens = [h.compose(g).compose(affine_inverse(h)) for g in gens]
+    chart = OrbifoldChart(dim, gens)
+    group, table, traces = compose_walk(gens)
+    assert chart.group == tuple(group)
+    assert chart._table == tuple(table)
+    assert chart._traces == tuple(traces)
+    parts = linear_parts(group, Fraction(3))
+    for grade in range(dim + 1):
+        for degree, count in enumerate(molien_counts(parts, grade, 2)):
+            assert orbifolds._molien_dimension(chart, TruncationSpec(grade, degree)) == count
 
 
 @pytest.mark.parametrize("seed, dim", [(None, 3), (1102, 2), (1104, 3), (1106, 4)])
@@ -403,7 +469,7 @@ def test_power_sums_are_traces_of_matrix_powers(seed, dim):
     n = chart.dim
     sums = orbifolds._power_sums(chart)
     assert len(sums) == len(chart.group)
-    for rows, row_sums in zip(linear_parts(chart), sums):
+    for rows, row_sums in zip(linear_parts(chart.group), sums):
         assert list(row_sums) == matrix_power_traces(rows, n)
         # Newton's identities give det(I - tA), expanded by cofactors
         det = _tpoly_det(
@@ -421,7 +487,7 @@ _SCALAR_OPERATORS = (
 
 def test_molien_count_forms_no_map_product_and_few_scalar_operations(monkeypatch):
     charts = [OrbifoldChart(3, _B3), *(OrbifoldChart(2, [g]) for g in _PARAMETER_GENERATORS)]
-    expected = [molien_counts(linear_parts(chart), 1, 2)[2] for chart in charts]
+    expected = [molien_counts(linear_parts(chart.group), 1, 2)[2] for chart in charts]
 
     def refuse(*args):
         raise AssertionError("Molien's count formed a product of maps or used a Scalar")
@@ -442,7 +508,7 @@ def test_b4_chart_count_matches_molien_by_cofactors():
     gens = [_signed_permutation((1, 2, 3, 0), (1, 1, 1, -1)), _signed_permutation((1, 0, 2, 3), (1,) * 4)]
     chart = OrbifoldChart(4, gens, cap=384)
     assert len(chart.group) == 384
-    expected = molien_counts(linear_parts(chart), 1, 3)[3]
+    expected = molien_counts(linear_parts(chart.group), 1, 3)[3]
     assert expected == 3
     assert len(orbifold_invariant_forms(chart, TruncationSpec(1, 3))) == expected
 
