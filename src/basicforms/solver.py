@@ -8,26 +8,27 @@ linear conditions on the window, as is horizontality (vanishing interior
 product).  "Basic" forms are the invariant horizontal ones: the kernel of
 the stacked constraint matrix.
 
-Constraint equations are always imposed in a target window large enough to
-hold every image coefficient, so no condition is silently dropped:
+Each row of a constraint matrix stands for one target monomial
+x^e dx_I and holds that monomial's coefficient in the image of every
+column, so no condition is dropped and no degree bound sizes the rows.
+The rows are kept in the order the assembly first touches them; the
+reduced row echelon form does not depend on row order, and empty rows
+are left out.
 
 * invariance under a translation g(x) = x + t: rows of L_t, the Lie
-  derivative along the constant field t, target degree d - 1 (at least 0).
-  g^* = exp(L_t) and L_t is nilpotent on the window, so g^* - id =
-  L_t (1 + L_t/2! + L_t^2/3! + ...) whose second factor is invertible and
-  commutes with L_t.  Both have one kernel, over Q and over Q(a), so the
-  stacked system keeps its row space, its reduced echelon form and its
-  canonical kernel basis;
-* invariance under any other affine map g: rows of g^* - id, target degree d;
-* Lie invariance: target degree d + delta - 1 where delta is the largest
-  generator component degree (transport adds delta - 1, Jacobian terms too);
-* horizontality: grade k - 1, target degree d + delta;
+  derivative along the constant field t.  g^* = exp(L_t) and L_t is
+  nilpotent on the window, so g^* - id = L_t (1 + L_t/2! + L_t^2/3! + ...)
+  whose second factor is invertible and commutes with L_t.  Both have
+  one kernel, over Q and over Q(a), so the stacked system keeps its row
+  space, its reduced echelon form and its canonical kernel basis;
+* invariance under any other affine map g: rows of g^* - id;
+* Lie invariance: rows of L_xi; horizontality: rows of i_xi;
 * a field in the span of earlier fields adds no block.  For invariance
   the fields are the translations' constant fields, then the
   infinitesimal generators; for horizontality the latter alone.  L_xi
-  and i_xi are Q(a)-linear in xi, and every image lies in its block's
-  target window, so each row of such a block is a combination of rows of
-  the kept blocks, and the stacked system keeps its row space, its
+  and i_xi are Q(a)-linear in xi, so each row of such a block is the same
+  combination of the kept blocks' rows with its key (a key a block lacks
+  is a zero row there), and the stacked system keeps its row space, its
   reduced echelon form and its canonical kernel basis.
 
 Assembly follows the window's tensor structure.  Column (e, I) holds the
@@ -44,11 +45,9 @@ degree-d basis is read off the reduced degree-D system, exactly:
 
 * exponents are graded-lex and one exponent's index tuples are adjacent,
   so W(k, d) is a column prefix of W(k, D);
-* every block's target window grows with d: degree max(d - 1, 0) for L_t,
-  max(d + delta - 1, 0) for a Lie block, d for g^* - id, and grade k - 1,
-  degree d + delta for horizontality.  So the prefix columns' images lie
-  in the smaller target, and the degree-d system is the degree-D system
-  cut to the prefix, up to zero rows;
+* a column's entries depend on that column alone, so the degree-d system
+  is the degree-D system cut to the prefix, up to zero rows and row
+  order;
 * RREF commutes with taking a column prefix: E M[:, :c] = (E M)[:, :c];
 * the kernel vector of free column f has no key past f.  So the degree-d
   basis is exactly the degree-D vectors whose largest key is below
@@ -138,7 +137,7 @@ class Window:
     Exponents are graded-lex, and one exponent's index tuples are adjacent.
     """
 
-    __slots__ = ("dim", "grade", "max_degree", "exponents", "index_tuples", "pairs", "_index")
+    __slots__ = ("dim", "grade", "max_degree", "exponents", "index_tuples", "pairs")
 
     def __init__(self, dim: int, grade: int, max_degree: int):
         if not 0 <= grade <= dim:
@@ -149,30 +148,13 @@ class Window:
         self.exponents = exponents_upto(dim, max_degree)
         self.index_tuples = list(itertools.combinations(range(dim), grade))
         self.pairs = [(e, I) for e in self.exponents for I in self.index_tuples]
-        self._index = {pair: pos for pos, pair in enumerate(self.pairs)}
 
     @property
     def size(self) -> int:
         return len(self.pairs)
 
-    def entries(self, form: Form) -> dict[int, Scalar]:
-        """The form's nonzero window coordinates by position; error if it sticks out."""
-        if form.dim != self.dim or form.grade != self.grade:
-            raise ValueError("form does not match the window's dimension or grade")
-        out: dict[int, Scalar] = {}
-        for indices, poly in form.terms.items():
-            for exps, coeff in poly.terms.items():
-                pos = self._index.get((exps, indices))
-                if pos is None:
-                    raise ValueError(
-                        f"term x^{exps} dx_{indices} falls outside the degree-"
-                        f"{self.max_degree} window"
-                    )
-                out[pos] = coeff
-        return out
-
     def combine(self, coords: Mapping[int, Scalar]) -> Form:
-        """The form with these window coordinates by position: the inverse of :meth:`entries`."""
+        """The form with these window coordinates by position."""
         sums: FormSums = {}
         for pos, c in coords.items():
             if not 0 <= pos < len(self.pairs):
@@ -182,28 +164,40 @@ class Window:
         return Form._from_sums(self.dim, self.grade, sums)
 
 
+# Sparse rows keyed by the target monomial (e, I) each stands for, in first-touch order.
+_Rows = dict[tuple[Exponents, Indices], dict[int, Scalar]]
+
+
 def _add_into(
-    rows: list[dict[int, Scalar]],
-    index: dict[tuple[Exponents, Indices], int],
+    rows: _Rows,
     col: int,
     indices: Indices,
     terms: Mapping[Exponents, Scalar],
     shift: Exponents | None = None,
 ) -> None:
-    """Add ``x^shift * terms dx_indices`` into column ``col`` of sparse rows."""
+    """Add ``x^shift * terms dx_indices`` into column ``col`` of the keyed rows."""
     for exps, c in terms.items():
         if shift is not None:
             exps = tuple(map(add, exps, shift))
-        row = rows[index[exps, indices]]
-        old = row.get(col)
-        row[col] = c if old is None else old + c
+        row = rows.get((exps, indices))
+        if row is None:
+            rows[exps, indices] = {col: c}
+        else:
+            old = row.get(col)
+            row[col] = c if old is None else old + c
+
+
+def _matrix(cols: int, rows: _Rows) -> Matrix:
+    """The nonempty rows, in first-touch order, less their zero entries."""
+    data = ({j: c for j, c in row.items() if not c.is_zero} for row in rows.values())
+    return Matrix(cols, [row for row in data if row])
 
 
 def _affine_block(g: AffineMap, domain: Window) -> Matrix:
     """Rows of g^* - id: x^e o g once per exponent, g^*(dx_I) once per index tuple."""
     mapping = g.as_poly_map()
     covectors = [mapping._pulled_covector(I).terms for I in domain.index_tuples]
-    rows: list[dict[int, Scalar]] = [{} for _ in range(domain.size)]
+    rows: _Rows = {}
     minus_one, col = -ONE, 0
     for e in domain.exponents:
         composed = mapping._powers.compose(Polynomial._from_sums(domain.dim, {e: ONE})).terms
@@ -211,14 +205,14 @@ def _affine_block(g: AffineMap, domain: Window) -> Matrix:
             for J, factor in covector.items():
                 product: dict[Exponents, Scalar] = {}
                 add_product(product, composed, factor.terms)
-                _add_into(rows, domain._index, col, J, product)
-            _add_into(rows, domain._index, col, I, {e: minus_one})
+                _add_into(rows, col, J, product)
+            _add_into(rows, col, I, {e: minus_one})
             col += 1
-    return Matrix(domain.size, [{j: c for j, c in row.items() if not c.is_zero} for row in rows])
+    return _matrix(domain.size, rows)
 
 
-def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> Matrix:
-    """Rows of L_xi (``lie``) or of i_xi, from the window into the target window.
+def _field_block(xi: VectorField, domain: Window, lie: bool) -> Matrix:
+    """Rows of L_xi (``lie``) or of i_xi on the window.
 
     i_xi(dx_I) or L_xi(dx_I) is built once per index tuple, and
     xi(x^e) = sum_j e_j x^(e - 1_j) xi_j once per exponent, from the
@@ -238,7 +232,7 @@ def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> 
         [{h: c * w for h, c in xi.component(j).terms.items()} for w in weights]
         for j in range(domain.dim)
     ]
-    rows: list[dict[int, Scalar]] = [{} for _ in range(target.size)]
+    rows: _Rows = {}
     col = 0
     for e in domain.exponents:
         flow: dict[Exponents, Scalar] = {}  # xi(x^e)
@@ -249,17 +243,11 @@ def _field_block(xi: VectorField, domain: Window, target: Window, lie: bool) -> 
                     f = tuple(map(add, lowered, h))
                     flow[f] = flow[f] + c if f in flow else c
         for I, piece in zip(domain.index_tuples, pieces):
-            _add_into(rows, target._index, col, I, flow)
+            _add_into(rows, col, I, flow)
             for J, coeff in piece.items():
-                _add_into(rows, target._index, col, J, coeff.terms, e)
+                _add_into(rows, col, J, coeff.terms, e)
             col += 1
-    return Matrix(domain.size, [{j: c for j, c in row.items() if not c.is_zero} for row in rows])
-
-
-def _lie_block(xi: VectorField, domain: Window) -> Matrix:
-    """Rows of L_xi into the window of degree d + delta - 1 (at least 0)."""
-    target_degree = max(domain.max_degree + xi.max_degree() - 1, 0)
-    return _field_block(xi, domain, Window(domain.dim, domain.grade, target_degree), lie=True)
+    return _matrix(domain.size, rows)
 
 
 def _is_translation(g: AffineMap) -> bool:
@@ -271,16 +259,15 @@ def _is_translation(g: AffineMap) -> bool:
 def _independent(fields: Sequence[VectorField]) -> set[int]:
     """Positions of the fields that are not Q(a)-combinations of earlier fields.
 
-    Field i is column i of a matrix with one row per (component j,
-    exponent h).  A column of a reduced row echelon form is a pivot column
+    Field i is column i of a matrix with one row per (exponent h,
+    component j).  A column of a reduced row echelon form is a pivot column
     exactly when it is outside the span of the columns before it.
     """
-    rows: dict[tuple[int, Exponents], dict[int, Scalar]] = {}
+    rows: _Rows = {}
     for i, xi in enumerate(fields):
         for j, component in enumerate(xi.components):
-            for h, c in component.terms.items():
-                rows.setdefault((j, h), {})[i] = c
-    return set(_gauss_jordan(Matrix(len(fields), list(rows.values()))))
+            _add_into(rows, i, (j,), component.terms)
+    return set(_gauss_jordan(_matrix(len(fields), rows)))
 
 
 def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
@@ -306,7 +293,8 @@ def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     positions = list(fields)
     kept = {positions[c] for c in _independent(list(fields.values()))}
     blocks = [
-        _lie_block(fields[i], domain) if i in fields else _affine_block(discrete[i], domain)
+        _field_block(fields[i], domain, lie=True) if i in fields
+        else _affine_block(discrete[i], domain)
         for i in range(len(discrete) + len(action.infinitesimal))
         if i in kept or i not in fields
     ]
@@ -323,11 +311,11 @@ def horizontality_constraints(action: ActionSpec, domain: Window) -> Matrix:
     if domain.grade == 0:
         return Matrix.zero(0, domain.size)
     kept = _independent(action.infinitesimal)
-    blocks = []
-    for i, xi in enumerate(action.infinitesimal):
-        if i in kept:
-            target = Window(action.dim, domain.grade - 1, domain.max_degree + xi.max_degree())
-            blocks.append(_field_block(xi, domain, target, lie=False))
+    blocks = [
+        _field_block(xi, domain, lie=False)
+        for i, xi in enumerate(action.infinitesimal)
+        if i in kept
+    ]
     return stack(blocks) if blocks else Matrix.zero(0, domain.size)
 
 
@@ -404,7 +392,7 @@ def truncated_basic_cohomology(
             ranks.append(dict.fromkeys(bases, 0))
             continue
         top = max(bases)
-        image = span_matrix(Window(n, k + 1, max(top - 1, 0)), [ext_d(b) for b in bases[top]])
+        image = span_matrix([ext_d(b) for b in bases[top]])
         ranks.append(dict(zip(bases, prefix_ranks(image, sizes[k].values()))))
     out = {}
     for max_degree in window_degrees:
@@ -427,14 +415,10 @@ def truncated_basic_cohomology(
     return out
 
 
-def span_matrix(window: Window, forms: Sequence[Form]) -> Matrix:
-    """Forms as columns in window coordinates, for the ranks of their spans.
-
-    The sparse rows are filled straight from each form's terms; no dense
-    coordinate vector is built.
-    """
-    rows: list[dict[int, Scalar]] = [{} for _ in range(window.size)]
+def span_matrix(forms: Sequence[Form]) -> Matrix:
+    """Forms as columns, one row per monomial x^e dx_I they use, for the ranks of their spans."""
+    rows: _Rows = {}
     for j, form in enumerate(forms):
-        for pos, coeff in window.entries(form).items():
-            rows[pos][j] = coeff
-    return Matrix(len(forms), rows)
+        for indices, poly in form.terms.items():
+            _add_into(rows, j, indices, poly.terms)
+    return _matrix(len(forms), rows)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .actions import ActionSpec, act_pullback
 from .forms import Form, PolyMap, lie_derivative, pullback
 from .linalg import prefix_ranks
-from .solver import TruncationSpec, Window, basic_form_basis, span_matrix
+from .solver import TruncationSpec, basic_form_basis, span_matrix
 
 
 class IntertwiningError(ValueError):
@@ -101,10 +101,9 @@ def stages_check(
     )
     direct = basic_form_basis(big, direct_spec)
 
-    # both routes lie in the direct window, by the degree bound above
-    window = Window(big.dim, spec.grade, direct_spec.max_degree)
+    # one row per monomial that some form of either route uses
     pulled_rank, joined_rank = prefix_ranks(
-        span_matrix(window, pulled + direct), [len(pulled), len(pulled) + len(direct)]
+        span_matrix(pulled + direct), [len(pulled), len(pulled) + len(direct)]
     )
     span_equal = None
     if degree == 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -377,25 +378,41 @@ def window_monomials(window: Window) -> list[Form]:
     ]
 
 
-def operator_block(domain: Window, target: Window, op: Callable[[Form], Form]) -> Matrix:
-    """Matrix of a linear operator between windows, one monomial at a time.
+def window_coordinates(window: Window, form: Form) -> dict[int, Scalar]:
+    """The form's nonzero coefficients by window position, read monomial by monomial."""
+    coords = {}
+    for pos, (exps, indices) in enumerate(window.pairs):
+        poly = form.terms.get(indices)
+        if poly is not None and exps in poly.terms:
+            coords[pos] = poly.terms[exps]
+    return coords
 
-    Column j holds the target coordinates of ``op`` applied to the j-th
-    domain monomial, built as a whole form and read off by ``span_matrix``.
+
+def same_rows(first: Matrix, second: Matrix) -> bool:
+    """Whether two matrices have one width and one multiset of rows, in any order."""
+    rows = lambda m: Counter(frozenset(row.items()) for row in m._data)
+    return first.cols == second.cols and rows(first) == rows(second)
+
+
+def operator_block(domain: Window, op: Callable[[Form], Form]) -> Matrix:
+    """Matrix of a linear operator on a window, one monomial at a time.
+
+    Column j holds the image of ``op`` applied to the j-th domain monomial,
+    built as a whole form and read off by ``span_matrix``: one row per
+    monomial that some image uses.
     """
-    return span_matrix(target, [op(f) for f in window_monomials(domain)])
+    return span_matrix([op(f) for f in window_monomials(domain)])
 
 
 def invariance_blocks(action: ActionSpec, domain: Window) -> list[Matrix]:
     """The invariance blocks by the per-monomial route: g^* f - f, then L_xi f."""
     blocks = [
-        operator_block(domain, domain, lambda f, g=g: act_pullback(g, f) - f)
-        for g in action.discrete
+        operator_block(domain, lambda f, g=g: act_pullback(g, f) - f) for g in action.discrete
     ]
-    for xi in action.infinitesimal:
-        target_degree = max(domain.max_degree + xi.max_degree() - 1, 0)
-        target = Window(action.dim, domain.grade, target_degree)
-        blocks.append(operator_block(domain, target, lambda f, xi=xi: lie_derivative(xi, f)))
+    blocks += [
+        operator_block(domain, lambda f, xi=xi: lie_derivative(xi, f))
+        for xi in action.infinitesimal
+    ]
     return blocks
 
 
@@ -404,12 +421,7 @@ def horizontality_blocks(action: ActionSpec, domain: Window) -> list[Matrix]:
     if domain.grade == 0:
         return []
     return [
-        operator_block(
-            domain,
-            Window(action.dim, domain.grade - 1, domain.max_degree + xi.max_degree()),
-            lambda f, xi=xi: interior(xi, f),
-        )
-        for xi in action.infinitesimal
+        operator_block(domain, lambda f, xi=xi: interior(xi, f)) for xi in action.infinitesimal
     ]
 
 
@@ -434,12 +446,12 @@ def matrix_apply(matrix: Matrix, vector: Mapping[int, ScalarLike]) -> tuple[Scal
     )
 
 
-def spans_equal(window: Window, first: Sequence[Form], second: Sequence[Form]) -> bool:
-    """Whether two lists of forms span one subspace of the window.
+def spans_equal(first: Sequence[Form], second: Sequence[Form]) -> bool:
+    """Whether two lists of forms span one subspace.
 
     They do when each list alone has the rank of the two together.
     """
-    ranks = {rank(span_matrix(window, forms)) for forms in (first, second, [*first, *second])}
+    ranks = {rank(span_matrix(forms)) for forms in (first, second, [*first, *second])}
     return len(ranks) == 1
 
 
@@ -457,15 +469,14 @@ def cohomology_records(action: ActionSpec, max_degree: int) -> list[CohomologyRe
         basis = basic_form_basis(action, TruncationSpec(k, max_degree))
         dim_basic = len(basis)
         if k < n:
-            image_window = Window(n, k + 1, max(max_degree - 1, 0))
-            dim_closed = dim_basic - rank(span_matrix(image_window, [ext_d(b) for b in basis]))
+            dim_closed = dim_basic - rank(span_matrix([ext_d(b) for b in basis]))
         else:
             dim_closed = dim_basic
         if k == 0:
             dim_exact = 0
         else:
             potentials = basic_form_basis(action, TruncationSpec(k - 1, max_degree + 1))
-            image = span_matrix(Window(n, k, max_degree), [ext_d(b) for b in potentials])
+            image = span_matrix([ext_d(b) for b in potentials])
             dim_exact = rank(image)
         records.append(
             CohomologyRecord(
@@ -494,12 +505,6 @@ def reynolds_average(chart: OrbifoldChart, form: Form) -> Form:
     for g in group:
         add_terms(sums, act_pullback(g, form))
     return Form._from_sums(form.dim, form.grade, sums).scale(Scalar.of(1) / len(group))
-
-
-def max_coefficient_degree(form: Form) -> int:
-    """The largest total degree of the form's coefficients; 0 for the zero form."""
-    degrees = [p.total_degree() for p in form.terms.values()]
-    return int(max(degrees)) if degrees else 0
 
 
 def reynolds_span(chart: OrbifoldChart, window: Window) -> list[Form]:

@@ -15,6 +15,7 @@ import pytest
 
 from basicforms.linalg import (
     Matrix,
+    _gauss_jordan,
     kernel_basis,
     prefix_ranks,
     rank,
@@ -183,6 +184,33 @@ def test_kernel_vectors_have_canonical_shape():
                 assert vec[min(vec)].sign() > 0
                 seen += len(vec) > 1
     assert seen > 100  # the loop saw vectors with pivot entries
+
+
+def test_row_order_changes_no_result():
+    """Shuffled rows give one RREF, one canonical kernel and one list of prefix ranks.
+
+    The solver keeps constraint rows in the order its assembly first
+    touches them, so its bases rest on this.  At most 4x7 at 50% fill:
+    elimination over Q(a) swells on larger dense matrices.
+    """
+    rng = random.Random(111)
+    reordered = 0
+    for with_param in (False, True):
+        for _ in range(60):
+            nrows, ncols = rng.randint(2, 4), rng.randint(1, 7)
+            rows = [
+                [rand_scalar(rng, with_param=with_param, span=3) if rng.random() < 0.5 else 0
+                 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            shuffled = rng.sample(rows, len(rows))
+            reordered += shuffled != rows
+            mat, other = Matrix.from_rows(rows), Matrix.from_rows(shuffled)
+            widths = range(ncols + 1)
+            assert _gauss_jordan(other) == _gauss_jordan(mat)
+            assert kernel_basis(other) == kernel_basis(mat)
+            assert prefix_ranks(other, widths) == prefix_ranks(mat, widths)
+    assert reordered > 60  # most draws really changed the row order
 
 
 def test_kernel_of_a_wide_zero_matrix_is_the_unit_vectors():

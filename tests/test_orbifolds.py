@@ -69,7 +69,7 @@ def test_c4_invariant_functions_through_degree_two():
         Form.function(Polynomial.constant(2, 1)),
         Form.function(x * x + y * y),
     ]
-    assert spans_equal(Window(2, 0, 2), basis, expected)
+    assert spans_equal(basis, expected)
 
 
 def test_all_invariant_basis_members_are_fixed_by_the_group():
@@ -273,7 +273,7 @@ def test_generator_route_matches_whole_group(dim, gens, order, grade, degree, re
     basis = orbifold_invariant_forms(chart, spec)
     assert basis == from_group
     window = Window(dim, grade, degree)
-    assert spans_equal(window, basis, reynolds_span(chart, window))
+    assert spans_equal(basis, reynolds_span(chart, window))
 
 
 def _conjugator(rng: random.Random, dim: int) -> AffineMap:
@@ -322,7 +322,7 @@ def test_molien_count_of_conjugated_signed_permutations(seed, dim):
             assert len(basis) == count
             if degree == 2:
                 window = Window(dim, grade, degree)
-                assert spans_equal(window, basis, reynolds_span(chart, window))
+                assert spans_equal(basis, reynolds_span(chart, window))
 
 
 _A = Scalar.parameter()

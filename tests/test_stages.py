@@ -9,9 +9,9 @@ from basicforms.examples import solenoid_stages
 from basicforms.forms import PolyMap, pullback
 from basicforms.linalg import rank
 from basicforms.polynomials import Polynomial
-from basicforms.solver import TruncationSpec, Window, basic_form_basis, span_matrix
+from basicforms.solver import TruncationSpec, basic_form_basis, span_matrix
 from basicforms.stages import IntertwiningError, StagesReport, stages_check
-from helpers import max_coefficient_degree, spans_equal, trivial_action
+from helpers import spans_equal, trivial_action
 
 
 def test_solenoid_stages_agree_in_low_grades():
@@ -39,8 +39,7 @@ def test_pullback_of_downstairs_generator_is_the_basic_form():
     assert len(downstairs) == 1
     image = pullback(projection, downstairs[0])
     expect = basic_form_basis(big, TruncationSpec(1, 0))
-    w = Window(2, 1, 1)
-    assert spans_equal(w, [image], expect)
+    assert spans_equal([image], expect)
     # pi = y - a*x sends dt to dy - a dx, the descending direction up to sign
     assert str(image) == "(-a) dx + (1) dy"
 
@@ -137,13 +136,8 @@ def _three_rank_verdict(big, projection, induced, spec):
     pulled = [pullback(projection, beta) for beta in basic_form_basis(induced, spec)]
     direct_degree = degree * spec.max_degree + spec.grade * (degree - 1)
     direct = basic_form_basis(big, TruncationSpec(spec.grade, direct_degree))
-    widest = max(
-        [direct_degree]
-        + [max_coefficient_degree(f) for f in pulled + direct if not f.is_zero]
-    )
-    window = Window(big.dim, spec.grade, widest)
     direct_rank, pulled_rank, joined_rank = (
-        rank(span_matrix(window, forms)) for forms in (direct, pulled, direct + pulled)
+        rank(span_matrix(forms)) for forms in (direct, pulled, direct + pulled)
     )
     span_equal = direct_rank == pulled_rank == joined_rank if degree == 1 else None
     return joined_rank == direct_rank, span_equal
