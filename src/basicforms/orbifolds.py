@@ -14,16 +14,34 @@ value at most n, so a group with an element whose trace is not such an
 integer is infinite: the walk stops at that element, not at the cap.
 
 With no connected directions the horizontal condition is vacuous, so the
-forms that descend are exactly the invariant ones.  They are computed as
-the kernel of the stacked invariance constraints under the generators (the
-solver route): a form fixed by every generator is fixed by every word in
-them, hence by the whole group.  Two checks then prove that answer:
+forms that descend are exactly the invariant ones.  A form fixed by every
+generator is fixed by every word in them, hence by the whole group, so the
+generators alone define the invariants.  They are found by one of two
+routes, chosen from the generators alone:
+
+* the orbit route, when every generator has zero translation and each row
+  of its linear part has one nonzero entry, equal to 1 or -1 (a signed
+  permutation).  Such a g^* sends each monomial form x^e dx_I of the
+  window to +-1 times another, so the window splits into orbits of
+  monomial forms, and the invariants are spanned by orbit sums with
+  disjoint supports (Goebel, J. Symbolic Computation 19, 1995).  An orbit
+  is walked breadth-first over the generators, recording each monomial's
+  sign relative to the orbit's first one; an orbit on which two edges
+  disagree (some element acts on it by -1) gives no form.  Each other
+  orbit gives its sum, +1 at its smallest column, and the forms are
+  ordered by their largest columns: the canonical kernel basis, with no
+  elimination;
+* the kernel route otherwise: the kernel of the stacked invariance
+  constraints under the generators (``solver.basic_form_basis``).
+
+Two checks then prove the answer of either route:
 
 * soundness: each generator's pullback fixes every basis form, at |S|
   pullbacks per form, which by the above is the whole group fixing it.
-  The check shares each generator's power table and pulled-back
-  covectors with the assembly, which built them; it shares neither the
-  window indexing, nor the -1 of g^* - id, nor the elimination;
+  The check runs ``act_pullback``, which shares each generator's power
+  table and pulled-back covectors with the kernel route's assembly, which
+  built them; it shares neither the window indexing, nor the -1 of
+  g^* - id, nor the elimination, nor the orbit route's integer moves;
 * completeness: the basis has as many forms as Molien's formula counts
   invariants in the window.  The count needs each element's
   characteristic polynomial, which it gets from the power sums
@@ -31,19 +49,21 @@ them, hence by the whole group.  Two checks then prove that answer:
   identities once per distinct tuple of them; it runs on Python ints,
   and forms no product of maps, no Scalar and no window linear algebra.
 
-The kernel basis comes from a reduced row echelon form, so it is linearly
-independent; with both checks passing it spans the invariants.
+Either basis is linearly independent: the kernel basis comes from a
+reduced row echelon form, and orbit sums have disjoint supports.  With
+both checks passing it spans the invariants.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import Sequence
 
 from .actions import ActionSpec, AffineMap, act_pullback
 from .forms import Form
 from .scalars import ONE, ZERO, Scalar
-from .solver import TruncationSpec, basic_form_basis
+from .solver import TruncationSpec, Window, basic_form_basis
 
 
 class GroupNotFiniteError(RuntimeError):
@@ -51,6 +71,8 @@ class GroupNotFiniteError(RuntimeError):
 
 
 Row = tuple[Scalar, ...]
+
+_MINUS_ONE = -ONE
 
 
 def _row_product(row: Row, generator: Sequence[Row]) -> Row:
@@ -198,30 +220,147 @@ class OrbifoldChart:
 def orbifold_invariant_forms(chart: OrbifoldChart, spec: TruncationSpec) -> list[Form]:
     """Canonical basis of group-invariant forms in the window.
 
-    Computed from the kernel of the invariance constraints under
-    ``chart.generators``, one block per generator.  The kernel is the same
-    subspace as under every group element, so the canonical basis is too.
-    The answer is then proven: each generator's pullback must fix every
-    basis form (soundness), and the basis must have as many forms as
-    Molien's formula counts (completeness).  The pullbacks reuse the power
-    table and pulled-back covectors that the assembly built for each
-    generator, but not its window indexing, its -1 of g^* - id or its
-    elimination; Molien's count shares nothing with it.  A failure of
-    either check means a bug, not a property of the input, hence
-    RuntimeError, with its own message for each.
+    When every generator is a signed permutation with zero translation,
+    the basis is the live orbit sums of the window's monomial forms, with
+    no elimination (see the module docstring).  Otherwise it comes from the
+    kernel of the invariance constraints under ``chart.generators``, one
+    block per generator.  Either is the same subspace as under every group
+    element, and the same canonical basis.  The answer is then proven: each
+    generator's pullback must fix every basis form (soundness), and the
+    basis must have as many forms as Molien's formula counts
+    (completeness).  The pullbacks reuse the power table and pulled-back
+    covectors that the kernel route's assembly built for each generator,
+    but not its window indexing, its -1 of g^* - id or its elimination, nor
+    the orbit route's moves; Molien's count shares nothing with either
+    route.  A failure of either check means a bug, not a property of the
+    input, hence RuntimeError, with its own message for each.
     """
-    action = ActionSpec(chart.dim, discrete=chart.generators)
-    basis = basic_form_basis(action, spec)
+    signed = [_signed_permutation(g) for g in chart.generators]
+    if None in signed:
+        basis = basic_form_basis(ActionSpec(chart.dim, discrete=chart.generators), spec)
+    else:
+        basis = _orbit_sums(signed, Window(chart.dim, spec.grade, spec.max_degree))
     for form in basis:
         if any(act_pullback(g, form) != form for g in chart.generators):
-            raise RuntimeError("soundness: a generator moves a kernel basis form")
+            raise RuntimeError("soundness: a generator moves a basis form")
     expected = _molien_dimension(chart, spec)
     if len(basis) != expected:
         raise RuntimeError(
-            f"completeness: the kernel has {len(basis)} forms but Molien's "
+            f"completeness: the basis has {len(basis)} forms but Molien's "
             f"formula counts {expected} invariants in the window"
         )
     return basis
+
+
+_SignedPermutation = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _signed_permutation(g: AffineMap) -> _SignedPermutation | None:
+    """(p, flipped) with g(x)_i = x_(p[i]), negated for i in ``flipped``.
+
+    None unless g has zero translation and each row of its linear part has
+    one nonzero entry, equal to 1 or -1.  g is invertible, so p is then a
+    permutation.
+    """
+    if not all(t.is_zero for t in g.translation):
+        return None
+    perm, flipped = [], []
+    for i, row in enumerate(g.linear):
+        entries = [(j, e) for j, e in enumerate(row) if not e.is_zero]
+        if len(entries) != 1:
+            return None
+        j, e = entries[0]
+        if not e.is_one:
+            if e != _MINUS_ONE:
+                return None
+            flipped.append(i)
+        perm.append(j)
+    return tuple(perm), tuple(flipped)
+
+
+def _column_moves(
+    perm: Sequence[int], flipped: Sequence[int], window: Window
+) -> list[tuple[int, int]]:
+    """g^* on the window's columns: (target, parity) for each column, in order.
+
+    With g(x)_i = s_i x_(p[i]), g^*(x^e dx_I) = (-1)^parity x^e' dx_J at the
+    target column (e', J).  x^e o g = prod_i s_i^(e_i) x_(p[i])^(e_i), so
+    e'[p[i]] = e[i], and the exponent's parity is the sum of e_i over the
+    flipped i.  g^*(dx_I) = prod_(i in I) s_i dx_(p[i_1]) ^ ... ^ dx_(p[i_k]),
+    so J is the sorted image of I, and its parity is the number of flipped
+    i in I plus the number of inversions of the image.  Each exponent's and
+    each index tuple's part is worked out once, on ints; column (e, I) is
+    at |index tuples| * (position of e) + (position of I).
+    """
+    source = [0] * window.dim  # e'[j] = e[source[j]]
+    for i, j in enumerate(perm):
+        source[j] = i
+    width = len(window.index_tuples)
+    offset = {e: u * width for u, e in enumerate(window.exponents)}
+    position = {I: t for t, I in enumerate(window.index_tuples)}
+    exponent_moves = [
+        (offset[tuple([e[i] for i in source])], sum([e[i] for i in flipped]) & 1)
+        for e in window.exponents
+    ]
+    tuple_moves = []
+    for I in window.index_tuples:
+        image = [perm[i] for i in I]
+        inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+        flips = sum(i in flipped for i in I)
+        tuple_moves.append((position[tuple(sorted(image))], (inversions + flips) & 1))
+    return [(row + t, p ^ q) for row, p in exponent_moves for t, q in tuple_moves]
+
+
+def _orbits(
+    moves: Sequence[Sequence[tuple[int, int]]], size: int
+) -> list[tuple[dict[int, int], bool]]:
+    """The orbits of the columns under the generators' moves, and whether each is live.
+
+    Each orbit is walked breadth-first from its smallest column, over every
+    generator's move at every column reached, so every edge is seen, and
+    maps each of its columns to its parity relative to that first column.
+    It is live when every edge agrees with the parities recorded: then its
+    signed sum is fixed by every generator.  A fixed form in the orbit's
+    span must follow every edge from any one of its coefficients, so one
+    edge that disagrees leaves only 0.
+    """
+    parity: list[int | None] = [None] * size
+    orbits = []
+    for start in range(size):
+        if parity[start] is not None:
+            continue
+        parity[start] = 0
+        members, live = [start], True
+        for c in members:  # the list grows as the walk reaches new columns
+            here = parity[c]
+            for move in moves:
+                target, flip = move[c]
+                there = here ^ flip
+                if parity[target] is None:
+                    parity[target] = there
+                    members.append(target)
+                elif parity[target] != there:
+                    live = False
+        orbits.append(({c: parity[c] for c in members}, live))
+    return orbits
+
+
+def _orbit_sums(signed: Sequence[_SignedPermutation], window: Window) -> list[Form]:
+    """The canonical basis of forms fixed by these signed permutations, one per live orbit.
+
+    Each live orbit gives its signed sum of monomial forms, +1 at its
+    smallest column, and the forms are ordered by their largest columns.
+    That is the canonical kernel basis of the stacked g^* - id: the system
+    splits into one block per orbit; a live orbit's block has corank 1 and
+    a kernel vector with no zero entry, so its largest column is free and
+    the rest are pivots; a dead orbit's block has full rank.
+    """
+    moves = [_column_moves(perm, flipped, window) for perm, flipped in signed]
+    live = sorted((orbit for orbit, alive in _orbits(moves, window.size) if alive), key=max)
+    return [
+        window.combine({c: _MINUS_ONE if orbit[c] else ONE for c in sorted(orbit)})
+        for orbit in live
+    ]
 
 
 def _words(table: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:

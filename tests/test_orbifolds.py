@@ -7,16 +7,20 @@ four powers), the words of the generators and their inverses
 breadth-first walk by whole maps (``compose_walk``).
 """
 
+import json
+import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 import basicforms
-from basicforms import orbifolds, solver
+from basicforms import linalg, orbifolds, solver
 from basicforms.actions import ActionSpec, AffineMap, act_pullback
 from basicforms.examples import c4_square_chart
 from basicforms.forms import Form
+from basicforms.jobs import run_job
 from basicforms.linalg import Matrix, rank
 from basicforms.orbifolds import GroupNotFiniteError, OrbifoldChart, orbifold_invariant_forms
 from basicforms.polynomials import Polynomial
@@ -36,6 +40,8 @@ from helpers import (
     rand_scalar,
     reynolds_span,
     spans_equal,
+    window_coordinates,
+    window_monomials,
     word_product,
 )
 
@@ -513,6 +519,36 @@ def test_b4_chart_count_matches_molien_by_cofactors():
     assert len(orbifold_invariant_forms(chart, TruncationSpec(1, 3))) == expected
 
 
+# Each planted fault runs on both routes.  The quarter turn and the mirror
+# are signed permutations, so their charts take the orbit route.  Conjugated
+# by the translation by (1, 0) the quarter turn gains a translation, so those
+# charts take the kernel route; the mirror fixes (1, 0) and stays itself.
+_SHIFT = AffineMap.translation_by([1, 0])
+_ROUTES = ("orbit", "kernel")
+_ROUTE_STEPS = {"orbit": "_orbit_sums", "kernel": "basic_form_basis"}
+
+
+def _on_route(route: str, gens) -> OrbifoldChart:
+    if route == "kernel":
+        gens = [_SHIFT.compose(g).compose(affine_inverse(_SHIFT)) for g in gens]
+        assert any(not t.is_zero for g in gens for t in g.translation)
+    return OrbifoldChart(2, gens)
+
+
+def _edit_basis(patch: pytest.MonkeyPatch, route: str, edit) -> None:
+    """Patch the route's basis step to return ``edit`` of its basis, and the
+    other route's step to fail, so the chart must take this route."""
+    step = _ROUTE_STEPS[route]
+    build = getattr(orbifolds, step)
+    patch.setattr(orbifolds, step, lambda *args: edit(build(*args)))
+    (other,) = set(_ROUTE_STEPS.values()) - {step}
+
+    def refuse(*args):
+        raise AssertionError(f"the chart took the route of {other}")
+
+    patch.setattr(orbifolds, other, refuse)
+
+
 @pytest.mark.parametrize(
     "edit, size",
     [(lambda basis: basis[:-1], 1), (lambda basis: basis + basis[:1], 3)],
@@ -520,18 +556,20 @@ def test_b4_chart_count_matches_molien_by_cofactors():
 )
 def test_a_wrong_kernel_size_trips_completeness(monkeypatch, edit, size):
     # every form left is invariant, so only the count can tell
-    kernel = orbifolds.basic_form_basis
-    monkeypatch.setattr(orbifolds, "basic_form_basis", lambda a, s: edit(kernel(a, s)))
-    with pytest.raises(RuntimeError, match=f"^completeness: the kernel has {size} forms but .* 2"):
-        orbifold_invariant_forms(c4_square_chart(), TruncationSpec(0, 2))
+    for route in _ROUTES:
+        with monkeypatch.context() as patch:
+            _edit_basis(patch, route, edit)
+            with pytest.raises(RuntimeError, match=f"^completeness: the basis has {size} forms but .* 2"):
+                orbifold_invariant_forms(_on_route(route, [_QUARTER]), TruncationSpec(0, 2))
 
 
 def test_a_non_invariant_kernel_form_trips_soundness(monkeypatch):
-    kernel = orbifolds.basic_form_basis
     x = Form.function(Polynomial.variable(2, 0))
-    monkeypatch.setattr(orbifolds, "basic_form_basis", lambda a, s: kernel(a, s) + [x])
-    with pytest.raises(RuntimeError, match="^soundness: a generator moves a kernel basis form"):
-        orbifold_invariant_forms(c4_square_chart(), TruncationSpec(0, 2))
+    for route in _ROUTES:
+        with monkeypatch.context() as patch:
+            _edit_basis(patch, route, lambda basis: basis + [x])
+            with pytest.raises(RuntimeError, match="^soundness: a generator moves a basis form"):
+                orbifold_invariant_forms(_on_route(route, [_QUARTER]), TruncationSpec(0, 2))
 
 
 _AREA = Form.monomial(2, (0, 1), Polynomial.constant(2, 1))
@@ -546,22 +584,25 @@ _X_DX = Form.monomial(2, (0,), Polynomial.variable(2, 0))
 def test_every_generator_is_checked(monkeypatch, gens, grade, degree, planted):
     # the first generator fixes the planted form and the second moves it,
     # so a check by the first generator alone would reach completeness
-    first, second = gens
-    assert act_pullback(first, planted) == planted
-    assert act_pullback(second, planted) != planted
-    kernel = orbifolds.basic_form_basis
-    monkeypatch.setattr(orbifolds, "basic_form_basis", lambda a, s: kernel(a, s) + [planted])
-    with pytest.raises(RuntimeError, match="^soundness:"):
-        orbifold_invariant_forms(OrbifoldChart(2, gens), TruncationSpec(grade, degree))
+    for route in _ROUTES:
+        chart = _on_route(route, gens)
+        first, second = chart.generators
+        assert act_pullback(first, planted) == planted
+        assert act_pullback(second, planted) != planted
+        with monkeypatch.context() as patch:
+            _edit_basis(patch, route, lambda basis: basis + [planted])
+            with pytest.raises(RuntimeError, match="^soundness:"):
+                orbifold_invariant_forms(chart, TruncationSpec(grade, degree))
 
 
 def test_an_assembly_fault_trips_soundness(monkeypatch):
     # The mirror's g^* - id block loses its row for the constant dx^dy, the
     # only row that sees dx^dy, so the kernel gains dx^dy.  The quarter turn
-    # fixes dx^dy and the mirror moves it: the pullbacks, which share no
-    # window indexing with the assembly, catch it, but only the second
-    # generator's.
-    chart = OrbifoldChart(2, [_QUARTER, _MIRROR])
+    # about (1, 0) fixes dx^dy and the mirror moves it: the pullbacks, which
+    # share no window indexing with the assembly, catch it, but only the
+    # second generator's.
+    chart = _on_route("kernel", [_QUARTER, _MIRROR])
+    assert chart.generators[1] == _MIRROR
     build = solver._affine_block
     block = build(_MIRROR, Window(2, 2, 2))
     rows = [block.row(i) for i in range(block.rows)]
@@ -571,10 +612,194 @@ def test_an_assembly_fault_trips_soundness(monkeypatch):
     monkeypatch.setattr(
         solver,
         "_affine_block",
-        lambda g, domain: faulty if g is _MIRROR else build(g, domain),
+        lambda g, domain: faulty if g == _MIRROR else build(g, domain),
     )
     with pytest.raises(RuntimeError, match="^soundness:"):
         orbifold_invariant_forms(chart, TruncationSpec(2, 2))
+
+
+def test_a_fault_in_the_orbit_moves_trips_soundness(monkeypatch):
+    # The mirror's move of the constant dx^dy, column 0 of W(2, 2), loses
+    # its sign, so the orbit {dx^dy} looks live and the basis gains dx^dy.
+    # The quarter turn fixes dx^dy and the mirror moves it: the pullbacks,
+    # which share nothing with the moves, catch it, but only the second
+    # generator's.
+    chart = OrbifoldChart(2, [_QUARTER, _MIRROR])
+    mirror = orbifolds._signed_permutation(_MIRROR)
+    assert mirror == ((0, 1), (1,))
+    moves = orbifolds._column_moves
+    window = Window(2, 2, 2)
+    assert moves(*mirror, window)[0] == (0, 1)
+
+    def faulty(perm, flipped, window):
+        out = moves(perm, flipped, window)
+        if (perm, flipped) == mirror:
+            out[0] = (0, 0)
+        return out
+
+    monkeypatch.setattr(orbifolds, "_column_moves", faulty)
+    with pytest.raises(RuntimeError, match="^soundness:"):
+        orbifold_invariant_forms(chart, TruncationSpec(2, 2))
+
+
+_SIGN_FLIP = AffineMap.from_rows([[-1]], [0])
+_ORBIT_FAULT_CASES = [
+    (OrbifoldChart(1, [_SIGN_FLIP]), 0, 3),
+    (OrbifoldChart(2, [_QUARTER]), 1, 2),
+    (OrbifoldChart(2, [_QUARTER, _MIRROR]), 2, 4),
+    (OrbifoldChart(3, _B3), 1, 2),
+]
+
+
+@pytest.mark.parametrize("chart, grade, degree", _ORBIT_FAULT_CASES)
+def test_a_kept_dead_orbit_trips_soundness(monkeypatch, chart, grade, degree):
+    # an orbit on which some element acts by -1 gives no invariant; kept as
+    # live, its signed sum is moved by the generator of the edge that disagrees
+    orbits = orbifolds._orbits
+    dead = []
+
+    def all_live(moves, size):
+        found = orbits(moves, size)
+        dead.extend(orbit for orbit, live in found if not live)
+        return [(orbit, True) for orbit, _ in found]
+
+    monkeypatch.setattr(orbifolds, "_orbits", all_live)
+    with pytest.raises(RuntimeError, match="^soundness: a generator moves a basis form"):
+        orbifold_invariant_forms(chart, TruncationSpec(grade, degree))
+    assert dead
+
+
+@pytest.mark.parametrize("chart, grade, degree", _ORBIT_FAULT_CASES)
+def test_a_dropped_live_orbit_trips_completeness(monkeypatch, chart, grade, degree):
+    # every form left is invariant, so only the count can tell
+    size = len(orbifold_invariant_forms(chart, TruncationSpec(grade, degree)))
+    assert size > 0
+    orbits = orbifolds._orbits
+
+    def one_live_dropped(moves, size):
+        found = orbits(moves, size)
+        first_live = next(i for i, (_, live) in enumerate(found) if live)
+        return found[:first_live] + found[first_live + 1 :]
+
+    monkeypatch.setattr(orbifolds, "_orbits", one_live_dropped)
+    with pytest.raises(
+        RuntimeError,
+        match=f"^completeness: the basis has {size - 1} forms but Molien's formula counts {size}",
+    ):
+        orbifold_invariant_forms(chart, TruncationSpec(grade, degree))
+
+
+def _generating_pair(rng: random.Random, dim: int) -> OrbifoldChart:
+    """The chart of a random pair of signed permutations that generates all of B_dim."""
+    order = 2**dim * math.factorial(dim)
+    while True:
+        gens = [
+            _signed_permutation(rng.sample(range(dim), dim), [rng.choice((1, -1)) for _ in range(dim)])
+            for _ in range(2)
+        ]
+        chart = OrbifoldChart(dim, gens, cap=order)
+        if len(chart.group) == order:
+            return chart
+
+
+@pytest.mark.parametrize(
+    "seed, dim, max_degree",
+    [(3301, 2, 4), (3302, 2, 4), (3303, 3, 4), (3304, 3, 4), (3305, 4, 3), (None, 1, 4), (None, 2, 4)],
+    ids=["B2_3301", "B2_3302", "B3_3303", "B3_3304", "B4_3305", "sign_flip", "C4"],
+)
+def test_orbit_sums_equal_the_kernel_basis(monkeypatch, seed, dim, max_degree):
+    if seed is not None:
+        chart = _generating_pair(random.Random(seed), dim)
+    else:
+        chart = OrbifoldChart(dim, [_SIGN_FLIP] if dim == 1 else [_QUARTER])
+    kernel_route = orbifolds.basic_form_basis
+
+    def refuse(*args):
+        raise AssertionError("a signed-permutation chart took the kernel route")
+
+    monkeypatch.setattr(orbifolds, "basic_form_basis", refuse)
+    action = ActionSpec(dim, discrete=chart.generators)
+    sizes = []
+    for grade in range(dim + 1):
+        for degree in range(max_degree + 1):
+            spec = TruncationSpec(grade, degree)
+            basis = orbifold_invariant_forms(chart, spec)
+            assert basis == kernel_route(action, spec)
+            sizes.append(len(basis))
+    assert 0 in sizes and max(sizes) > 1
+
+
+@pytest.mark.parametrize("seed, dim", [(3311, 2), (3312, 3), (3313, 4)])
+def test_column_moves_are_the_pullbacks_of_monomial_forms(seed, dim):
+    # the oracle pulls each monomial form back by the map, in Scalar
+    # arithmetic, and reads its window coordinates
+    rng = random.Random(seed)
+    g = _signed_permutation(rng.sample(range(dim), dim), [rng.choice((1, -1)) for _ in range(dim)])
+    perm, flipped = orbifolds._signed_permutation(g)
+    for grade in range(dim + 1):
+        window = Window(dim, grade, 3)
+        moves = orbifolds._column_moves(perm, flipped, window)
+        for (target, parity), monomial in zip(moves, window_monomials(window)):
+            sign = Scalar.of(-1 if parity else 1)
+            assert window_coordinates(window, act_pullback(g, monomial)) == {target: sign}
+
+
+def _job_chart(gens) -> dict:
+    """An orbifold job on these generators, grade 1, degree 2, entries as fractions."""
+    return {
+        "command": "orbifold",
+        "chart": {
+            "dimension": gens[0].dim,
+            "generators": [
+                {
+                    "matrix": [[f"({e.as_fraction()})" for e in row] for row in g.linear],
+                    "translation": [f"({t.as_fraction()})" for t in g.translation],
+                }
+                for g in gens
+            ],
+            "closure_cap": 64,
+        },
+        "truncation": {"grade": 1, "max_degree": 2},
+    }
+
+
+def _b2_densely_conjugated() -> list[AffineMap]:
+    rng = random.Random(3321)
+    h = _dense_conjugator(rng, 2)
+    return [h.compose(g).compose(affine_inverse(h)) for g in (_QUARTER, _MIRROR)]
+
+
+@pytest.mark.parametrize(
+    "job, eliminates",
+    [
+        ("orbifold_c4", False),
+        (_job_chart(_B3), False),
+        (_job_chart([AffineMap.from_rows([[-1]], [1])]), True),
+        (_job_chart([AffineMap.from_rows([[0, -1], [1, -1]], [0, 0])]), True),
+        (_job_chart(_b2_densely_conjugated()), True),
+    ],
+    ids=["builtin_c4", "b3", "reflection_about_one_half", "turn_by_a_third", "b2_densely_conjugated"],
+)
+def test_a_signed_permutation_chart_eliminates_nothing(monkeypatch, job, eliminates):
+    """Counts the eliminations of a window system through ``run_job``, not time.
+
+    The kernel route eliminates through ``linalg`` (``kernel_basis``) and
+    ``solver`` (the span test of the fields).  The invertibility check of
+    each parsed generator (``actions``) is not a window system, and is not
+    counted.
+    """
+    if isinstance(job, str):
+        path = resources.files("basicforms") / "jobs_data" / f"{job}.json"
+        job = json.loads(path.read_text(encoding="utf-8"))
+    calls = []
+    for module in (linalg, solver):
+        eliminate = module._gauss_jordan
+        counted = lambda matrix, eliminate=eliminate: calls.append(matrix) or eliminate(matrix)
+        monkeypatch.setattr(module, "_gauss_jordan", counted)
+    report, code = run_job(job)
+    assert code == 0, report
+    assert report["results"]["dimension"] > 0
+    assert (len(calls) >= 1) == eliminates
 
 
 def test_a_molien_total_the_order_does_not_divide_is_an_error(monkeypatch):
