@@ -533,15 +533,18 @@ def render_form(form: Form, names: Sequence[str] | None = None) -> str:
         names = default_var_names(form.dim)
     elif len(names) != form.dim:
         raise ValueError("wrong number of variable names")
-    if form.is_zero:
+    return _join_terms(
+        [(indices, render_poly(form.terms[indices], names)) for indices in sorted(form.terms)],
+        names,
+    )
+
+
+def _join_terms(terms: Sequence[tuple[Indices, str]], names: Sequence[str]) -> str:
+    """The text of :func:`render_form` from its rendered coefficients, in lex order of indices."""
+    if not terms:
         return "0"
     dnames = covector_names(names)
-    pieces = []
-    for indices in sorted(form.terms):
-        coeff = render_poly(form.terms[indices], names)
-        if indices:
-            basis = "^".join(dnames[i] for i in indices)
-            pieces.append(f"({coeff}) {basis}")
-        else:
-            pieces.append(f"({coeff})")
-    return " + ".join(pieces)
+    return " + ".join(
+        f"({coeff}) {'^'.join(dnames[i] for i in indices)}" if indices else f"({coeff})"
+        for indices, coeff in terms
+    )

@@ -44,9 +44,9 @@ from .forms import (
     FormSums,
     PolyMap,
     VectorField,
+    _join_terms,
     add_terms,
     check_float_range,
-    render_form,
 )
 from .orbifolds import GroupNotFiniteError, OrbifoldChart, orbifold_invariant_forms
 from .polynomials import Polynomial, default_var_names, render_poly
@@ -317,17 +317,12 @@ def _form_json(form: Form) -> dict:
         _require(all(c.height < _TOO_LONG for c in poly.terms.values()),
                  f"a result coefficient has more than {MAX_DIGITS} digits")
     names = default_var_names(form.dim)
+    terms = [(indices, render_poly(form.terms[indices], names)) for indices in sorted(form.terms)]
     return {
-        "string": render_form(form, names),
+        "string": _join_terms(terms, names),
         "grade": form.grade,
         "dimension": form.dim,
-        "terms": [
-            {
-                "indices": list(indices),
-                "coefficient": render_poly(form.terms[indices], names),
-            }
-            for indices in sorted(form.terms)
-        ],
+        "terms": [{"indices": list(indices), "coefficient": coeff} for indices, coeff in terms],
     }
 
 

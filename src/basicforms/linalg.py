@@ -3,12 +3,22 @@
 A :class:`Matrix` is the input to elimination.  It stores each row
 sparsely, as ``{column: nonzero Scalar}``; the constraint matrices the
 solver builds are mostly zeros.  One sparse Gauss-Jordan elimination
-serves every routine here: rows are taken in order, each is reduced
-against the rows already accepted, and a row that stays nonzero is
-accepted with its first nonzero column as pivot, scaled to a unit pivot
-and used to clear that column from the earlier rows.  Ranks, the ranks
-of column prefixes and kernels are all read off its result, so every
-routine is deterministic.
+serves every routine here: each row is reduced against the rows already
+accepted, and a row that stays nonzero is accepted with its first nonzero
+column as pivot, scaled to a unit pivot and used to clear that column
+from the earlier rows.  Ranks, the ranks of column prefixes and kernels
+are all read off its result, so every routine is deterministic.
+
+The reduced row echelon form of a row space is unique, so the order the
+rows are taken in changes only the work, never the result.  They are
+taken sparsest first (a stable sort by nonzero count, after Markowitz):
+a sparse pivot row puts few entries into the rows it clears, and over
+Q(a) each entry it spares is a rational function that does not swell.
+The elimination also keeps an index of the accepted rows by column
+(Duff, Erisman and Reid): for each column that is not a pivot, the
+pivots of the reduced rows that hold it.  A new pivot then clears its
+column from those rows only, not from every accepted row, and the one
+row update keeps the index exact as entries appear and cancel.
 
 Kernel bases are canonical: they come from the reduced row echelon form,
 one basis vector per free column, in column order.  A kernel vector is a
@@ -20,6 +30,7 @@ its smallest key has positive leading coefficient.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, Scalar, ScalarLike
@@ -98,27 +109,47 @@ def stack(blocks: Sequence[Matrix]) -> Matrix:
     return Matrix(cols, [row for b in blocks for row in b._data])
 
 
-def _subtract(target: SparseRow, f: Scalar, source: SparseRow, pivot: int) -> None:
-    """target -= f * source, outside the pivot column the caller already cleared."""
+def _subtract(
+    target: SparseRow,
+    f: Scalar,
+    source: SparseRow,
+    pivot: int,
+    holders: dict[int, set[int]] | None = None,
+    key: int = -1,
+) -> None:
+    """target -= f * source, outside the pivot column the caller already cleared.
+
+    With ``holders``, target is the reduced row of pivot ``key``, and each
+    column it gains or loses is recorded there.
+    """
     for j, v in source.items():
         if j == pivot:
             continue
         old = target.get(j)
-        new = -(f * v) if old is None else old - f * v
+        if old is None:
+            target[j] = -(f * v)
+            if holders is not None:
+                holders[j].add(key)
+            continue
+        new = old - f * v
         if new.is_zero:
             del target[j]
+            if holders is not None:
+                holders[j].discard(key)
         else:
             target[j] = new
 
 
 def _gauss_jordan(matrix: Matrix) -> dict[int, SparseRow]:
-    """Sparse Gauss-Jordan elimination.
+    """Sparse Gauss-Jordan elimination, sparsest rows first.
 
     Returns the RREF rows keyed by pivot column: each has a unit pivot and
     is zero in every other pivot column.
     """
     reduced: dict[int, SparseRow] = {}
-    for source in matrix._data:
+    # holders[c]: the pivots of the reduced rows that hold column c, c not a pivot
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for source in sorted(matrix._data, key=len):
         row = dict(source)
         # An accepted row is zero in every other pivot column, so clearing
         # one pivot column never refills another.
@@ -130,10 +161,12 @@ def _gauss_jordan(matrix: Matrix) -> dict[int, SparseRow]:
         p = row[pivot]
         if not p.is_one:
             row = {j: v / p for j, v in row.items()}
-        for other in reduced.values():
-            f = other.pop(pivot, None)
-            if f is not None:
-                _subtract(other, f, row, pivot)
+        for q in holders.pop(pivot, ()):
+            other = reduced[q]
+            _subtract(other, other.pop(pivot), row, pivot, holders, q)
+        for j in row:
+            if j != pivot:
+                holders[j].add(pivot)
         reduced[pivot] = row
     return reduced
 

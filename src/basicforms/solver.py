@@ -11,9 +11,9 @@ the stacked constraint matrix.
 Each row of a constraint matrix stands for one target monomial
 x^e dx_I and holds that monomial's coefficient in the image of every
 column, so no condition is dropped and no degree bound sizes the rows.
-The rows are kept in the order the assembly first touches them; the
-reduced row echelon form does not depend on row order, and empty rows
-are left out.
+The rows are kept in the order the assembly first touches them, and
+empty rows are left out; the elimination takes them sparsest first, and
+the reduced row echelon form does not depend on row order.
 
 * invariance under a translation g(x) = x + t: rows of L_t, the Lie
   derivative along the constant field t.  g^* = exp(L_t) and L_t is
@@ -30,6 +30,13 @@ are left out.
   combination of the kept blocks' rows with its key (a key a block lacks
   is a zero row there), and the stacked system keeps its row space, its
   reduced echelon form and its canonical kernel basis.
+* a kept field xi is assembled as xi / c, for c its positive rational
+  content: the gcd of the numerators over the lcm of the denominators of
+  the rational coefficients of its components.  Every row of its block is
+  the row of xi times 1/c, so the row space stays.  The scaled field has
+  coprime int coefficients, so a rotation by 3/4 is eliminated over the
+  ints, not over Fractions.  A field with a coefficient that has ``a`` in
+  its denominator is assembled as it is.
 
 Assembly follows the window's tensor structure.  Column (e, I) holds the
 image of x^e dx_I, and each operator splits into a factor of e and a
@@ -73,7 +80,7 @@ from .actions import ActionSpec, AffineMap
 from .forms import Form, FormSums, Indices, VectorField, ext_d, interior, lie_derivative
 from .linalg import Matrix, _gauss_jordan, kernel_basis, prefix_ranks, stack
 from .polynomials import Exponents, Polynomial, add_product
-from .scalars import ONE, Scalar
+from .scalars import _UNIT, ONE, Scalar
 
 
 class TruncationSpec:
@@ -270,6 +277,31 @@ def _independent(fields: Sequence[VectorField]) -> set[int]:
     return set(_gauss_jordan(_matrix(len(fields), rows)))
 
 
+def _primitive(xi: VectorField) -> VectorField:
+    """xi over its positive rational content; xi itself if that is 1 or xi has an a-denominator.
+
+    See the module docstring.  Each coefficient is scaled on the ints and
+    Fractions of its numerator, so the results are ints and no Fraction is
+    built.
+    """
+    coeffs = [c for component in xi.components for c in component.terms.values()]
+    if any(c._den is not _UNIT for c in coeffs):
+        return xi
+    rationals = [q for c in coeffs for q in c._num if q]
+    top = math.gcd(*(q.numerator for q in rationals))
+    bottom = math.lcm(*(q.denominator for q in rationals))
+    if top == bottom:
+        return xi
+    components = []
+    for component in xi.components:
+        terms = {
+            h: Scalar(tuple(q.numerator * (bottom // q.denominator) // top for q in c._num))
+            for h, c in component.terms.items()
+        }
+        components.append(Polynomial._from_sums(xi.dim, terms))
+    return VectorField(components)
+
+
 def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     """Stacked linear conditions on the window for invariance under every generator.
 
@@ -293,7 +325,7 @@ def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     positions = list(fields)
     kept = {positions[c] for c in _independent(list(fields.values()))}
     blocks = [
-        _field_block(fields[i], domain, lie=True) if i in fields
+        _field_block(_primitive(fields[i]), domain, lie=True) if i in fields
         else _affine_block(discrete[i], domain)
         for i in range(len(discrete) + len(action.infinitesimal))
         if i in kept or i not in fields
@@ -312,7 +344,7 @@ def horizontality_constraints(action: ActionSpec, domain: Window) -> Matrix:
         return Matrix.zero(0, domain.size)
     kept = _independent(action.infinitesimal)
     blocks = [
-        _field_block(xi, domain, lie=False)
+        _field_block(_primitive(xi), domain, lie=False)
         for i, xi in enumerate(action.infinitesimal)
         if i in kept
     ]

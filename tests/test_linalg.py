@@ -1,11 +1,12 @@
 """Exact linear algebra: rank, RREF, kernels and the ranks of column prefixes.
 
-Oracle: a deliberately naive dense Fraction-only Gauss-Jordan elimination
-recomputes rank, RREF and the canonical kernel for random rational
-matrices; kernel vectors are also verified by multiplying them back
-through the original matrix.  Parameter-dependent cases are checked by
-binding at several rational values of a and comparing against the oracle
-on the bound matrix.
+Oracle: a deliberately naive dense Gauss-Jordan elimination recomputes
+rank, RREF and the canonical kernel for random rational matrices; kernel
+vectors are also verified by multiplying them back through the original
+matrix.  The same oracle, run on Scalars, gives the RREF over Q(a) of
+small matrices, whose rows the elimination gets shuffled and repeated.
+Parameter-dependent cases are also checked by binding at several rational
+values of a and comparing against the oracle on the bound matrix.
 """
 
 import random
@@ -21,12 +22,16 @@ from basicforms.linalg import (
     rank,
     stack,
 )
+from basicforms.actions import ActionSpec
+from basicforms.forms import VectorField
+from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
+from basicforms.solver import Window, horizontality_constraints, invariance_constraints
 from helpers import rand_fraction, rand_scalar
 
 
 def naive_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Textbook Gauss-Jordan over Fraction; quadratic fill-in and all."""
+    """Textbook Gauss-Jordan over Fraction, or over Scalar; quadratic fill-in and all."""
     m = [row[:] for row in rows]
     r = 0
     pivots = []
@@ -211,6 +216,84 @@ def test_row_order_changes_no_result():
             assert kernel_basis(other) == kernel_basis(mat)
             assert prefix_ranks(other, widths) == prefix_ranks(mat, widths)
     assert reordered > 60  # most draws really changed the row order
+
+
+def _naive_reduced(rows) -> dict:
+    """The naive oracle's RREF in the shape of ``_gauss_jordan``: sparse rows keyed by pivot."""
+    reduced, pivots = naive_rref(rows)
+    return {c: _sparse_vector(row) for c, row in zip(pivots, reduced)}
+
+
+@pytest.mark.parametrize("with_param", [False, True])
+def test_rref_of_shuffled_and_repeated_rows_matches_the_naive_oracle(with_param):
+    """The elimination takes its rows sparsest first; the RREF is the oracle's whatever they are.
+
+    Each matrix gets copies of its rows, nonzero multiples of them and
+    sums of two of them, then a shuffle, so rows of one nonzero count come
+    in several orders and many rows reduce to zero.  Over Q(a) at most
+    4x7 at 50% fill: elimination over Q(a) swells on larger dense matrices.
+    """
+    rng = random.Random(112 + with_param)
+    side, fill = (4, 0.5) if with_param else (8, 0.4)
+    entry = lambda: rand_scalar(rng, with_param=with_param, span=3) if rng.random() < fill else 0
+    reordered = 0
+    for _ in range(60 if with_param else 120):
+        ncols = rng.randint(1, side + 3)
+        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, side))]
+        more = [list(rng.choice(rows)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 2)):
+            c = rand_scalar(rng, with_param=with_param, span=3)
+            more.append([Scalar.of(v) * c for v in rng.choice(rows)])
+            first, second = rng.choice(rows), rng.choice(rows)
+            more.append([Scalar.of(u) + v for u, v in zip(first, second)])
+        shuffled = rng.sample(rows + more, len(rows) + len(more))
+        reordered += [len(_sparse_vector(r)) for r in shuffled] != sorted(
+            len(_sparse_vector(r)) for r in shuffled
+        )
+        assert _gauss_jordan(Matrix.from_rows(shuffled)) == _naive_reduced(rows)
+    assert reordered > 30  # many draws were not already sparsest first
+
+
+def _assert_reduced(reduced: dict, cols: int) -> None:
+    """Unit pivots, no entry left of its pivot, and zero at every other pivot column."""
+    for c, row in reduced.items():
+        assert row[c] == Scalar.of(1)
+        assert min(row) == c and max(row) < cols
+        assert not any(v.is_zero for v in row.values())
+        assert not any(j in reduced for j in row if j != c)
+
+
+def test_every_reduced_row_is_zero_at_every_other_pivot_column():
+    """Back-substitution reaches every accepted row that holds a new pivot's column.
+
+    Sparse random matrices over Q at 10-30% fill, where later pivots land
+    in columns that several earlier rows hold, and the constraint systems
+    of two rotations on R^4 (over Q against the naive oracle too).
+    """
+    rng = random.Random(113)
+    for _ in range(60):
+        nrows, ncols = rng.randint(5, 30), rng.randint(5, 25)
+        fill = rng.choice([0.1, 0.2, 0.3])
+        rows = [
+            [rand_fraction(rng, 4) if rng.random() < fill else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        reduced = _gauss_jordan(_as_matrix(rows))
+        _assert_reduced(reduced, ncols)
+        assert reduced == _naive_reduced(rows)
+    x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
+    a = Scalar.parameter()
+    quarter = Fraction(3, 4)
+    for field, degree in (([-y, x, -w, z], 2), ([-y, x, -w.scale(a), z.scale(a)], 3)):
+        action = ActionSpec(4, infinitesimal=[VectorField([p.scale(quarter) for p in field])])
+        domain = Window(4, 2, degree)
+        system = stack(
+            [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
+        )
+        reduced = _gauss_jordan(system)
+        _assert_reduced(reduced, domain.size)
+        if degree == 2:
+            assert reduced == _naive_reduced(system.row_lists())
 
 
 def test_kernel_of_a_wide_zero_matrix_is_the_unit_vectors():

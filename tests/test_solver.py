@@ -9,10 +9,12 @@ compared against a literal four-term sum for the quarter-turn group, and
 every constraint block against the per-monomial route of
 ``helpers.operator_block`` (one whole image form per window monomial), as
 a multiset of rows; a translation's L_t block also by reduced row echelon
-form against the oracle's g^* - id.  A field in the span of earlier
-fields has no block, and the system keeps the reduced row echelon form of
-one block per generator.  Every window read off a larger window of its grade
-equals the canonical kernel of its own system.
+form against the oracle's g^* - id.  A kept field xi is assembled as
+c * xi for a nonzero rational c, its content's inverse, and its block is
+compared with the oracle's block of c * xi.  A field in the span of
+earlier fields has no block, and the system keeps the reduced row echelon
+form of one block per generator.  Every window read off a larger window
+of its grade equals the canonical kernel of its own system.
 """
 
 import itertools
@@ -350,47 +352,66 @@ def _translation_field(g: AffineMap) -> VectorField | None:
     return VectorField([Polynomial.constant(g.dim, t) for t in g.translation])
 
 
+def _primitive_multiple(xi: VectorField) -> VectorField:
+    """The field a kept xi is assembled as, checked to be c * xi for a nonzero rational c."""
+    scaled = solver._primitive(xi)
+    j, h = next((j, h) for j, p in enumerate(xi.components) for h in p.terms)
+    c = scaled.component(j).terms[h] / xi.component(j).terms[h]
+    assert c.is_rational and not c.is_zero
+    assert scaled == VectorField([p.scale(c) for p in xi.components])
+    return scaled
+
+
 def _assert_blocks_match_the_per_monomial_route(action: ActionSpec, domain: Window) -> None:
     """The assembly against the oracle, block for block over the kept fields.
 
     Blocks are compared by width and multiset of rows (``same_rows``):
     each keeps its nonempty rows in the order it first touches them.
     ``_affine_block`` equals the oracle's g^* - id for every discrete
-    generator.  A translation by t is assembled as L_t instead:
-    that block equals the oracle's L_t, and its reduced row echelon form
-    equals that of the oracle's g^* - id, so the two have one row space.
-    A field in the span of the fields before it has no block: for
-    invariance the translations' constant fields, then the infinitesimal
-    generators; for horizontality the latter alone.  ``independent_fields``
-    says which, by ranks of its own; the stack of every other block equals
-    the stack of the oracle's.  Where a block is dropped, the assembled
-    system has the reduced row echelon form of the stack of every oracle
-    block.  Where none is, that follows from the checks above, and the
-    elimination of a dense map over Q(a) stacked with every field takes
-    minutes on R^3 and R^4.
+    generator.  A translation by t is assembled as L_t instead, and its
+    reduced row echelon form equals that of the oracle's g^* - id, so the
+    two have one row space.  A field in the span of the fields before it
+    has no block: for invariance the translations' constant fields, then
+    the infinitesimal generators; for horizontality the latter alone.
+    ``independent_fields`` says which, by ranks of its own.  A kept field
+    xi is assembled as c * xi for a nonzero rational c, so its block is
+    the oracle's block of c * xi, with the row space of the oracle's block
+    of xi; the stack of every other block equals the stack of the
+    oracle's.  Where a block is dropped, the assembled system has the
+    reduced row echelon form of the stack of every oracle block.  Where
+    none is, that follows from the checks above, and the elimination of a
+    dense map over Q(a) stacked with every field takes minutes on R^3 and
+    R^4.
     """
     oracle = invariance_blocks(action, domain)
-    expected = []  # (the field whose span decides, or None; block)
+    lie = lambda xi: operator_block(domain, lambda f: lie_derivative(xi, f))
+    expected = []  # (the field whose span decides, or None; the oracle block of a map)
     for g, block in zip(action.discrete, oracle):
         assert same_rows(solver._affine_block(g, domain), block)
         t = _translation_field(g)
         if t is not None:
-            lie = operator_block(domain, lambda f: lie_derivative(t, f))
-            assert _gauss_jordan(lie) == _gauss_jordan(block)
-            block = lie
+            assert _gauss_jordan(lie(t)) == _gauss_jordan(block)
         expected.append((t, block))
-    expected += zip(action.infinitesimal, oracle[len(action.discrete) :])
+    expected += [(xi, None) for xi in action.infinitesimal]
     kept = iter(independent_fields([f for f, _ in expected if f is not None]))
     horizontal = horizontality_blocks(action, domain)
     for assembled, blocks, every in (
         (
             invariance_constraints(action, domain),
-            [block for f, block in expected if f is None or next(kept)],
+            [
+                block if f is None else lie(_primitive_multiple(f))
+                for f, block in expected
+                if f is None or next(kept)
+            ],
             oracle,
         ),
         (
             horizontality_constraints(action, domain),
-            [b for b, k in zip(horizontal, independent_fields(action.infinitesimal)) if k],
+            [
+                operator_block(domain, lambda f, xi=_primitive_multiple(xi): interior(xi, f))
+                for xi, k in zip(action.infinitesimal, independent_fields(action.infinitesimal))
+                if k and domain.grade > 0
+            ],
             horizontal,
         ),
     ):
@@ -855,3 +876,90 @@ def test_lie_block_scales_each_component_once_per_exponent_value(monkeypatch):
     monkeypatch.undo()
     assert 0 < products - pieces <= 4 * 4 * terms
     assert same_rows(block, operator_block(domain, lambda f: lie_derivative(xi, f)))
+
+
+def test_a_kept_field_is_assembled_over_its_rational_content():
+    """The content is the gcd of the numerators over the lcm of the denominators.
+
+    Coefficients in a count by their rational coefficients; a field with
+    an a-denominator, or of content 1, is kept as it is.
+    """
+    x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
+    a = Scalar.parameter()
+    quarter = Fraction(1, 4)
+    rotation = VectorField([-y, x, -w, z])
+    cases = [
+        (VectorField([p.scale(quarter) for p in rotation.components]), rotation),
+        (VectorField([x.scale(6), y.scale(-4), z.scale(10), w]), None),
+        (
+            VectorField([x.scale(6), y.scale(-4), z.scale(10), Polynomial.zero(4)]),
+            VectorField([x.scale(3), y.scale(-2), z.scale(5), Polynomial.zero(4)]),
+        ),
+        (
+            VectorField([x.scale(a * Fraction(2, 3)), y.scale(Fraction(4, 9)), z, w]),
+            VectorField([x.scale(a * 6), y.scale(4), z.scale(9), w.scale(9)]),
+        ),
+        (VectorField([x.scale(Fraction(2, 3) / (a + 1)), y, z, w]), None),
+        (VectorField([-y, x, -w.scale(a), z.scale(a)]), None),
+    ]
+    for xi, expect in cases:
+        scaled = solver._primitive(xi)
+        assert scaled is xi if expect is None else scaled == expect
+        assert all(
+            c.is_rational and c.as_fraction().denominator == 1 or c.uses_parameter
+            for p in scaled.components
+            for c in p.terms.values()
+        )
+
+
+def test_scaling_a_field_by_a_nonzero_rational_keeps_the_basis():
+    """L and i are linear in the field, so c * xi and xi have one basis, under ==."""
+    rng = random.Random(1250)
+    x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
+    a = Scalar.parameter()
+    actions = [
+        ActionSpec(4, infinitesimal=[VectorField([-y, x, -w, z])]),
+        ActionSpec(4, infinitesimal=[VectorField([-y, x, -w.scale(a), z.scale(a)])]),
+        solenoid_plane(),
+        so2_plane(),
+    ]
+    for dim in (1, 2):
+        fields = [rand_vector_field(rng, dim, max_degree=1, with_param=True) for _ in range(2)]
+        actions.append(ActionSpec(dim, infinitesimal=fields))
+    for action in actions:
+        scales = [rand_nonzero_fraction(rng) for _ in action.infinitesimal]
+        scaled = ActionSpec(
+            action.dim,
+            action.discrete,
+            [
+                VectorField([p.scale(c) for p in xi.components])
+                for c, xi in zip(scales, action.infinitesimal)
+            ],
+        )
+        for grade in range(action.dim + 1):
+            for degree in range(3 if action.dim == 4 else 4):
+                spec = TruncationSpec(grade, degree)
+                assert basic_form_basis(scaled, spec) == basic_form_basis(action, spec)
+
+
+def test_the_a_rotation_takes_few_scalar_products(monkeypatch):
+    """A cost guard with no wall time: Scalar products of one Q(a) basis job.
+
+    The a-rotation, field (-y, x, -a*w, a*z) on R^4, at grade 2, deg 4.
+    With its rows in assembly order the elimination took 4766 products;
+    with the sparsest rows first it takes under a thousand, and the
+    entries in a swell far less.
+    """
+    from basicforms.jobs import run_job
+
+    job = {
+        "command": "basis",
+        "action": {"dimension": 4, "infinitesimal": [["-y", "x", "-a*w", "a*z"]]},
+        "truncation": {"grade": 2, "max_degree": 4},
+    }
+    mul = Scalar.__mul__
+    products = []
+    monkeypatch.setattr(Scalar, "__mul__", lambda s, o: products.append(None) or mul(s, o))
+    _, code = run_job(job)
+    assert code == 0
+    assert len(products) <= 1200
