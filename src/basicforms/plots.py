@@ -418,9 +418,19 @@ def _fd_derivative(arr: np.ndarray, spacing: float, own: slice) -> tuple[np.ndar
 
 
 def _uniform_spacing(t: np.ndarray) -> float:
+    """The grid's first step h, if it is positive and finite and every step is within 1e-9 h of it.
+
+    The steps' deviations from h are taken in place, so no temporary is
+    built past the steps themselves, as ``np.allclose`` built several.  A
+    NaN step fails the comparison; an infinite h is refused before
+    ``inf - inf`` is taken.
+    """
     spacings = np.diff(t)
     h = float(spacings[0])
-    if h <= 0 or not np.allclose(spacings, h, rtol=1e-9, atol=0.0):
+    if not 0 < h < math.inf:
+        raise ValueError("gauge checks need a uniformly increasing grid")
+    spacings -= h
+    if not np.max(np.abs(spacings, out=spacings)) <= 1e-9 * h:
         raise ValueError("gauge checks need a uniformly increasing grid")
     return h
 

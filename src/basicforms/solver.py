@@ -38,6 +38,29 @@ the reduced row echelon form does not depend on row order.
   ints, not over Fractions.  A field with a coefficient that has ``a`` in
   its denominator is assembled as it is.
 
+Coordinates that the translations fix leave the window before assembly:
+
+* coordinate j is frozen when e_j lies in the Q(a)-span of the constant
+  fields that invariance imposes: each translation's t and each constant
+  infinitesimal generator.  One Gauss-Jordan elimination with these
+  fields as rows finds them: j is frozen exactly when the reduced row
+  with pivot j is e_j;
+* L_{e_j} = d/dx_j is then a Q(a)-combination of the imposed L_t, so every
+  basic form is in its kernel.  On the window that kernel is exactly the
+  columns x^e dx_I with e_j = 0, since d/dx_j sends the other columns to
+  distinct monomials;
+* so the kernel of the system on W(k, d) is the kernel of the system cut
+  to the columns with e_j = 0 for every frozen j, and the canonical kernel
+  basis depends only on that subspace and the relative column order.  The
+  window is built over the free variables alone, in the same graded-lex
+  order, and its basis is equal under ``==`` to that of the whole window;
+* a constant field supported in frozen coordinates is zero on that
+  window, so it adds no block, like a field in the span of earlier fields.
+
+For a lattice spanning R^n the grade-k window shrinks from
+C(n, k) C(n + d, d) columns to C(n, k).  When nothing is frozen, as for
+one translation by (1, 1), the window is the whole one.
+
 Assembly follows the window's tensor structure.  Column (e, I) holds the
 image of x^e dx_I, and each operator splits into a factor of e and a
 factor of I: g^*(x^e dx_I) = (x^e o g) g^*(dx_I),
@@ -51,7 +74,7 @@ Nested windows of one grade come from one elimination.  For d <= D the
 degree-d basis is read off the reduced degree-D system, exactly:
 
 * exponents are graded-lex and one exponent's index tuples are adjacent,
-  so W(k, d) is a column prefix of W(k, D);
+  so W(k, d) is a column prefix of W(k, D), over the same free variables;
 * a column's entries depend on that column alone, so the degree-d system
   is the degree-D system cut to the prefix, up to zero rows and row
   order;
@@ -122,19 +145,25 @@ class TruncationSpec:
         return f"TruncationSpec(grade={self.grade!r}, max_degree={self.max_degree!r})"
 
 
-def exponents_upto(num_vars: int, max_degree: int) -> list[Exponents]:
+def exponents_upto(
+    num_vars: int, max_degree: int, free: Sequence[int] | None = None
+) -> list[Exponents]:
     """All exponent tuples with total degree <= max_degree, graded-lex order.
 
     Degree by degree, each in descending lex order: lower total degree
     first, then earlier variables ranked higher.  The multisets of t
     variable indices, listed in lex order, are exactly the exponents of
-    degree t in descending lex order.
+    degree t in descending lex order.  With ``free``, increasing variable
+    indices, only the exponents that vanish off those variables, in the
+    same relative order.
     """
     variables = range(num_vars)
     return [
         tuple(map(picks.count, variables))
         for total in range(max_degree + 1)
-        for picks in itertools.combinations_with_replacement(variables, total)
+        for picks in itertools.combinations_with_replacement(
+            variables if free is None else free, total
+        )
     ]
 
 
@@ -142,23 +171,39 @@ class Window:
     """Indexed monomial basis of the (grade, degree) truncation window.
 
     Exponents are graded-lex, and one exponent's index tuples are adjacent.
+    The exponents range over the ``free`` variables, increasing indices,
+    all of them by default; the index tuples always range over all ``dim``.
+    A window over fewer variables is the whole window's columns with e_j = 0
+    off them, in the same relative order, and the window of any lower
+    degree over the same variables is a prefix of this one.
     """
 
-    __slots__ = ("dim", "grade", "max_degree", "exponents", "index_tuples", "pairs")
+    __slots__ = ("dim", "grade", "max_degree", "free", "exponents", "index_tuples", "pairs")
 
-    def __init__(self, dim: int, grade: int, max_degree: int):
+    def __init__(
+        self, dim: int, grade: int, max_degree: int, free: Sequence[int] | None = None
+    ):
         if not 0 <= grade <= dim:
             raise ValueError(f"grade {grade} out of range for dimension {dim}")
+        if free is None:
+            free = range(dim)
+        elif any(not 0 <= j < dim for j in free) or list(free) != sorted(set(free)):
+            raise ValueError(f"free variables {free!r} are not increasing indices below {dim}")
         self.dim = dim
         self.grade = grade
         self.max_degree = max_degree
-        self.exponents = exponents_upto(dim, max_degree)
+        self.free = tuple(free)
+        self.exponents = exponents_upto(dim, max_degree, self.free)
         self.index_tuples = list(itertools.combinations(range(dim), grade))
         self.pairs = [(e, I) for e in self.exponents for I in self.index_tuples]
 
     @property
     def size(self) -> int:
         return len(self.pairs)
+
+    def prefix_size(self, max_degree: int) -> int:
+        """Size of the window of this degree over the same variables, a prefix of this one."""
+        return len(self.index_tuples) * math.comb(len(self.free) + max_degree, max_degree)
 
     def combine(self, coords: Mapping[int, Scalar]) -> Form:
         """The form with these window coordinates by position."""
@@ -263,6 +308,29 @@ def _is_translation(g: AffineMap) -> bool:
     return all(e.is_one if i == j else e.is_zero for i, row in rows for j, e in enumerate(row))
 
 
+def _free_coordinates(action: ActionSpec) -> list[int]:
+    """The coordinates that the action's constant fields leave free, increasing.
+
+    Coordinate j is frozen when e_j is in the Q(a)-span of the translations'
+    t and the constant infinitesimal generators.  With those fields as
+    rows, j is frozen exactly when the reduced row with pivot j is e_j.
+    See the module docstring.
+    """
+    rows = [
+        {j: c for j, c in enumerate(g.translation) if not c.is_zero}
+        for g in action.discrete
+        if _is_translation(g)
+    ]
+    rows += [
+        {j: c for j, component in enumerate(xi.components) for c in component.terms.values()}
+        for xi in action.infinitesimal
+        if xi.max_degree() == 0
+    ]
+    reduced = _gauss_jordan(Matrix(action.dim, rows))
+    frozen = {j for j, row in reduced.items() if len(row) == 1}
+    return [j for j in range(action.dim) if j not in frozen]
+
+
 def _independent(fields: Sequence[VectorField]) -> set[int]:
     """Positions of the fields that are not Q(a)-combinations of earlier fields.
 
@@ -275,6 +343,11 @@ def _independent(fields: Sequence[VectorField]) -> set[int]:
         for j, component in enumerate(xi.components):
             _add_into(rows, i, (j,), component.terms)
     return set(_gauss_jordan(_matrix(len(fields), rows)))
+
+
+def _vanishes_on(xi: VectorField, domain: Window) -> bool:
+    """Whether xi is constant and zero at every free variable, so L_xi is zero on the domain."""
+    return xi.max_degree() == 0 and all(xi.component(j).is_zero for j in domain.free)
 
 
 def _primitive(xi: VectorField) -> VectorField:
@@ -312,8 +385,10 @@ def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     constant field t), which have the kernel of g^* - id; it gives no rows
     when t is a combination of earlier translations, and an infinitesimal
     generator none when it is a combination of the translations and the
-    generators before it.  Any other discrete generator keeps the window,
-    so its block maps the domain into the domain itself.
+    generators before it.  A constant field that is zero at every free
+    variable of the domain is zero on it and gives no rows either.  Any
+    other discrete generator keeps the degree, so its rows are keyed by
+    monomials of the whole window of the domain's degree.
     """
     discrete = action.discrete
     fields: dict[int, VectorField] = {
@@ -323,7 +398,11 @@ def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
     }
     fields.update(enumerate(action.infinitesimal, len(discrete)))
     positions = list(fields)
-    kept = {positions[c] for c in _independent(list(fields.values()))}
+    kept = {
+        positions[c]
+        for c in _independent(list(fields.values()))
+        if not _vanishes_on(fields[positions[c]], domain)
+    }
     blocks = [
         _field_block(_primitive(fields[i]), domain, lie=True) if i in fields
         else _affine_block(discrete[i], domain)
@@ -369,10 +448,11 @@ def _basic_form_bases(
     see the module docstring for why the basis of each smaller window is
     the kernel vectors with no key past |W(grade, d)|, exactly.  Each
     vector becomes a form once, through W(grade, D), whose first
-    |W(grade, d)| positions are those of W(grade, d).
+    |W(grade, d)| positions are those of W(grade, d).  The windows range
+    over the coordinates that the action's constant fields leave free.
     """
     wanted = sorted(set(degrees))
-    domain = Window(action.dim, grade, wanted[-1])
+    domain = Window(action.dim, grade, wanted[-1], _free_coordinates(action))
     system = stack(
         [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
     )
@@ -380,7 +460,7 @@ def _basic_form_bases(
     forms = [domain.combine(vec) for vec in vectors]
     bases = {}
     for d in wanted:
-        size = math.comb(action.dim, grade) * math.comb(action.dim + d, d)
+        size = domain.prefix_size(d)
         bases[d] = [f for f, vec in zip(forms, vectors) if max(vec) < size]
     return bases
 

@@ -29,7 +29,7 @@ from basicforms.forms import (
     interior,
     lie_derivative,
 )
-from basicforms.linalg import Matrix, rank
+from basicforms.linalg import Matrix, kernel_basis, rank, stack
 from basicforms.orbifolds import OrbifoldChart
 from basicforms.plots import Plot
 from basicforms.polynomials import Exponents, Polynomial
@@ -39,6 +39,8 @@ from basicforms.solver import (
     TruncationSpec,
     Window,
     basic_form_basis,
+    horizontality_constraints,
+    invariance_constraints,
     span_matrix,
 )
 
@@ -455,18 +457,34 @@ def spans_equal(first: Sequence[Form], second: Sequence[Form]) -> bool:
     return len(ranks) == 1
 
 
-def cohomology_records(action: ActionSpec, max_degree: int) -> list[CohomologyRecord]:
+def whole_window_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
+    """The canonical kernel of the constraints on the whole window, as forms.
+
+    The window ranges over every variable, whatever the action freezes.
+    """
+    domain = Window(action.dim, spec.grade, spec.max_degree)
+    system = stack(
+        [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
+    )
+    return [domain.combine(vec) for vec in kernel_basis(system)]
+
+
+def cohomology_records(
+    action: ActionSpec,
+    max_degree: int,
+    basis_of: Callable[[ActionSpec, TruncationSpec], list[Form]] = basic_form_basis,
+) -> list[CohomologyRecord]:
     """Truncated basic cohomology of one window, one basis and one rank at a time.
 
     Each grade's basis of W(k, d) and potentials' basis of W(k - 1, d + 1)
-    come from their own eliminations, and the ranks of d on the two from two
-    more: the closed forms are the kernel of d on the first, the exact
-    forms its image on the second.
+    come from their own eliminations by ``basis_of``, and the ranks of d on
+    the two from two more: the closed forms are the kernel of d on the
+    first, the exact forms its image on the second.
     """
     n = action.dim
     records = []
     for k in range(n + 1):
-        basis = basic_form_basis(action, TruncationSpec(k, max_degree))
+        basis = basis_of(action, TruncationSpec(k, max_degree))
         dim_basic = len(basis)
         if k < n:
             dim_closed = dim_basic - rank(span_matrix([ext_d(b) for b in basis]))
@@ -475,7 +493,7 @@ def cohomology_records(action: ActionSpec, max_degree: int) -> list[CohomologyRe
         if k == 0:
             dim_exact = 0
         else:
-            potentials = basic_form_basis(action, TruncationSpec(k - 1, max_degree + 1))
+            potentials = basis_of(action, TruncationSpec(k - 1, max_degree + 1))
             image = span_matrix([ext_d(b) for b in potentials])
             dim_exact = rank(image)
         records.append(

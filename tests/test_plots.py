@@ -231,6 +231,41 @@ def test_gauge_check_rejects_wrong_dimension_and_grid_shape():
         smooth_gauge_check(np.zeros((11, 2)), arc, RADIAL)
 
 
+def _bumped_grid(bump: float, at: int = 15000, count: int = 30001) -> np.ndarray:
+    """A grid of step h = 2^-10, exact in binary, with sample ``at`` moved by ``bump * h``."""
+    h = 2.0**-10
+    t = np.arange(count) * h
+    t[at] += bump * h
+    return t
+
+
+def test_uniform_spacing_refuses_a_step_off_by_more_than_1e_9_h():
+    h = 2.0**-10
+    assert plots._uniform_spacing(_bumped_grid(0.0)) == h
+    assert plots._uniform_spacing(_bumped_grid(0.5e-9)) == h
+    for grid in (_bumped_grid(2e-9), _bumped_grid(math.nan), -_bumped_grid(0.0)):
+        with pytest.raises(ValueError, match="uniformly increasing"):
+            plots._uniform_spacing(grid)
+
+
+def test_uniform_spacing_is_the_allclose_predicate():
+    """Seeded grids with one moved sample: accepted exactly when np.allclose accepts them."""
+    rng = random.Random(3501)
+    for _ in range(200):
+        count = rng.randint(5, 60)
+        bump = rng.choice((0.2, 0.45, 0.55, 1.0, 3.0)) * 1e-9
+        t = _bumped_grid(bump, rng.randrange(count), count)
+        t = t * rng.choice((1.0, 3.0, 1e-6, 1e6)) + rng.uniform(-5, 5)
+        steps = np.diff(t)
+        expected = steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        try:
+            plots._uniform_spacing(t)
+        except ValueError:
+            assert not expected
+        else:
+            assert expected
+
+
 def test_pullback_along_plot_matches_symbolic_pullback():
     # phi(u, v) = (u^2, u*v, v - 1); compare numeric pullback samples
     # against evaluating the symbolic pullback in the (u, v) chart

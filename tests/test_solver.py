@@ -68,6 +68,7 @@ from helpers import (
     same_rows,
     spans_equal,
     trivial_action,
+    whole_window_basis,
     window_coordinates,
     window_monomials,
 )
@@ -746,8 +747,11 @@ def test_a_job_builds_one_window_per_elimination(monkeypatch, job, windows):
 def test_the_solenoid_flow_builds_no_lie_block(monkeypatch):
     """The flow (1, a) is a combination of the lattice translations (1, 0) and (0, 1).
 
-    So the bundled basis job builds the Lie blocks of the two translations
-    only, not three, and the flow's interior block.
+    So on the whole window the invariance conditions are the Lie blocks of
+    the two translations only, not three.  The translations freeze both
+    coordinates, so the bundled basis job's window ranges over no
+    variable.  Their Lie blocks are zero there and not built, and the job
+    builds the flow's interior block alone.
     """
     built = []
     field_block = solver._field_block
@@ -760,11 +764,14 @@ def test_the_solenoid_flow_builds_no_lie_block(monkeypatch):
 
     from basicforms.jobs import run_job
 
-    path = resources.files("basicforms") / "jobs_data" / "solenoid_basis.json"
     monkeypatch.setattr(solver, "_field_block", counted)
+    invariance_constraints(solenoid_plane(), Window(2, 1, 3))
+    assert built == ["lie", "lie"]
+    built.clear()
+    path = resources.files("basicforms") / "jobs_data" / "solenoid_basis.json"
     _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
     assert code == 0
-    assert sorted(built) == ["interior", "lie", "lie"]
+    assert built == ["interior"]
 
 
 def _count_linalg_calls(monkeypatch, *names) -> dict[str, int]:
@@ -963,3 +970,152 @@ def test_the_a_rotation_takes_few_scalar_products(monkeypatch):
     _, code = run_job(job)
     assert code == 0
     assert len(products) <= 1200
+
+
+def _const(*components) -> VectorField:
+    return VectorField([Polynomial.constant(len(components), c) for c in components])
+
+
+def _constant_field_spans() -> list[tuple[int, list[AffineMap], list[VectorField]]]:
+    """Seeded constant fields whose span freezes all, some or no coordinates: (n, maps, fields)."""
+    rng = random.Random(3500)
+    a = Scalar.parameter()
+    r = lambda: rand_nonzero_fraction(rng, 4)
+    shift = AffineMap.translation_by
+    return [
+        # lattices spanning R^n, over Q and Q(a), aligned or not
+        (2, [shift([r(), 0]), shift([0, r()])], []),
+        (2, [shift([1, 0]), shift([a, 1])], []),
+        (2, [shift([1, 1]), shift([1, -1])], []),
+        (2, [shift([r(), r()]), shift([a, a + 1])], []),
+        (1, [shift([r()]), shift([a])], []),
+        # coordinate-aligned partial spans: x alone, then x by a combination
+        (3, [shift([r(), 0, 0])], []),
+        (3, [shift([1, 1, 0]), shift([1, 0, r()]), shift([0, 1, r()])], []),
+        (3, [shift([1, 0, 0]), shift([0, 1, a])], []),
+        # non-aligned partial spans
+        (2, [shift([1, 1])], []),
+        (3, [shift([1, 1, 0]), shift([0, a, a])], []),
+        # constant infinitesimal generators, alone and with translations
+        (2, [], [_const(0, r())]),
+        (2, [], [_const(1, a)]),
+        (3, [shift([r(), 0, 0])], [_const(0, 1, 0)]),
+        (2, [shift([1, 0])], [_const(1, a)]),
+        (3, [], [_const(1, 0, 0), _const(0, 1, 1)]),
+    ]
+
+
+def _frozen_cases() -> list[ActionSpec]:
+    """Each span alone, with a seeded signed permutation map, and with a linear field."""
+    rng = random.Random(3501)
+    cases = []
+    for n, maps, fields in _constant_field_spans():
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        signed = AffineMap.from_rows(
+            [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)], [0] * n
+        )
+        x = [Polynomial.variable(n, j) for j in range(n)]
+        c = rand_nonzero_fraction(rng, 3)
+        # a rotation of the last two coordinates, or the Euler field on the line
+        linear = VectorField(
+            [*[Polynomial.zero(n)] * (n - 2), -x[-1].scale(c), x[-2].scale(c)]
+            if n > 1 else [x[0]]
+        )
+        cases += [
+            ActionSpec(n, maps, fields),
+            ActionSpec(n, [*maps, signed], fields),
+            ActionSpec(n, maps, [*fields, linear]),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_frozen_cases())))
+def test_frozen_coordinates_keep_every_basis(case):
+    """Bases over the coordinates that constant fields leave free equal the whole window's.
+
+    The oracle is the canonical kernel of the constraints on the whole
+    window, over every variable, at each degree; the solver's bases come
+    from its window over the free variables, one degree at a time and read
+    off one elimination of degree 4.  So does the truncated cohomology.
+    """
+    action = _frozen_cases()[case]
+    for grade in range(action.dim + 1):
+        nested = solver._basic_form_bases(action, grade, range(5))
+        for d in range(5):
+            spec = TruncationSpec(grade, d)
+            oracle = whole_window_basis(action, spec)
+            assert basic_form_basis(action, spec) == oracle
+            assert nested[d] == oracle
+    cohomology = truncated_basic_cohomology(action, (1, 2))
+    assert cohomology == {d: cohomology_records(action, d, whole_window_basis) for d in (1, 2)}
+
+
+def _lattice_job(n: int, translations, grade: int, degree: int, fields=()) -> dict:
+    identity = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+    return {
+        "command": "basis",
+        "action": {
+            "dimension": n,
+            "discrete": [{"matrix": identity, "translation": t} for t in translations],
+            "infinitesimal": list(fields),
+        },
+        "truncation": {"grade": grade, "max_degree": degree},
+    }
+
+
+@pytest.mark.parametrize(
+    "job, size",
+    [
+        # the benchmark's solenoid at degree 7: the lattice freezes x and y
+        (_lattice_job(2, [["1", "0"], ["0", "1"]], 1, 7, [["(2/3)", "(2/3)*a"]]), 2),
+        # the benchmark's torus: the shift and a freeze the line
+        (_lattice_job(1, [["(3/5)"], ["a"]], 1, 3), 1),
+        # no constant field: the R^4 rotation keeps its whole window
+        ({"command": "basis",
+          "action": {"dimension": 4, "infinitesimal": [["-y", "x", "-w", "z"]]},
+          "truncation": {"grade": 2, "max_degree": 2}}, 90),
+        # a non-aligned span freezes nothing: C(2, 1) C(2 + 3, 3)
+        (_lattice_job(2, [["1", "1"]], 1, 3), 20),
+        # (1, 1) and (1, -1) span the plane, though neither is aligned
+        (_lattice_job(2, [["1", "1"], ["1", "-1"]], 1, 3), 2),
+        # a constant generator along x freezes x: C(3, 1) C(2 + 3, 3)
+        (_lattice_job(3, [], 1, 3, [["1", "0", "0"]]), 30),
+        # the Z^6 torus at grade 3: C(6, 3) columns whatever the degree
+        (_lattice_job(6, [[str(int(i == k)) for i in range(6)] for k in range(6)], 3, 16), 20),
+    ],
+)
+def test_windows_range_over_the_free_coordinates(monkeypatch, job, size):
+    """The window a basis job builds has the size that the span of its constant fields fixes."""
+    from basicforms.jobs import run_job
+
+    sizes = []
+    init = Window.__init__
+    monkeypatch.setattr(
+        Window, "__init__", lambda self, *args: init(self, *args) or sizes.append(self.size)
+    )
+    _, code = run_job(job)
+    assert code == 0
+    assert sizes == [size]
+
+
+def test_a_window_over_fewer_variables_is_the_whole_window_cut_in_order():
+    """Its pairs are the whole window's pairs with e_j = 0 off the free variables, in order."""
+    for n, grade, d in itertools.product(range(1, 4), range(3), range(4)):
+        if grade > n:
+            continue
+        whole = Window(n, grade, d)
+        for k in range(n + 1):
+            for free in itertools.combinations(range(n), k):
+                cut = Window(n, grade, d, free)
+                frozen = [j for j in range(n) if j not in free]
+                assert cut.pairs == [
+                    (e, I) for e, I in whole.pairs if all(e[j] == 0 for j in frozen)
+                ]
+                for lower in range(d + 1):
+                    prefix = cut.pairs[: cut.prefix_size(lower)]
+                    assert prefix == Window(n, grade, lower, free).pairs
+    for free in ([1, 0], [0, 0], [2], [-1]):
+        with pytest.raises(ValueError, match="free variables"):
+            Window(2, 1, 1, free)
