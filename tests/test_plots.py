@@ -232,10 +232,14 @@ def test_gauge_check_rejects_wrong_dimension_and_grid_shape():
 
 
 def _bumped_grid(bump: float, at: int = 15000, count: int = 30001) -> np.ndarray:
-    """A grid of step h = 2^-10, exact in binary, with sample ``at`` moved by ``bump * h``."""
+    """A grid of step h = 2^-10, exact in binary, whose step into sample ``at`` is off.
+
+    Every sample from ``at`` on moves by ``bump * h``, so that step is off
+    by ``bump * h`` and no other step is.
+    """
     h = 2.0**-10
     t = np.arange(count) * h
-    t[at] += bump * h
+    t[at:] += bump * h
     return t
 
 

@@ -989,9 +989,10 @@ def _constant_field_spans() -> list[tuple[int, list[AffineMap], list[VectorField
         (2, [shift([1, 1]), shift([1, -1])], []),
         (2, [shift([r(), r()]), shift([a, a + 1])], []),
         (1, [shift([r()]), shift([a])], []),
+        (3, [shift([1, 1, 0]), shift([2, 0, 1]), shift([0, 3, 1])], []),
         # coordinate-aligned partial spans: x alone, then x by a combination
         (3, [shift([r(), 0, 0])], []),
-        (3, [shift([1, 1, 0]), shift([1, 0, r()]), shift([0, 1, r()])], []),
+        (3, [shift([1, 1, 1]), shift([0, a, a])], []),
         (3, [shift([1, 0, 0]), shift([0, 1, a])], []),
         # non-aligned partial spans
         (2, [shift([1, 1])], []),
