@@ -21,22 +21,28 @@ is predicted before it is computed and bounded the same way, so
 ``(a*a*a)^100`` and ``(1+a)*(1+a)*...`` with 300 factors are refused too.
 Numbers are ASCII digits, at most ``MAX_DIGITS`` of them, as are those of a
 coefficient; those of a product, a quotient or a power are predicted first.
-Parentheses and unary minus signs nest fewer than ``MAX_NESTING`` deep.  A hostile expression is thus a parse
-error rather than a blown interpreter stack, or a power or a product that
-exhausts memory or time.
+Parentheses and unary minus signs nest fewer than ``MAX_NESTING`` deep.  A
+hostile expression is thus a parse error rather than a blown interpreter
+stack, or a power or a product that exhausts memory or time.
 
-Errors carry the character position and a description of what was expected,
-so job files can point at the offending column.
+Each rule builds a term map ``{exponents: coefficient}`` with no zero
+coefficient, and only the whole expression becomes a ``Polynomial``.  A
+coefficient stays a Python ``int`` or ``Fraction`` (the stored form of
+:mod:`basicforms.scalars`) until ``a`` enters it, and is a ``Scalar`` from
+then on; ``Scalar``'s operators accept ints and Fractions, so one set of
+operations serves every coefficient.  Every bound is computed from the
+term maps.  Errors carry the character position and a description of
+what was expected, so job files can point at the offending column.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .polynomials import Polynomial
-from .scalars import PARAM_NAME, Scalar
+from .polynomials import Polynomial, add_product
+from .scalars import PARAM, PARAM_NAME, Scalar, _div, _q, _qheight
 
 
 class ParseError(ValueError):
@@ -48,16 +54,8 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Token(NamedTuple):
-    kind: str  # number | ident | op | end
-    text: str
-    position: int
-
-
-_OPS = set("+-*/^()")
-
-# Each level is at most five parser frames, well inside Python's default
-# recursion limit of 1000 even when called from a deep stack.
+# Each level of parentheses is three parser frames, well inside Python's
+# default recursion limit of 1000 even when called from a deep stack.
 MAX_NESTING = 100
 
 # Largest exponent literal, product of the exponents of nested powers, and
@@ -66,8 +64,8 @@ MAX_NESTING = 100
 # factors ``x``, would make every numeric evaluation keep 100000 powers of
 # each sample array (a MemoryError under a 1 GB address-space cap), a basis
 # job translating by ``3^3000000`` ran for minutes, and 2000 factors
-# ``(1+a)`` took 20 s to parse.  ``(1 + a)^256`` parses in about a third
-# of a second.
+# ``(1+a)`` took 20 s to parse.  ``(1 + a)^256`` parses in about 4 ms
+# (Python 3.11).
 MAX_EXPONENT = 256
 
 # Most digits of a literal, and of any numerator or denominator a product,
@@ -75,26 +73,40 @@ MAX_EXPONENT = 256
 MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
 _DIGITS = "0123456789"
+# When the power times the heights' summed bit lengths is below this, the
+# predicted digits are below MAX_DIGITS - 1: the log10 estimate is skipped.
+_SAFE_BITS = (MAX_DIGITS - 1) * math.log2(10)
 
 
-def _param_degree(poly: Polynomial) -> int:
-    """The highest degree in ``a`` of a coefficient's numerator or denominator."""
-    return max((c.param_degree for c in poly.terms.values()), default=0)
+def _measure(terms: dict) -> tuple[int, int, int]:
+    """Total degree, degree in ``a`` and height (largest numerator or
+    denominator) of a term map; (0, 0, 1) when it is empty."""
+    degree = param = 0
+    height = 1
+    for exps, c in terms.items():
+        d = sum(exps)
+        if d > degree:
+            degree = d
+        if type(c) is Scalar:
+            param = max(param, c.param_degree)
+            h = c.height
+        else:
+            h = _qheight(c)
+        if h > height:
+            height = h
+    return degree, param, height
 
 
-def _check_degree(what: str, degree: int, position: int, in_a: bool = False) -> None:
-    if degree > MAX_EXPONENT:
-        where = f" in {PARAM_NAME}" if in_a else ""
-        raise ParseError(
-            f"{what} of degree {degree}{where} is past the limit of {MAX_EXPONENT}",
-            position,
-        )
-
-
-def _check_digits(what: str, position: int, *factors: Polynomial, power: int = 1) -> None:
-    digits = power * sum(
-        math.log10(max((c.height for c in f.terms.values()), default=1)) for f in factors
-    )
+def _check(what: str, position: int, degree: int, param: int, heights, power: int = 1) -> None:
+    """Refuse a product, quotient or power whose predicted size is past a bound."""
+    for value, where in ((degree, ""), (param, f" in {PARAM_NAME}")):
+        if value > MAX_EXPONENT:
+            raise ParseError(
+                f"{what} of degree {value}{where} is past the limit of {MAX_EXPONENT}", position
+            )
+    if power * sum(map(int.bit_length, heights)) < _SAFE_BITS:
+        return
+    digits = power * sum(math.log10(h) for h in heights)
     if digits >= MAX_DIGITS:
         raise ParseError(
             f"{what} with about {int(digits) + 1} digits is past the limit of {MAX_DIGITS}",
@@ -102,17 +114,25 @@ def _check_digits(what: str, position: int, *factors: Polynomial, power: int = 1
         )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
+def _product(left: dict, right: dict) -> dict:
+    out: dict = {}
+    add_product(out, left, right)
+    if len(left) > 1 and len(right) > 1:  # only then can terms cancel
+        return {e: c for e, c in out.items() if c != 0}
+    return out
+
+
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, text, position) tuples; kind is number, ident, end or the operator."""
+    tokens: list[tuple] = []
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
+        start = i
+        i += 1
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, start))
+        elif ch in _DIGITS:
             while i < n and text[i] in _DIGITS:
                 i += 1
             # decimal literals stay exact: Fraction("0.5") == 1/2
@@ -122,174 +142,151 @@ def _tokenize(text: str) -> list[_Token]:
                     i += 1
             if i - start - ("." in text[start:i]) > MAX_DIGITS:
                 raise ParseError(f"number with more than {MAX_DIGITS} digits", start)
-            tokens.append(_Token("number", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
+            tokens.append(("number", text[start:i], start))
+        elif ch.isalpha() or ch == "_":
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+            tokens.append(("ident", text[start:i], start))
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", start)
+    tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], var_names: Sequence[str]):
+    def __init__(self, tokens: list[tuple], var_names: Sequence[str]):
         self._tokens = tokens
         self._pos = 0
         self._vars = {name: i for i, name in enumerate(var_names)}
-        self._num_vars = len(var_names)
+        self._origin = (0,) * len(var_names)
         self._depth = 0
         # largest product of nested exponents in what was parsed last
         self._power_weight = 1
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _expect_op(self, op: str) -> None:
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == op:
-            self._advance()
-            return
-        raise ParseError(f"expected {op!r}", tok.position)
-
     def parse(self) -> Polynomial:
-        value = self._expr()
-        tok = self._peek()
-        if tok.kind != "end":
+        terms = self._expr()
+        kind, text, position = self._tokens[self._pos]
+        if kind != "end":
             raise ParseError(
-                f"unexpected {tok.text!r}; expected '+', '-', '*', '/', '^' or end of input",
-                tok.position,
+                f"unexpected {text!r}; expected '+', '-', '*', '/', '^' or end of input",
+                position,
             )
-        if any(c.height >= _TOO_LONG for c in value.terms.values()):  # a sum is not predicted
+        if _measure(terms)[2] >= _TOO_LONG:  # a sum is not predicted
             raise ParseError(f"a coefficient has more than {MAX_DIGITS} digits", 0)
-        return value
+        return Polynomial._from_sums(
+            len(self._origin),
+            {e: c if type(c) is Scalar else Scalar._rational(c) for e, c in terms.items()},
+        )
 
-    def _expr(self) -> Polynomial:
-        sums = dict(self._term().terms)  # one term map for the whole sum
-        while True:
-            tok = self._peek()
-            if not (tok.kind == "op" and tok.text in "+-"):
-                return Polynomial._from_sums(self._num_vars, sums)
-            self._advance()
-            rhs = self._term()
-            for exps, c in (rhs if tok.text == "+" else -rhs).terms.items():
-                sums[exps] = sums[exps] + c if exps in sums else c
+    def _expr(self) -> dict:
+        terms = self._term()  # every rule builds a new map, so this one is ours to extend
+        sign = self._tokens[self._pos][0]
+        while sign == "+" or sign == "-":
+            self._pos += 1
+            for exps, c in self._term().items():
+                if sign == "-":
+                    c = -c
+                if exps in terms:
+                    c = terms[exps] + c
+                if c == 0:
+                    del terms[exps]
+                else:
+                    terms[exps] = c
+            sign = self._tokens[self._pos][0]
+        return terms
 
-    def _term(self) -> Polynomial:
+    def _term(self) -> dict:
         value = self._factor()
         while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self._advance()
+            op, _, position = self._tokens[self._pos]
+            if op == "*":
+                self._pos += 1
                 rhs = self._factor()
-                if tok.text == "*":
-                    degree = max(value.total_degree(), 0) + max(rhs.total_degree(), 0)
-                    _check_degree("product", degree, tok.position)
-                    degree = _param_degree(value) + _param_degree(rhs)
-                    _check_degree("product", degree, tok.position, in_a=True)
-                    _check_digits("product", tok.position, value, rhs)
-                    value = value * rhs
-                else:
-                    value = self._divide(value, rhs, tok.position)
+                (d1, p1, h1), (d2, p2, h2) = _measure(value), _measure(rhs)
+                _check("product", position, d1 + d2, p1 + p2, (h1, h2))
+                value = _product(value, rhs)
+            elif op == "/":
+                self._pos += 1
+                den = self._factor()
+                degree, den_param, den_height = _measure(den)
+                if degree:
+                    raise ParseError("division by a non-constant expression", position)
+                if not den:
+                    raise ParseError("division by zero", position)
+                _, num_param, num_height = _measure(value)
+                _check("quotient", position, 0, num_param + den_param, (num_height, den_height))
+                c = den[self._origin]
+                value = {e: _div(x, c) for e, x in value.items()}
             else:
                 return value
 
-    def _divide(self, num: Polynomial, den: Polynomial, position: int) -> Polynomial:
-        if not den.is_constant():
-            raise ParseError("division by a non-constant expression", position)
-        c = den.constant_coefficient()
-        if c.is_zero:
-            raise ParseError("division by zero", position)
-        _check_degree("quotient", _param_degree(num) + c.param_degree, position, in_a=True)
-        _check_digits("quotient", position, num, den)
-        return num.scale(Scalar.of(1) / c)
-
-    def _factor(self) -> Polynomial:
-        tok = self._peek()
-        self._depth += 1
-        if self._depth > MAX_NESTING:
-            raise ParseError(
-                f"parentheses and signs nest {MAX_NESTING} or more deep",
-                tok.position,
-            )
-        if tok.kind == "op" and tok.text == "-":
-            self._advance()
-            value = -self._factor()
-        else:
-            value = self._power()
-        self._depth -= 1
-        return value
-
-    def _power(self) -> Polynomial:
+    def _factor(self) -> dict:
+        # the rules factor, power and atom; each sign is a level of nesting
+        signs = 0
+        while True:
+            kind, text, position = self._tokens[self._pos]
+            self._pos += 1
+            self._depth += 1
+            if self._depth > MAX_NESTING:
+                raise ParseError(f"parentheses and signs nest {MAX_NESTING} or more deep", position)
+            if kind != "-":
+                break
+            signs += 1
         outer = self._power_weight
         self._power_weight = 1
-        base = self._atom()
+        if kind == "number":
+            value = int(text) if text.isdigit() else _q(Fraction(text))
+            base = {self._origin: value} if value else {}
+        elif kind == "ident" and text == PARAM_NAME:
+            base = {self._origin: PARAM}
+        elif kind == "ident" and text in self._vars:
+            i = self._vars[text]
+            base = {self._origin[:i] + (1,) + self._origin[i + 1 :]: 1}
+        elif kind == "ident":
+            known = ", ".join(sorted(self._vars) + [PARAM_NAME])
+            raise ParseError(f"unknown identifier {text!r} (known: {known})", position)
+        elif kind == "(":
+            base = self._expr()
+            kind, _, position = self._tokens[self._pos]
+            if kind != ")":
+                raise ParseError("expected ')'", position)
+            self._pos += 1
+        else:
+            raise ParseError(
+                f"unexpected {text or 'end of input'!r}; expected a number, "
+                "identifier, '(' or '-'",
+                position,
+            )
         weight = self._power_weight
-        tok = self._peek()
-        if tok.kind == "op" and tok.text == "^":
-            self._advance()
-            exp_tok = self._peek()
-            if exp_tok.kind != "number" or not exp_tok.text.isdigit():
-                raise ParseError(
-                    "exponent must be a non-negative integer literal", exp_tok.position
-                )
-            exponent = int(exp_tok.text)
+        if self._tokens[self._pos][0] == "^":
+            kind, text, position = self._tokens[self._pos + 1]
+            if kind != "number" or not text.isdigit():
+                raise ParseError("exponent must be a non-negative integer literal", position)
+            exponent = int(text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(
-                    f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}",
-                    exp_tok.position,
+                    f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}", position
                 )
             weight *= max(exponent, 1)
             if weight > MAX_EXPONENT:
                 raise ParseError(
                     f"nested powers multiply to an exponent of {weight}, "
                     f"past the limit of {MAX_EXPONENT}",
-                    exp_tok.position,
+                    position,
                 )
-            degree = max(base.total_degree(), 0) * exponent
-            _check_degree("power", degree, exp_tok.position)
-            _check_degree("power", _param_degree(base) * exponent, exp_tok.position, in_a=True)
-            _check_digits("power", exp_tok.position, base, power=exponent)
-            self._advance()
-            base = base ** exponent
+            degree, param, height = _measure(base)
+            _check("power", position, degree * exponent, param * exponent, (height,), exponent)
+            self._pos += 2
+            power, base = base, {self._origin: 1}
+            while exponent:  # by repeated squaring
+                if exponent & 1:
+                    base = _product(base, power)
+                exponent >>= 1
+                if exponent:
+                    power = _product(power, power)
         self._power_weight = max(outer, weight)
-        return base
-
-    def _atom(self) -> Polynomial:
-        tok = self._advance()
-        if tok.kind == "number":
-            return Polynomial.constant(self._num_vars, Fraction(tok.text))
-        if tok.kind == "ident":
-            if tok.text == PARAM_NAME:
-                return Polynomial.parameter(self._num_vars)
-            index = self._vars.get(tok.text)
-            if index is None:
-                known = ", ".join(sorted(self._vars) + [PARAM_NAME])
-                raise ParseError(
-                    f"unknown identifier {tok.text!r} (known: {known})", tok.position
-                )
-            return Polynomial.variable(self._num_vars, index)
-        if tok.kind == "op" and tok.text == "(":
-            value = self._expr()
-            self._expect_op(")")
-            return value
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}; expected a number, "
-            "identifier, '(' or '-'",
-            tok.position,
-        )
+        self._depth -= signs + 1
+        return {e: -c for e, c in base.items()} if signs & 1 else base
 
 
 def parse_poly_expr(text: str, var_names: Sequence[str]) -> Polynomial:
@@ -308,5 +305,4 @@ def parse_poly_expr(text: str, var_names: Sequence[str]) -> Polynomial:
 
 def parse_scalar_expr(text: str) -> Scalar:
     """Parse a constant expression (numbers and ``a`` only) into a scalar."""
-    poly = parse_poly_expr(text, [])
-    return poly.constant_coefficient()
+    return parse_poly_expr(text, []).constant_coefficient()

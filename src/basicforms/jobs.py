@@ -110,12 +110,22 @@ def _get(mapping: Mapping[str, Any], key: str, kind, path: str, default=None, re
 def _expr(value: Any, path: str, names: Sequence[str] | None = None):
     """``value`` parsed as a scalar, or as a polynomial in ``names`` if given.
 
-    Plain ASCII digits, with at most one leading ``-`` and at most
-    ``MAX_DIGITS`` digits, are read as an int without the parser: most
-    entries of a job are ``0`` or ``1``.  Anything else goes to the
-    parser, and a parse error is re-raised with ``path`` in front of its
-    message.
+    ``value`` is a string, a JSON integer of at most ``MAX_DIGITS`` digits,
+    or a JSON number that prints as a plain decimal (``0.5`` reads as 1/2);
+    any other value is a validation error naming ``path``.  Plain ASCII
+    digits, with at most one leading ``-`` and at most ``MAX_DIGITS``
+    digits, are read as an int without the parser: most entries of a job
+    are ``0`` or ``1``.  Anything else goes to the parser, and a parse
+    error is re-raised with ``path`` in front of its message.
     """
+    if type(value) is int:
+        _require(-_TOO_LONG < value < _TOO_LONG, f"{path} has more than {MAX_DIGITS} digits")
+    elif type(value) is float:
+        _require(math.isfinite(value) and "e" not in repr(value),
+                 f"{path} must be written as a plain decimal or as a string, not {value!r}")
+    elif not isinstance(value, str):
+        raise JobValidationError(f"{path} must be an expression string or a number, "
+                                 f"not {json.dumps(value, default=repr)[:40]}")
     text = str(value)
     digits = text[1:] if text[:1] == "-" else text
     if digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS:

@@ -223,7 +223,8 @@ def add_product(
 
     Nothing is copied: each product coefficient is added in place.  A sum
     that cancels stays in ``into`` as a zero Scalar until the map becomes a
-    polynomial, which drops it.
+    polynomial, which drops it.  The expression parser also passes maps
+    whose coefficients are still ints and Fractions.
     """
     for e1, c1 in left.items():
         for e2, c2 in right.items():

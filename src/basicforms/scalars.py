@@ -24,8 +24,11 @@ its denominator, so "is a plain rational" is an identity test on the
 denominator plus a numerator of length at most one.  When both operands of
 ``+``, ``-``, ``*`` or ``/`` are rational, the operator combines their two
 coefficients directly (after the shortcuts for a 0 or 1 operand) and builds
-the result unchecked; only scalars that involve ``a`` go through the
-univariate polynomial arithmetic and the normalising constructor.  An
+the result unchecked.  A product or quotient of a scalar that involves ``a``
+and a nonzero rational scales that scalar's numerator, which keeps it
+coprime to the monic denominator, so it is built unchecked too; only the
+other scalars that involve ``a`` go through the univariate polynomial
+arithmetic and the normalising constructor.  An
 ``int`` and a ``Fraction`` of equal value compare and hash equal, so neither
 the coefficient type nor the route that built a scalar shows in equality,
 hashing or rendering, and :meth:`Scalar.as_fraction` still returns a
@@ -63,6 +66,11 @@ def _q(value: Rational) -> Rational:
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _qheight(c: Rational) -> int:
+    """The larger of a rational coefficient's |numerator| and denominator."""
+    return abs(c) if type(c) is int else max(abs(c.numerator), c.denominator)
 
 
 def _div(a: Rational, b: Rational) -> Rational:
@@ -112,7 +120,8 @@ def _umul(p: Coeffs, q: Coeffs) -> Coeffs:
 def _uscale(p: Coeffs, c: Rational) -> Coeffs:
     if c == 0:
         return ()
-    return tuple([_q(a * c) for a in p])
+    # c on the left: a Fraction times an int takes Fraction's fast forward path
+    return tuple([_q(c * a) if a else 0 for a in p])
 
 
 def _udivmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -212,6 +221,16 @@ class Scalar:
         out._den = _UNIT
         return out
 
+    def _scaled(self, c: Rational) -> "Scalar":
+        """This scalar times a nonzero rational, built without the checks of ``__init__``.
+
+        The numerator and denominator stay coprime, and the denominator monic.
+        """
+        out = object.__new__(Scalar)
+        out._num = _uscale(self._num, c)
+        out._den = self._den
+        return out
+
     @staticmethod
     def of(value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
@@ -269,7 +288,10 @@ class Scalar:
     @property
     def height(self) -> int:
         """The largest numerator or denominator of its rational coefficients."""
-        return max(max(abs(c.numerator), c.denominator) for c in self._num + self._den)
+        num = self._num
+        if self._den is _UNIT and len(num) == 1:
+            return _qheight(num[0])
+        return max(map(_qheight, num + self._den))
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = other if isinstance(other, Scalar) else Scalar.of(other)
@@ -322,8 +344,10 @@ class Scalar:
             if self._den is _UNIT and len(sn) == 1:
                 a = sn[0]
                 return o if a == 1 else Scalar._rational(a * b)
-        elif self._den is _UNIT and len(sn) == 1 and sn[0] == 1:
-            return o
+            return self._scaled(b)
+        if self._den is _UNIT and len(sn) == 1:
+            a = sn[0]
+            return o if a == 1 else o._scaled(a)
         return Scalar(_umul(sn, on), _umul(self._den, o._den))
 
     __rmul__ = __mul__
@@ -341,6 +365,7 @@ class Scalar:
                 return self
             if self._den is _UNIT and len(sn) == 1:
                 return Scalar._rational(_div(sn[0], b))
+            return self._scaled(_div(1, b))
         return Scalar(_umul(sn, o._den), _umul(self._den, on))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":

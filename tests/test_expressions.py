@@ -78,12 +78,10 @@ def test_division_rules():
 
 
 def test_exponent_must_be_literal():
-    with pytest.raises(ParseError):
-        _p("x^y")
-    with pytest.raises(ParseError):
-        _p("x^(2)")
-    with pytest.raises(ParseError):
-        _p("x^-1")
+    for text in ("x^y", "x^(2)", "x^-1"):
+        with pytest.raises(ParseError, match="exponent must be a non-negative integer") as info:
+            _p(text)
+        assert info.value.position == 2, text
 
 
 def test_exponent_limit_covers_literals_and_nested_powers():
@@ -204,11 +202,117 @@ def test_error_positions():
     assert "position" in str(info.value)
 
 
+_END = "expected '+', '-', '*', '/', '^' or end of input"
+
+
 def test_unbalanced_parens():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         _p("(x + y")
-    with pytest.raises(ParseError):
+    assert (info.value.message, info.value.position) == ("expected ')'", 6)
+    with pytest.raises(ParseError) as info:
         _p("x + y)")
+    assert (info.value.message, info.value.position) == (f"unexpected ')'; {_END}", 5)
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("", 0, "unexpected 'end of input'; expected a number, identifier, '(' or '-'"),
+        ("x/y", 1, "division by a non-constant expression"),
+        ("(" * 100 + "x" + ")" * 100, 100, "parentheses and signs nest 100 or more deep"),
+        ("-" * 100 + "x", 100, "parentheses and signs nest 100 or more deep"),
+        ("2 3", 2, f"unexpected '3'; {_END}"),
+        ("x^2^200", 3, f"unexpected '^'; {_END}"),
+    ],
+    ids=["empty", "divide-by-variable", "parens-100", "signs-100", "juxtaposed", "power-of-power"],
+)
+def test_refusals_keep_their_message_and_position(text, position, message):
+    with pytest.raises(ParseError) as info:
+        _p(text)
+    assert (info.value.message, info.value.position) == (message, position)
+
+
+def test_ninety_nine_levels_still_parse():
+    x = Polynomial.variable(2, 0)
+    assert _p("(" * 99 + "x" + ")" * 99) == x
+    assert _p("-" * 99 + "x") == -x
+
+
+# Constant divisors in Q and in Q(a), as text and as the scalar they denote.
+_A = Scalar.parameter()
+_DIVISORS = [
+    ("3", Scalar.of(3)),
+    ("(-2/5)", Scalar.of(Fraction(-2, 5))),
+    ("0.25", Scalar.of(Fraction(1, 4))),
+    ("(a + 1)", _A + 1),
+    ("(2*a^2 - 1/3)", _A * _A * 2 - Fraction(1, 3)),
+    ("(a/(a - 2))", _A / (_A - 2)),
+]
+
+
+def _random_expression(rng: random.Random, depth: int, names) -> tuple[str, Polynomial]:
+    """Text of a random expression in the grammar, and the polynomial it denotes.
+
+    The polynomial is built with ``Polynomial`` arithmetic alone, never by
+    the parser, and every compound operand is parenthesised.
+    """
+    n = len(names)
+    if depth > 0 and rng.random() < 0.8:
+        kind = rng.randrange(4, 9)
+    else:
+        kind = rng.choice((0, 1, 2, 2, 3))  # variables twice as often
+    if kind == 0:
+        k = rng.randint(0, 40)
+        return str(k), Polynomial.constant(n, k)
+    if kind == 1:
+        text = f"{rng.randint(0, 9)}.{rng.randint(0, 99):02d}"
+        return text, Polynomial.constant(n, Fraction(text))
+    if kind == 2:
+        i = rng.randrange(n)
+        return names[i], Polynomial.variable(n, i)
+    if kind == 3:
+        return "a", Polynomial.parameter(n)
+    left, p = _random_expression(rng, depth - 1, names)
+    if kind == 4:  # sums and differences
+        right, q = _random_expression(rng, depth - 1, names)
+        if rng.random() < 0.5:
+            return f"({left}) + ({right})", p + q
+        return f"({left}) - ({right})", p - q
+    if kind == 5:
+        right, q = _random_expression(rng, depth - 1, names)
+        return f"({left})*({right})", p * q
+    if kind == 6:
+        k = rng.randint(0, 3)
+        return f"({left})^{k}", p**k
+    if kind == 7:  # a chain of unary minus signs, or nested parentheses
+        signs = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            return "-" * signs + f"({left})", -p if signs % 2 else p
+        levels = rng.randint(1, 5)
+        return "(" * levels + left + ")" * levels, p
+    text, c = rng.choice(_DIVISORS)
+    return f"({left})/{text}", p.scale(1 / c)
+
+
+def _spread(rng: random.Random, text: str) -> str:
+    """``text`` with random whitespace around its operators and parentheses."""
+    out = []
+    for ch in text:
+        if ch in "+-*/^()":
+            out.append(rng.choice(["", " ", "\t", "\n "]) + ch + rng.choice(["", " ", "  "]))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_random_expressions_parse_to_their_polynomials():
+    rng = random.Random(36)
+    for trial in range(600):
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        text, want = _random_expression(rng, rng.randint(2, 4), names)
+        if trial % 2:
+            text = _spread(rng, text)
+        assert parse_poly_expr(text, names) == want, text
 
 
 def test_reserved_parameter_name():

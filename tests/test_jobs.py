@@ -275,6 +275,34 @@ def test_other_literals_go_to_the_parser(monkeypatch, names, text, fails):
     assert seen == [text]
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (7 * 10**4999, f"has more than {MAX_DIGITS} digits"),
+        (True, "must be an expression string or a number, not true"),
+        (None, "must be an expression string or a number, not null"),
+        (1e-07, "must be written as a plain decimal or as a string, not 1e-07"),
+        (json.loads("1e400"), "must be written as a plain decimal or as a string, not inf"),
+        ([1, 2], "must be an expression string or a number, not [1, 2]"),
+    ],
+    ids=["int-5000-digits", "true", "null", "1e-07", "1e400", "list"],
+)
+def test_entries_that_are_not_text_are_validation_errors(value, message):
+    # each was turned into text by str(): exit 4 for the long int, and a
+    # parse error about 'True', 'None', 'e', 'inf' or '[' for the others
+    job = _builtin("solenoid_basis")
+    job["action"]["infinitesimal"] = [["1", value]]
+    report, code = run_job(job)
+    assert code == EXIT_VALIDATION_ERROR, report.get("error")
+    assert report["error"]["message"] == f"job.action.infinitesimal[0] {message}"
+
+
+@pytest.mark.parametrize("names", [None, ["x", "y"]])
+@pytest.mark.parametrize("value, text", [(0.5, "1/2"), (-0.25, "-1/4"), (2.0, "2"), (-0.0, "0")])
+def test_numbers_printed_as_plain_decimals_are_read_exactly(names, value, text):
+    assert jobs._expr(value, "job.x", names) == _parsed(text, names)
+
+
 def test_bundled_stages_job_is_the_solenoid_example(monkeypatch):
     # the job file spells the example out; both must describe one situation
     seen = []

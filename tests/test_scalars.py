@@ -253,3 +253,13 @@ def _safe_point(rng: random.Random, *scalars: Scalar) -> Fraction:
             return a0
         except ZeroDivisionError:
             continue
+
+
+def test_height_is_the_largest_numerator_or_denominator():
+    rng = random.Random(36)
+    for _ in range(300):
+        s = rand_scalar(rng, rng.random() < 0.5)
+        parts = [Fraction(c) for c in s._num + s._den]
+        assert s.height == max(max(abs(c.numerator), c.denominator) for c in parts), s
+    assert Scalar.of(0).height == 1 and Scalar.of(Fraction(-7, 3)).height == 7
+    assert ((A - Fraction(9, 2)) / (A + 5)).height == 9
