@@ -98,9 +98,6 @@ def _uadd(p: Coeffs, q: Coeffs) -> Coeffs:
     return _trim(out)
 
 
-def _uneg(p: Coeffs) -> Coeffs:
-    return tuple(-c for c in p)
-
 def _umul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ()
@@ -313,7 +310,7 @@ class Scalar:
         num = self._num
         if self._den is _UNIT and len(num) <= 1:
             return Scalar._rational(-num[0]) if num else self
-        return Scalar(_uneg(num), self._den)
+        return self._scaled(-1)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         o = other if isinstance(other, Scalar) else Scalar.of(other)

@@ -23,13 +23,13 @@ the reduced row echelon form does not depend on row order.
   space, its reduced echelon form and its canonical kernel basis;
 * invariance under any other affine map g: rows of g^* - id;
 * Lie invariance: rows of L_xi; horizontality: rows of i_xi;
-* a field in the span of earlier fields adds no block.  For invariance
-  the fields are the translations' constant fields, then the
-  infinitesimal generators; for horizontality the latter alone.  L_xi
+* a field in the span of the fields kept before it adds no block.  L_xi
   and i_xi are Q(a)-linear in xi, so each row of such a block is the same
   combination of the kept blocks' rows with its key (a key a block lacks
   is a zero row there), and the stacked system keeps its row space, its
-  reduced echelon form and its canonical kernel basis.
+  reduced echelon form and its canonical kernel basis.  So does any kept
+  set with the same span.  For horizontality the fields are the
+  infinitesimal generators; for invariance, see below;
 * a kept field xi is assembled as xi / c, for c its positive rational
   content: the gcd of the numerators over the lcm of the denominators of
   the rational coefficients of its components.  Every row of its block is
@@ -38,13 +38,17 @@ the reduced row echelon form does not depend on row order.
   ints, not over Fractions.  A field with a coefficient that has ``a`` in
   its denominator is assembled as it is.
 
-Coordinates that the translations fix leave the window before assembly:
+None of this depends on the window, so each action is analysed once, by
+``_prepare``, and every window of every grade reads the result: the free
+coordinates, the maps, and the fields whose L_xi and i_xi blocks are
+imposed.  Coordinates that the constant fields fix leave the window:
 
-* coordinate j is frozen when e_j lies in the Q(a)-span of the constant
-  fields that invariance imposes: each translation's t and each constant
-  infinitesimal generator.  One Gauss-Jordan elimination with these
-  fields as rows finds them: j is frozen exactly when the reduced row
-  with pivot j is e_j;
+* the constant fields that invariance imposes are each translation's t
+  and each constant infinitesimal generator.  One Gauss-Jordan
+  elimination with these fields as rows finds their span.  Coordinate j
+  is frozen, e_j in that span, exactly when the reduced row with pivot j
+  is e_j.  A pivot column is zero off its own row, so the other reduced
+  rows are zero at every frozen coordinate;
 * L_{e_j} = d/dx_j is then a Q(a)-combination of the imposed L_t, so every
   basic form is in its kernel.  On the window that kernel is exactly the
   columns x^e dx_I with e_j = 0, since d/dx_j sends the other columns to
@@ -54,8 +58,11 @@ Coordinates that the translations fix leave the window before assembly:
   basis depends only on that subspace and the relative column order.  The
   window is built over the free variables alone, in the same graded-lex
   order, and its basis is equal under ``==`` to that of the whole window;
-* a constant field supported in frozen coordinates is zero on that
-  window, so it adds no block, like a field in the span of earlier fields.
+* L_{e_j} is zero on that window, so a frozen e_j adds no block.  The
+  other reduced rows span the constant fields with the frozen e_j, so
+  they are the constant fields that invariance imposes.  The nonconstant
+  generators follow them, each kept when it is outside the span of the
+  reduced rows, every e_j included, and the generators kept before it.
 
 For a lattice spanning R^n the grade-k window shrinks from
 C(n, k) C(n + d, d) columns to C(n, k).  When nothing is frozen, as for
@@ -308,31 +315,8 @@ def _is_translation(g: AffineMap) -> bool:
     return all(e.is_one if i == j else e.is_zero for i, row in rows for j, e in enumerate(row))
 
 
-def _free_coordinates(action: ActionSpec) -> list[int]:
-    """The coordinates that the action's constant fields leave free, increasing.
-
-    Coordinate j is frozen when e_j is in the Q(a)-span of the translations'
-    t and the constant infinitesimal generators.  With those fields as
-    rows, j is frozen exactly when the reduced row with pivot j is e_j.
-    See the module docstring.
-    """
-    rows = [
-        {j: c for j, c in enumerate(g.translation) if not c.is_zero}
-        for g in action.discrete
-        if _is_translation(g)
-    ]
-    rows += [
-        {j: c for j, component in enumerate(xi.components) for c in component.terms.values()}
-        for xi in action.infinitesimal
-        if xi.max_degree() == 0
-    ]
-    reduced = _gauss_jordan(Matrix(action.dim, rows))
-    frozen = {j for j, row in reduced.items() if len(row) == 1}
-    return [j for j in range(action.dim) if j not in frozen]
-
-
-def _independent(fields: Sequence[VectorField]) -> set[int]:
-    """Positions of the fields that are not Q(a)-combinations of earlier fields.
+def _independent(fields: Sequence[VectorField]) -> list[VectorField]:
+    """The fields that are not Q(a)-combinations of earlier fields, in order.
 
     Field i is column i of a matrix with one row per (exponent h,
     component j).  A column of a reduced row echelon form is a pivot column
@@ -342,12 +326,7 @@ def _independent(fields: Sequence[VectorField]) -> set[int]:
     for i, xi in enumerate(fields):
         for j, component in enumerate(xi.components):
             _add_into(rows, i, (j,), component.terms)
-    return set(_gauss_jordan(_matrix(len(fields), rows)))
-
-
-def _vanishes_on(xi: VectorField, domain: Window) -> bool:
-    """Whether xi is constant and zero at every free variable, so L_xi is zero on the domain."""
-    return xi.max_degree() == 0 and all(xi.component(j).is_zero for j in domain.free)
+    return [fields[i] for i in sorted(_gauss_jordan(_matrix(len(fields), rows)))]
 
 
 def _primitive(xi: VectorField) -> VectorField:
@@ -375,59 +354,69 @@ def _primitive(xi: VectorField) -> VectorField:
     return VectorField(components)
 
 
-def invariance_constraints(action: ActionSpec, domain: Window) -> Matrix:
-    """Stacked linear conditions on the window for invariance under every generator.
+class _Prepared(NamedTuple):
+    """What the constraints of every window of one action need; see ``_prepare``."""
 
-    Block order is fixed: discrete generators first (input order), then
-    infinitesimal generators, less the fields in the span of earlier
-    fields.  A form in the window is invariant iff its coordinate vector
-    is in the kernel.  A translation x -> x + t gives the rows of L_t (the
-    constant field t), which have the kernel of g^* - id; it gives no rows
-    when t is a combination of earlier translations, and an infinitesimal
-    generator none when it is a combination of the translations and the
-    generators before it.  A constant field that is zero at every free
-    variable of the domain is zero on it and gives no rows either.  Any
-    other discrete generator keeps the degree, so its rows are keyed by
-    monomials of the whole window of the domain's degree.
+    dim: int
+    free: list[int]  # the coordinates the constant fields leave free, increasing
+    maps: list[AffineMap]  # the discrete generators that impose g^* - id
+    lie: list[VectorField]  # the primitive fields that impose L_xi
+    interior: list[VectorField]  # the primitive fields that impose i_xi
+
+
+def _prepare(action: ActionSpec) -> _Prepared:
+    """The analysis of the action's generators that every window of every grade reads.
+
+    One elimination of the constant fields that invariance imposes gives
+    the frozen coordinates and the imposed constant fields, and one span
+    test each the kept Lie and interior fields; see the module docstring.
     """
-    discrete = action.discrete
-    fields: dict[int, VectorField] = {
-        i: VectorField([Polynomial.constant(domain.dim, c) for c in g.translation])
-        for i, g in enumerate(discrete)
-        if _is_translation(g)
-    }
-    fields.update(enumerate(action.infinitesimal, len(discrete)))
-    positions = list(fields)
-    kept = {
-        positions[c]
-        for c in _independent(list(fields.values()))
-        if not _vanishes_on(fields[positions[c]], domain)
-    }
-    blocks = [
-        _field_block(_primitive(fields[i]), domain, lie=True) if i in fields
-        else _affine_block(discrete[i], domain)
-        for i in range(len(discrete) + len(action.infinitesimal))
-        if i in kept or i not in fields
+    dim = action.dim
+    rows, maps = [], []
+    for g in action.discrete:
+        if _is_translation(g):
+            rows.append({j: c for j, c in enumerate(g.translation) if not c.is_zero})
+        else:
+            maps.append(g)
+    moving = []
+    for xi in action.infinitesimal:
+        if xi.max_degree() == 0:
+            rows.append({j: c for j, p in enumerate(xi.components) for c in p.terms.values()})
+        else:
+            moving.append(xi)
+    reduced = _gauss_jordan(Matrix(dim, rows))
+    frozen = {j for j, row in reduced.items() if len(row) == 1}
+    constants = [
+        VectorField([Polynomial.constant(dim, row.get(j, 0)) for j in range(dim)])
+        for row in reduced.values()
     ]
-    return stack(blocks) if blocks else Matrix.zero(0, domain.size)
+    # the reduced rows are independent, so they are the first fields kept
+    kept = _independent([*constants, *moving])[len(constants):]
+    lie = [xi for j, xi in zip(reduced, constants) if j not in frozen] + kept
+    return _Prepared(
+        dim,
+        [j for j in range(dim) if j not in frozen],
+        maps,
+        list(map(_primitive, lie)),
+        list(map(_primitive, _independent(action.infinitesimal))),
+    )
 
 
-def horizontality_constraints(action: ActionSpec, domain: Window) -> Matrix:
-    """Stacked conditions i_xi(form) = 0 on the window for every infinitesimal generator.
+def _constraints(action: _Prepared, grade: int, max_degree: int) -> tuple[Window, Matrix]:
+    """The window over the free coordinates, and the stacked conditions on it.
 
-    A generator in the span of the generators before it adds no rows.
-    Empty (zero rows) for finite groups: no connected directions, nothing to
-    contract against.
+    Blocks in a fixed order: g^* - id of each map, L_xi of each Lie field,
+    then, above grade 0, i_xi of each interior field.  A form in the
+    window is basic iff its coordinate vector is in the kernel.
+    The rows of g^* - id are keyed by monomials of the whole window of the
+    domain's degree, since g keeps the degree.
     """
-    if domain.grade == 0:
-        return Matrix.zero(0, domain.size)
-    kept = _independent(action.infinitesimal)
-    blocks = [
-        _field_block(_primitive(xi), domain, lie=False)
-        for i, xi in enumerate(action.infinitesimal)
-        if i in kept
-    ]
-    return stack(blocks) if blocks else Matrix.zero(0, domain.size)
+    domain = Window(action.dim, grade, max_degree, action.free)
+    blocks = [_affine_block(g, domain) for g in action.maps]
+    blocks += [_field_block(xi, domain, lie=True) for xi in action.lie]
+    if grade:
+        blocks += [_field_block(xi, domain, lie=False) for xi in action.interior]
+    return domain, stack(blocks) if blocks else Matrix.zero(0, domain.size)
 
 
 def basic_form_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
@@ -436,11 +425,11 @@ def basic_form_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
     The kernel of the stacked invariance + horizontality matrix, mapped back
     to forms through the monomial window.  Deterministic for a fixed input.
     """
-    return _basic_form_bases(action, spec.grade, [spec.max_degree])[spec.max_degree]
+    return _basic_form_bases(_prepare(action), spec.grade, [spec.max_degree])[spec.max_degree]
 
 
 def _basic_form_bases(
-    action: ActionSpec, grade: int, degrees: Iterable[int]
+    action: _Prepared, grade: int, degrees: Iterable[int]
 ) -> dict[int, list[Form]]:
     """The canonical basis of W(grade, d) for every d in ``degrees``, from one elimination.
 
@@ -452,10 +441,7 @@ def _basic_form_bases(
     over the coordinates that the action's constant fields leave free.
     """
     wanted = sorted(set(degrees))
-    domain = Window(action.dim, grade, wanted[-1], _free_coordinates(action))
-    system = stack(
-        [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
-    )
+    domain, system = _constraints(action, grade, wanted[-1])
     vectors = kernel_basis(system)
     forms = [domain.combine(vec) for vec in vectors]
     bases = {}
@@ -494,10 +480,11 @@ def truncated_basic_cohomology(
     of them comes from one more elimination, of d on the degree-D basis.
     """
     n = action.dim
+    prepared = _prepare(action)
     sizes, ranks = [], []  # by grade, then by degree: |basis| and the rank of d on it
     for k in range(n + 1):
         bases = _basic_form_bases(
-            action, k, [*window_degrees, *(d + 1 for d in window_degrees if k < n)]
+            prepared, k, [*window_degrees, *(d + 1 for d in window_degrees if k < n)]
         )
         sizes.append({d: len(basis) for d, basis in bases.items()})
         if k == n:  # d vanishes on n-forms

@@ -38,9 +38,9 @@ from basicforms.solver import (
     CohomologyRecord,
     TruncationSpec,
     Window,
+    _affine_block,
+    _field_block,
     basic_form_basis,
-    horizontality_constraints,
-    invariance_constraints,
     span_matrix,
 )
 
@@ -457,16 +457,36 @@ def spans_equal(first: Sequence[Form], second: Sequence[Form]) -> bool:
     return len(ranks) == 1
 
 
+def translation_field(g: AffineMap) -> VectorField | None:
+    """The constant field t when g is x -> x + t, else None."""
+    if g.linear != AffineMap.identity(g.dim).linear:
+        return None
+    return VectorField([Polynomial.constant(g.dim, t) for t in g.translation])
+
+
+def every_block(action: ActionSpec, domain: Window) -> Matrix:
+    """The system on any window with one block per generator, none dropped or rescaled.
+
+    A translation by t gives L_t, with the kernel of g^* - id; any other
+    map g^* - id; each infinitesimal generator L_xi and, above grade 0, i_xi.
+    """
+    blocks = [
+        _affine_block(g, domain) if t is None else _field_block(t, domain, lie=True)
+        for g, t in zip(action.discrete, map(translation_field, action.discrete))
+    ]
+    blocks += [_field_block(xi, domain, lie=True) for xi in action.infinitesimal]
+    if domain.grade > 0:
+        blocks += [_field_block(xi, domain, lie=False) for xi in action.infinitesimal]
+    return stack(blocks) if blocks else Matrix.zero(0, domain.size)
+
+
 def whole_window_basis(action: ActionSpec, spec: TruncationSpec) -> list[Form]:
-    """The canonical kernel of the constraints on the whole window, as forms.
+    """The canonical kernel of every generator's block on the whole window, as forms.
 
     The window ranges over every variable, whatever the action freezes.
     """
     domain = Window(action.dim, spec.grade, spec.max_degree)
-    system = stack(
-        [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
-    )
-    return [domain.combine(vec) for vec in kernel_basis(system)]
+    return [domain.combine(vec) for vec in kernel_basis(every_block(action, domain))]
 
 
 def cohomology_records(

@@ -26,7 +26,7 @@ from basicforms.actions import ActionSpec
 from basicforms.forms import VectorField
 from basicforms.polynomials import Polynomial
 from basicforms.scalars import Scalar
-from basicforms.solver import Window, horizontality_constraints, invariance_constraints
+from basicforms.solver import _constraints, _prepare
 from helpers import rand_fraction, rand_scalar
 
 
@@ -286,10 +286,7 @@ def test_every_reduced_row_is_zero_at_every_other_pivot_column():
     quarter = Fraction(3, 4)
     for field, degree in (([-y, x, -w, z], 2), ([-y, x, -w.scale(a), z.scale(a)], 3)):
         action = ActionSpec(4, infinitesimal=[VectorField([p.scale(quarter) for p in field])])
-        domain = Window(4, 2, degree)
-        system = stack(
-            [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
-        )
+        domain, system = _constraints(_prepare(action), 2, degree)
         reduced = _gauss_jordan(system)
         _assert_reduced(reduced, domain.size)
         if degree == 2:

@@ -263,3 +263,23 @@ def test_height_is_the_largest_numerator_or_denominator():
         assert s.height == max(max(abs(c.numerator), c.denominator) for c in parts), s
     assert Scalar.of(0).height == 1 and Scalar.of(Fraction(-7, 3)).height == 7
     assert ((A - Fraction(9, 2)) / (A + 5)).height == 9
+
+
+def test_negation_scales_by_minus_one_without_a_gcd(monkeypatch):
+    """-s keeps the coprime numerator and monic denominator, so it needs no gcd."""
+    from basicforms import scalars
+
+    s = (A * A + 3) / (A - 2)
+    gcds = []
+    ugcd = scalars._ugcd
+    monkeypatch.setattr(scalars, "_ugcd", lambda p, q: gcds.append(None) or ugcd(p, q))
+    negated = -s
+    assert gcds == []
+    monkeypatch.undo()
+    assert negated == (-A * A - 3) / (A - 2) and negated._den == s._den
+    _assert_canonical(negated)
+    rng = random.Random(37)
+    for _ in range(300):
+        s = rand_scalar(rng, rng.random() < 0.7)
+        assert -s == s * -1 and hash(-s) == hash(s * -1)
+        _assert_canonical(-s)

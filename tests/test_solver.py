@@ -9,12 +9,14 @@ compared against a literal four-term sum for the quarter-turn group, and
 every constraint block against the per-monomial route of
 ``helpers.operator_block`` (one whole image form per window monomial), as
 a multiset of rows; a translation's L_t block also by reduced row echelon
-form against the oracle's g^* - id.  A kept field xi is assembled as
-c * xi for a nonzero rational c, its content's inverse, and its block is
-compared with the oracle's block of c * xi.  A field in the span of
-earlier fields has no block, and the system keeps the reduced row echelon
-form of one block per generator.  Every window read off a larger window
-of its grade equals the canonical kernel of its own system.
+form against the oracle's g^* - id.  The fields that the prepared action
+imposes are checked against the generators by ranks of their own: they
+span what the generators span, less the coordinates that constant fields
+freeze, and a kept field xi is assembled as c * xi for a nonzero rational
+c, its content's inverse.  A field in the span of earlier fields has no
+block, and the system keeps the reduced row echelon form of one block per
+generator.  Every window read off a larger window of its grade equals the
+canonical kernel of its own system.
 """
 
 import itertools
@@ -45,13 +47,12 @@ from basicforms.solver import (
     TruncationSpec,
     Window,
     basic_form_basis,
-    invariance_constraints,
-    horizontality_constraints,
     span_matrix,
     truncated_basic_cohomology,
 )
 from helpers import (
     cohomology_records,
+    every_block,
     grlex_key,
     horizontality_blocks,
     independent_fields,
@@ -67,6 +68,7 @@ from helpers import (
     reynolds_average,
     same_rows,
     spans_equal,
+    translation_field,
     trivial_action,
     whole_window_basis,
     window_coordinates,
@@ -156,15 +158,15 @@ def test_constraint_kernel_matches_direct_conditions():
     for _ in range(120):
         action = rng.choice(actions)
         grade = rng.randint(0, action.dim)
-        spec = TruncationSpec(grade, rng.randint(0, 2))
-        w = Window(action.dim, grade, spec.max_degree)
-        form = rand_form(rng, action.dim, grade, max_degree=spec.max_degree)
+        degree = rng.randint(0, 2)
+        w, system = solver._constraints(solver._prepare(action), grade, degree)
+        form = rand_form(rng, action.dim, grade, max_degree=degree)
+        # the window ranges over the free coordinates: no basic form has a frozen one
         coords = window_coordinates(w, form)
-        system = stack(
-            [invariance_constraints(action, w), horizontality_constraints(action, w)]
-        )
+        in_window = w.combine(coords)
         in_kernel = all(v.is_zero for v in matrix_apply(system, coords))
-        assert in_kernel == _is_basic(action, form)
+        assert in_kernel == _is_basic(action, in_window)
+        assert _is_basic(action, form) == (in_kernel and form == in_window)
 
 
 def test_basis_members_satisfy_defining_conditions():
@@ -346,13 +348,6 @@ def test_span_matrix_shape():
     assert span_matrix([]).rows == 0
 
 
-def _translation_field(g: AffineMap) -> VectorField | None:
-    """The constant field t when g is x -> x + t, else None."""
-    if g.linear != AffineMap.identity(g.dim).linear:
-        return None
-    return VectorField([Polynomial.constant(g.dim, t) for t in g.translation])
-
-
 def _primitive_multiple(xi: VectorField) -> VectorField:
     """The field a kept xi is assembled as, checked to be c * xi for a nonzero rational c."""
     scaled = solver._primitive(xi)
@@ -363,62 +358,80 @@ def _primitive_multiple(xi: VectorField) -> VectorField:
     return scaled
 
 
-def _assert_blocks_match_the_per_monomial_route(action: ActionSpec, domain: Window) -> None:
-    """The assembly against the oracle, block for block over the kept fields.
+def _unit_fields(dim: int, coordinates) -> list[VectorField]:
+    """The constant fields e_j, one per coordinate j given."""
+    return [
+        VectorField([Polynomial.constant(dim, int(i == j)) for i in range(dim)])
+        for j in coordinates
+    ]
 
-    Blocks are compared by width and multiset of rows (``same_rows``):
-    each keeps its nonempty rows in the order it first touches them.
-    ``_affine_block`` equals the oracle's g^* - id for every discrete
-    generator.  A translation by t is assembled as L_t instead, and its
-    reduced row echelon form equals that of the oracle's g^* - id, so the
-    two have one row space.  A field in the span of the fields before it
-    has no block: for invariance the translations' constant fields, then
-    the infinitesimal generators; for horizontality the latter alone.
-    ``independent_fields`` says which, by ranks of its own.  A kept field
-    xi is assembled as c * xi for a nonzero rational c, so its block is
-    the oracle's block of c * xi, with the row space of the oracle's block
-    of xi; the stack of every other block equals the stack of the
-    oracle's.  Where a block is dropped, the assembled system has the
-    reduced row echelon form of the stack of every oracle block.  Where
-    none is, that follows from the checks above, and the elimination of a
-    dense map over Q(a) stacked with every field takes minutes on R^3 and
-    R^4.
+
+def _in_span(fields, of) -> bool:
+    """Whether every field is a Q(a)-combination of the fields ``of``, by the ranks oracle."""
+    return not any(independent_fields([*of, *fields])[len(of) :])
+
+
+def _assert_prepared_fields_span_the_generators(action: ActionSpec) -> None:
+    """The prepared action's fields against the generators, by ranks of their own.
+
+    A coordinate is frozen exactly when e_j is in the span of the constant
+    fields that invariance imposes, each translation's t and each constant
+    infinitesimal generator.  The Lie fields are independent of each other
+    and of the frozen e_j, and with those e_j they span the translations'
+    constant fields and the infinitesimal generators.  The interior fields
+    are c * xi, for a nonzero rational c, for the generators xi outside the
+    span of the generators before them (``independent_fields``).  The maps
+    are the discrete generators that are not translations.
     """
+    prepared = solver._prepare(action)
+    n = action.dim
+    translations = [t for t in map(translation_field, action.discrete) if t is not None]
+    constants = translations + [xi for xi in action.infinitesimal if xi.max_degree() == 0]
+    units = _unit_fields(n, [j for j in range(n) if j not in prepared.free])
+    assert _in_span(units, constants)
+    assert not any(_in_span(_unit_fields(n, [j]), constants) for j in prepared.free)
+    assert all(independent_fields([*units, *prepared.lie]))
+    assert _in_span(prepared.lie, [*translations, *action.infinitesimal])
+    assert _in_span([*translations, *action.infinitesimal], [*units, *prepared.lie])
+    kept = itertools.compress(action.infinitesimal, independent_fields(action.infinitesimal))
+    assert prepared.interior == [_primitive_multiple(xi) for xi in kept]
+    assert prepared.maps == [g for g in action.discrete if translation_field(g) is None]
+
+
+def _assert_blocks_match_the_per_monomial_route(
+    action: ActionSpec, grade: int, degree: int
+) -> None:
+    """The assembly against the oracle, block for block over the prepared action.
+
+    Blocks are compared by width and multiset of rows (``same_rows``) on
+    the window over the free coordinates: each keeps its nonempty rows in
+    the order it first touches them.  ``_affine_block`` equals the
+    oracle's g^* - id for every discrete generator.  A translation by t is
+    assembled as L_t instead, and its reduced row echelon form equals that
+    of the oracle's g^* - id, so the two have one row space.  The system
+    is the stack of the oracle's g^* - id of each map, L_xi of each Lie
+    field and i_xi of each interior field.  Where it has fewer blocks than
+    one per generator, it has the reduced row echelon form of the stack of
+    every oracle block.  Where it has as many, the elimination of a dense
+    map over Q(a) stacked with every field takes minutes on R^3 and R^4.
+    """
+    prepared = solver._prepare(action)
+    domain, system = solver._constraints(prepared, grade, degree)
     oracle = invariance_blocks(action, domain)
     lie = lambda xi: operator_block(domain, lambda f: lie_derivative(xi, f))
-    expected = []  # (the field whose span decides, or None; the oracle block of a map)
+    contract = lambda xi: operator_block(domain, lambda f: interior(xi, f))
     for g, block in zip(action.discrete, oracle):
         assert same_rows(solver._affine_block(g, domain), block)
-        t = _translation_field(g)
+        t = translation_field(g)
         if t is not None:
             assert _gauss_jordan(lie(t)) == _gauss_jordan(block)
-        expected.append((t, block))
-    expected += [(xi, None) for xi in action.infinitesimal]
-    kept = iter(independent_fields([f for f, _ in expected if f is not None]))
-    horizontal = horizontality_blocks(action, domain)
-    for assembled, blocks, every in (
-        (
-            invariance_constraints(action, domain),
-            [
-                block if f is None else lie(_primitive_multiple(f))
-                for f, block in expected
-                if f is None or next(kept)
-            ],
-            oracle,
-        ),
-        (
-            horizontality_constraints(action, domain),
-            [
-                operator_block(domain, lambda f, xi=_primitive_multiple(xi): interior(xi, f))
-                for xi, k in zip(action.infinitesimal, independent_fields(action.infinitesimal))
-                if k and domain.grade > 0
-            ],
-            horizontal,
-        ),
-    ):
-        assert same_rows(assembled, stack(blocks) if blocks else Matrix.zero(0, domain.size))
-        if len(blocks) < len(every):
-            assert _gauss_jordan(assembled) == _gauss_jordan(stack(every))
+    blocks = [block for g, block in zip(action.discrete, oracle) if g in prepared.maps]
+    blocks += [lie(xi) for xi in prepared.lie]
+    blocks += [contract(xi) for xi in prepared.interior] if grade else []
+    assert same_rows(system, stack(blocks) if blocks else Matrix.zero(0, domain.size))
+    every = oracle + horizontality_blocks(action, domain)
+    if len(blocks) < len(every):
+        assert _gauss_jordan(system) == _gauss_jordan(stack(every))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -444,23 +457,25 @@ def test_block_assembly_matches_the_per_monomial_route(dim):
     lattice = AffineMap.translation_by(
         [Scalar.parameter() - rand_fraction(rng, 3)] + [rand_scalar(rng) for _ in range(dim - 1)]
     )
+    for discrete in ([dense, shear, lattice], [shear, lattice]):
+        _assert_prepared_fields_span_the_generators(ActionSpec(dim, discrete, fields))
     for grade in range(dim + 1):
         for degree in range(4):
             # a dense 4x4 map over Q(a) costs seconds per degree-3 window on
             # both routes, all of it in rational-function arithmetic
             discrete = [shear, lattice] if dim == 4 and degree == 3 else [dense, shear, lattice]
             action = ActionSpec(dim, discrete, fields)
-            _assert_blocks_match_the_per_monomial_route(action, Window(dim, grade, degree))
+            _assert_blocks_match_the_per_monomial_route(action, grade, degree)
 
 
 def test_block_assembly_matches_the_per_monomial_route_on_the_examples():
     x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
     r4_rotation = ActionSpec(4, infinitesimal=[VectorField([-y, x, -w, z])])
     for action in (solenoid_plane(), irrational_torus_line(), so2_plane(), z2_line(), r4_rotation):
+        _assert_prepared_fields_span_the_generators(action)
         for grade in range(action.dim + 1):
             for degree in range(4 if action.dim < 4 else 3):
-                domain = Window(action.dim, grade, degree)
-                _assert_blocks_match_the_per_monomial_route(action, domain)
+                _assert_blocks_match_the_per_monomial_route(action, grade, degree)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -472,7 +487,9 @@ def test_translation_block_has_the_kernel_of_g_star_minus_id(dim):
     L_t.  Checked against the oracle's g^* - id by reduced row echelon
     form, and by a count made without elimination: for t != 0 the
     invariant k-forms of degree <= d are the dx_I times the polynomials in
-    the n - 1 coordinates transverse to t.
+    the n - 1 coordinates transverse to t.  Both on the window over the
+    coordinates that t leaves free: when t is a multiple of e_j, that is
+    every other coordinate, and the window has no rows.
     """
     rng = random.Random(1220 + dim)
     rationals = [rand_nonzero_fraction(rng) for _ in range(dim)]
@@ -487,14 +504,18 @@ def test_translation_block_has_the_kernel_of_g_star_minus_id(dim):
     for offsets in translations:
         g = AffineMap.translation_by(offsets)
         action = ActionSpec(dim, [g])
+        prepared = solver._prepare(action)
         moves = any(not t.is_zero for t in g.translation)
+        # t freezes a coordinate exactly when it is a multiple of e_j
+        whole = len(prepared.free) == dim
+        assert whole == (sum(not t.is_zero for t in g.translation) != 1)
         for grade in range(dim + 1):
             for degree in range(5):
-                domain = Window(dim, grade, degree)
-                system = invariance_constraints(action, domain)
+                domain, system = solver._constraints(prepared, grade, degree)
                 # L_t maps onto the degree d - 1 window, one nonempty row per monomial;
-                # the zero field is in the span of any fields, even none, and adds no rows
-                image = Window(dim, grade, degree - 1).size if moves and degree else 0
+                # it is zero on the window over the coordinates t leaves free, when t
+                # freezes one, and the zero field adds no rows
+                image = Window(dim, grade, degree - 1).size if moves and whole and degree else 0
                 assert system.rows == image
                 (oracle,) = invariance_blocks(action, domain)
                 reduced = _gauss_jordan(system)
@@ -510,11 +531,14 @@ def _combination(coefficients, fields) -> VectorField:
     return VectorField([sum(terms(j), Polynomial.zero(dim)) for j in range(dim)])
 
 
-def _span_cases() -> list[tuple[ActionSpec, set[int]]]:
-    """Actions that repeat a direction, each with the positions of the fields it keeps.
+def _span_cases() -> list[tuple[ActionSpec, list[VectorField], set[int]]]:
+    """Actions that repeat a direction, each with the fields it imposes.
 
-    The fields are the translations' constant fields, then the
-    infinitesimal generators, as ``invariance_constraints`` collects them.
+    Each case gives the Lie fields before scaling to primitive content:
+    the reduced constant fields that are not some e_j, then the
+    nonconstant generators outside the span of those, the frozen e_j and
+    the generators before them.  Then the positions of the infinitesimal
+    generators whose interior blocks are kept.
     """
     rng = random.Random(1240)
     a = Scalar.parameter()
@@ -522,41 +546,58 @@ def _span_cases() -> list[tuple[ActionSpec, set[int]]]:
     rotation = VectorField([-y, x])
     first, second = (rand_vector_field(rng, 2, max_degree=1, with_param=True) for _ in range(2))
     quarter_turn = AffineMap.from_rows([[0, -1], [1, 0]], [0, 0])
-    constant = lambda *values: VectorField([Polynomial.constant(2, v) for v in values])
+    constant = lambda *values: VectorField([Polynomial.constant(len(values), v) for v in values])
     coefficients = [rand_scalar(rng) for _ in range(3)]
+    p, q, r = (Polynomial.variable(3, i) for i in range(3))
     return [
         # a multiple of an earlier field over Q(a)
-        (ActionSpec(2, infinitesimal=[first, _combination([rand_scalar(rng)], [first])]), {0}),
-        # 1 = (-1/a)(-a): a coefficient with a in its denominator
-        (ActionSpec(1, [AffineMap.translation_by([-a]), AffineMap.translation_by([1])]), {0}),
+        (
+            ActionSpec(2, infinitesimal=[first, _combination([rand_scalar(rng)], [first])]),
+            [first],
+            {0},
+        ),
+        # 1 = (-1/a)(-a): a coefficient with a in its denominator; the line is frozen
+        (ActionSpec(1, [AffineMap.translation_by([-a]), AffineMap.translation_by([1])]), [], set()),
         # the zero translation and the zero field
-        (ActionSpec(2, [AffineMap.translation_by([0, 0])], [constant(0, 0), rotation]), {2}),
-        # a constant field that repeats a translation: no Lie block, an interior block
-        (ActionSpec(2, [AffineMap.translation_by([1, a])], [constant(2, 2 * a)]), {0}),
+        (
+            ActionSpec(2, [AffineMap.translation_by([0, 0])], [constant(0, 0), rotation]),
+            [rotation],
+            {1},
+        ),
+        # a constant field that repeats a translation: one Lie block, an interior block
+        (
+            ActionSpec(2, [AffineMap.translation_by([1, a])], [constant(2, 2 * a)]),
+            [constant(1, a)],
+            {0},
+        ),
         # a rotation next to a multiple of it, and a map that is not a translation
-        (ActionSpec(2, [quarter_turn], [rotation, _combination([(a + 1) / 2], [rotation])]), {0}),
-        # a seeded combination of a translation and two fields over Q(a)
+        (
+            ActionSpec(2, [quarter_turn], [rotation, _combination([(a + 1) / 2], [rotation])]),
+            [rotation],
+            {0},
+        ),
+        # a seeded combination of a translation, which freezes x, and two fields over Q(a)
         (
             ActionSpec(
                 2,
                 [AffineMap.translation_by([1, 0])],
                 [first, second, _combination(coefficients, [constant(1, 0), first, second])],
             ),
+            [first, second],
             {0, 1, 2},
         ),
+        # a constant generator outside the span of the translation freezes its own
+        # coordinate: no Lie block, an interior block, next to a nonconstant generator
+        (
+            ActionSpec(
+                3,
+                [AffineMap.translation_by([1, 1, 0])],
+                [constant(0, 0, a), VectorField([-q, p, r])],
+            ),
+            [constant(1, 1, 0), VectorField([-q, p, r])],
+            {0, 1},
+        ),
     ]
-
-
-def _every_block(action: ActionSpec, domain: Window) -> Matrix:
-    """The system with one block per generator, none dropped."""
-    blocks = [
-        solver._affine_block(g, domain) if t is None else solver._field_block(t, domain, lie=True)
-        for g, t in zip(action.discrete, map(_translation_field, action.discrete))
-    ]
-    blocks += [solver._field_block(xi, domain, lie=True) for xi in action.infinitesimal]
-    if domain.grade > 0:
-        blocks += [solver._field_block(xi, domain, lie=False) for xi in action.infinitesimal]
-    return stack(blocks)
 
 
 @pytest.mark.parametrize("case", range(len(_span_cases())))
@@ -566,28 +607,30 @@ def test_a_field_in_the_span_of_earlier_fields_adds_no_block(monkeypatch, case):
     L_xi and i_xi are Q(a)-linear in xi.  So a dropped block's rows are
     combinations of the kept blocks' rows with the same target monomial,
     and the reduced system has the reduced row echelon form of the system
-    over every block.  The reduced system builds fewer blocks; a dropped
-    block may have no rows at all, as the zero field's has.
+    over every block, on the window over the free coordinates, where the
+    L_xi of a frozen e_j is zero.  The reduced system builds fewer blocks;
+    a dropped block may have no rows at all, as the zero field's has.  Its
+    bases equal those of every block on the whole window.
     """
-    action, kept = _span_cases()[case]
+    action, lie, interior = _span_cases()[case]
+    prepared = solver._prepare(action)
+    assert prepared.lie == [solver._primitive(xi) for xi in lie]
+    kept = [i in interior for i in range(len(action.infinitesimal))]
+    assert kept == independent_fields(action.infinitesimal)
+    _assert_prepared_fields_span_the_generators(action)
     counts = _count_calls(monkeypatch, solver, "_affine_block", "_field_block")
-    fields = [t for t in map(_translation_field, action.discrete) if t is not None]
-    fields += action.infinitesimal
-    assert solver._independent(fields) == kept
-    assert [i in kept for i in range(len(fields))] == independent_fields(fields)
     for grade in range(action.dim + 1):
         for degree in range(4):
-            domain = Window(action.dim, grade, degree)
             counts.update(dict.fromkeys(counts, 0))
-            reduced = stack(
-                [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
-            )
+            domain, reduced = solver._constraints(prepared, grade, degree)
             built = sum(counts.values())
-            every = _every_block(action, domain)
+            every = every_block(action, domain)
             assert built < len(action.discrete) + len(action.infinitesimal) * (1 + (grade > 0))
             assert _gauss_jordan(reduced) == _gauss_jordan(every)
-            basis = basic_form_basis(action, TruncationSpec(grade, degree))
+            spec = TruncationSpec(grade, degree)
+            basis = basic_form_basis(action, spec)
             assert basis == [domain.combine(vec) for vec in kernel_basis(every)]
+            assert basis == whole_window_basis(action, spec)
 
 
 def test_translations_compose_no_powers(monkeypatch):
@@ -597,7 +640,7 @@ def test_translations_compose_no_powers(monkeypatch):
     monkeypatch.setattr(PowerTable, "compose", lambda *args: calls.append(args) or compose(*args))
     bases = []
     for action in (solenoid_plane(), irrational_torus_line()):
-        assert all(_translation_field(g) is not None for g in action.discrete)
+        assert all(translation_field(g) is not None for g in action.discrete)
         for grade in range(action.dim + 1):
             bases.append((action, basic_form_basis(action, TruncationSpec(grade, 3))))
     assert calls == []
@@ -618,7 +661,7 @@ def test_assembly_work_grows_with_exponents_plus_index_tuples(monkeypatch):
     x, y, z, w = (Polynomial.variable(4, i) for i in range(4))
     g = rand_affine(rng, 4)
     xi = VectorField([-y * y, x, -w, z * x])
-    domain = Window(4, 2, 2)
+    prepared = solver._prepare(ActionSpec(4, [g], [xi]))
     calls: dict[str, list] = {"compose": [], "covector": [], "lie": [], "interior": []}
 
     def counted(name, original):
@@ -632,9 +675,7 @@ def test_assembly_work_grows_with_exponents_plus_index_tuples(monkeypatch):
     monkeypatch.setattr(PolyMap, "_pulled_covector", counted("covector", PolyMap._pulled_covector))
     monkeypatch.setattr(solver, "lie_derivative", counted("lie", solver.lie_derivative))
     monkeypatch.setattr(solver, "interior", counted("interior", solver.interior))
-    action = ActionSpec(4, [g], [xi])
-    invariance_constraints(action, domain)
-    horizontality_constraints(action, domain)
+    domain, _ = solver._constraints(prepared, 2, 2)
 
     assert len(domain.exponents) == 15 and domain.size == 90
     assert [tuple(p.terms) for p in calls["compose"]] == [(e,) for e in domain.exponents]
@@ -675,17 +716,15 @@ def test_nested_windows_equal_their_direct_eliminations(case):
     """Each window of a grade read off the largest one equals its own elimination."""
     action = _nested_window_actions()[case]
     n = action.dim
+    prepared = solver._prepare(action)
     for grade in range(n + 1):
         direct = []
         for d in range(5):
-            domain = Window(n, grade, d)
-            system = stack(
-                [invariance_constraints(action, domain), horizontality_constraints(action, domain)]
-            )
+            domain, system = solver._constraints(prepared, grade, d)
             direct.append([domain.combine(vec) for vec in kernel_basis(system)])
         assert any(direct) or grade > 0  # the constants are invariant
         for top in range(5):
-            bases = solver._basic_form_bases(action, grade, range(top + 1))
+            bases = solver._basic_form_bases(prepared, grade, range(top + 1))
             assert list(bases) == list(range(top + 1))
             for d in range(top + 1):
                 assert bases[d] == direct[d]
@@ -705,19 +744,33 @@ def _count_calls(monkeypatch, module, *names) -> dict[str, int]:
 
 
 @pytest.mark.parametrize(
-    "job, eliminations", [("solenoid_cohomology", 3), ("solenoid_basis", 1)]
+    "job, eliminations",
+    [("solenoid_cohomology", 3), ("solenoid_basis", 1), ("stages_solenoid", 2)],
 )
 def test_one_assembly_and_one_elimination_per_grade(monkeypatch, job, eliminations):
-    """The cohomology job's windows d and d + 2 of one grade share one system."""
+    """The cohomology job's windows d and d + 2 of one grade share one system.
+
+    Each action is analysed once per job: once for the three grades of the
+    cohomology job, once for each of the stages job's two actions.  The
+    Gauss-Jordan eliminations, through every module that binds
+    ``_gauss_jordan``, are pinned too: the cohomology job took 15 when
+    every grade analysed the action again.
+    """
     from importlib import resources
 
     from basicforms.jobs import run_job
 
     path = resources.files("basicforms") / "jobs_data" / f"{job}.json"
-    counts = _count_calls(monkeypatch, solver, "invariance_constraints", "kernel_basis")
+    counts = _count_calls(monkeypatch, solver, "_prepare", "_constraints", "kernel_basis")
+    gauss_jordan = _count_linalg_calls(monkeypatch, "_gauss_jordan")
     _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
     assert code == 0
-    assert counts == {"invariance_constraints": eliminations, "kernel_basis": eliminations}
+    actions = 2 if job == "stages_solenoid" else 1
+    assert counts == {
+        "_prepare": actions, "_constraints": eliminations, "kernel_basis": eliminations
+    }
+    limit = {"solenoid_cohomology": 10, "solenoid_basis": 6, "stages_solenoid": 13}[job]
+    assert gauss_jordan == {"_gauss_jordan": limit}
 
 
 @pytest.mark.parametrize(
@@ -747,12 +800,20 @@ def test_a_job_builds_one_window_per_elimination(monkeypatch, job, windows):
 def test_the_solenoid_flow_builds_no_lie_block(monkeypatch):
     """The flow (1, a) is a combination of the lattice translations (1, 0) and (0, 1).
 
-    So on the whole window the invariance conditions are the Lie blocks of
-    the two translations only, not three.  The translations freeze both
-    coordinates, so the bundled basis job's window ranges over no
-    variable.  Their Lie blocks are zero there and not built, and the job
-    builds the flow's interior block alone.
+    So on the whole window the Lie blocks of the two translations have the
+    row space of all three.  The translations freeze both coordinates, so
+    the bundled basis job's window ranges over no variable.  The prepared
+    action imposes no Lie field, and the job builds the flow's interior
+    block alone.
     """
+    action = solenoid_plane()
+    domain = Window(2, 1, 3)
+    lie = [*map(translation_field, action.discrete), *action.infinitesimal]
+    blocks = [solver._field_block(xi, domain, lie=True) for xi in lie]
+    assert _gauss_jordan(stack(blocks[:2])) == _gauss_jordan(stack(blocks))
+    prepared = solver._prepare(action)
+    assert (prepared.free, prepared.maps, prepared.lie) == ([], [], [])
+    assert prepared.interior == [solenoid_field()]
     built = []
     field_block = solver._field_block
 
@@ -765,9 +826,6 @@ def test_the_solenoid_flow_builds_no_lie_block(monkeypatch):
     from basicforms.jobs import run_job
 
     monkeypatch.setattr(solver, "_field_block", counted)
-    invariance_constraints(solenoid_plane(), Window(2, 1, 3))
-    assert built == ["lie", "lie"]
-    built.clear()
     path = resources.files("basicforms") / "jobs_data" / "solenoid_basis.json"
     _, code = run_job(json.loads(path.read_text(encoding="utf-8")))
     assert code == 0
@@ -1043,7 +1101,7 @@ def test_frozen_coordinates_keep_every_basis(case):
     """
     action = _frozen_cases()[case]
     for grade in range(action.dim + 1):
-        nested = solver._basic_form_bases(action, grade, range(5))
+        nested = solver._basic_form_bases(solver._prepare(action), grade, range(5))
         for d in range(5):
             spec = TruncationSpec(grade, d)
             oracle = whole_window_basis(action, spec)
