@@ -368,8 +368,9 @@ def _prepare(action: ActionSpec) -> _Prepared:
     """The analysis of the action's generators that every window of every grade reads.
 
     One elimination of the constant fields that invariance imposes gives
-    the frozen coordinates and the imposed constant fields, and one span
-    test each the kept Lie and interior fields; see the module docstring.
+    the frozen coordinates and the imposed constant fields.  One span test
+    each gives the kept nonconstant Lie fields, when there are any, and
+    the kept interior fields, when there are any; see the module docstring.
     """
     dim = action.dim
     rows, maps = [], []
@@ -391,14 +392,15 @@ def _prepare(action: ActionSpec) -> _Prepared:
         for row in reduced.values()
     ]
     # the reduced rows are independent, so they are the first fields kept
-    kept = _independent([*constants, *moving])[len(constants):]
+    kept = _independent([*constants, *moving])[len(constants):] if moving else []
     lie = [xi for j, xi in zip(reduced, constants) if j not in frozen] + kept
+    interior = _independent(action.infinitesimal) if action.infinitesimal else []
     return _Prepared(
         dim,
         [j for j in range(dim) if j not in frozen],
         maps,
         list(map(_primitive, lie)),
-        list(map(_primitive, _independent(action.infinitesimal))),
+        list(map(_primitive, interior)),
     )
 
 
